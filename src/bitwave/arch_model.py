@@ -47,6 +47,9 @@ from dataclasses import dataclass, field
 from pathlib import Path
 import json
 
+# apply_device_overrides is looked up on the module at call time, where
+# bench/tracing.py wraps it.
+from . import device_catalog
 from . import workload_ir as wir
 from .device_catalog import (
     DEFAULT_CATALOG,
@@ -263,6 +266,44 @@ def _require_feasible(spec: MvuSpec, cfg: ArchConfig) -> None:
         )
 
 
+class MvuCache:
+    """Unit specs and per-unit peak powers under one catalog, each computed once.
+
+    One simulation builds its own; a search builds one per call and shares
+    it across every configuration it evaluates.
+    """
+
+    def __init__(self, catalog: DeviceCatalog):
+        self.catalog = catalog
+        self._specs: dict[tuple[str, int, int], MvuSpec] = {}
+        self._unit_mw: dict[tuple[str, int, int], float] = {}
+
+    def spec(self, kind: str, n_lambda: int, n_rows: int) -> MvuSpec:
+        key = (kind, n_lambda, n_rows)
+        spec = self._specs.get(key)
+        if spec is None:
+            spec = self._specs[key] = _mvu_spec(kind, n_lambda, n_rows, self.catalog)
+        return spec
+
+    def unit_power_mw(self, kind: str, width: int, b: int) -> float:
+        """Worst-case power of one fully active unit of ``kind`` and ``width`` at slice width b.
+
+        CONV units are sized for the widest supported operand (16-bit
+        weights at slice width b).
+        """
+        key = (kind, width, b)
+        mw = self._unit_mw.get(key)
+        if mw is None:
+            if kind == wir.FC:
+                n_rows, cp = width, _ConverterPlan(1, 1, b, b, b, False)
+            else:
+                n_rows = _ceil_div(_MAX_BITS, b)
+                cp = _ConverterPlan(1, n_rows, b, b, b, True)
+            spec = self.spec(kind, width, n_rows)
+            mw = self._unit_mw[key] = _unit_active_power_mw(spec, self.catalog, cp)
+        return mw
+
+
 # -- mapping -------------------------------------------------------------------
 
 
@@ -280,30 +321,24 @@ class MappingPlan:
 
 
 def map_layer(layer: wir.LayerSpec, cfg: ArchConfig) -> MappingPlan:
-    """Tile a layer onto the configured array (bit-sliced operation)."""
-    return _map_layer(layer, cfg, _ceil_div(layer.act_bits, cfg.b), _ceil_div(layer.weight_bits, cfg.b))
+    """Tile a layer onto the configured array (bit-sliced operation).
+
+    Built from ``layer_cost`` (the tiling) and ``place_layer`` (the
+    round-robin), so mapping and simulation share one definition of each;
+    the cost's energy goes unused.
+    """
+    n_units = unit_count(layer.kind, cfg)
+    if n_units < 1:
+        letter = "V" if layer.kind == wir.FC else "K"
+        raise ConfigError(f"layer {layer.index} is {layer.kind} but the config has {letter}=0 {layer.kind} units")
+    cost = layer_cost(layer, cfg, DEFAULT_CATALOG, bitwave_plan(layer, cfg.b), laser_mw=0.0)
+    passes, seq_steps, _, used = place_layer(cost, n_units)
+    return MappingPlan(layer.index, layer.kind, cost.n_units_of_work, cost.steps_per_unit, passes, used, seq_steps)
 
 
-def _map_layer(layer: wir.LayerSpec, cfg: ArchConfig, n_a: int, n_w: int) -> MappingPlan:
-    if layer.kind == wir.FC:
-        if cfg.V < 1:
-            raise ConfigError(f"layer {layer.index} is FC but the config has V=0 FC units")
-        tiles = _ceil_div(layer.in_features, cfg.v) * _ceil_div(layer.out_features, cfg.v)
-        steps = n_a * n_w
-        passes = _ceil_div(tiles, cfg.V)
-        used = min(cfg.V, tiles)
-        return MappingPlan(layer.index, wir.FC, tiles, steps, passes, used, passes * steps)
-    if cfg.K < 1:
-        raise ConfigError(f"layer {layer.index} is CONV but the config has K=0 CONV units")
-    length = layer.kernel_h * layer.kernel_w * layer.in_channels
-    chunks = _ceil_div(length, cfg.k)
-    oh, ow = wir.layer_out_hw(layer)
-    positions = oh * ow * layer.out_channels
-    units = positions * chunks
-    steps = n_a
-    passes = _ceil_div(units, cfg.K)
-    used = min(cfg.K, units)
-    return MappingPlan(layer.index, wir.CONV, units, steps, passes, used, passes * steps)
+def unit_count(kind: str, cfg: ArchConfig) -> int:
+    """Units a layer of ``kind`` spreads over: V for FC, K for CONV."""
+    return cfg.V if kind == wir.FC else cfg.K
 
 
 # -- reports -------------------------------------------------------------------
@@ -422,22 +457,54 @@ def _eo_event_pj(catalog: DeviceCatalog) -> float:
     return d.eo_tuning_power_mw_per_nm * catalog.eo_shift_nm * d.eo_tuning_latency_ns
 
 
-def _sim_layer(
+def bitwave_plan(layer: wir.LayerSpec, b: int) -> _ConverterPlan:
+    """Slice counts and b-bit converters of the bit-sliced architecture."""
+    return _ConverterPlan(
+        n_a=_ceil_div(layer.act_bits, b),
+        n_w=_ceil_div(layer.weight_bits, b),
+        dac_bits_act=b,
+        dac_bits_w=b,
+        adc_bits=b,
+        use_soa=layer.kind == wir.CONV,
+    )
+
+
+@dataclass(frozen=True, slots=True)
+class LayerCost:
+    """What a layer costs on one unit width, whatever the unit counts (V, K).
+
+    An FC layer's cost depends on (v, b) only and a CONV layer's on (k, b)
+    only: the unit count divides latency (``place_layer``) but leaves energy
+    alone.
+    """
+
+    index: int
+    kind: str
+    n_units_of_work: int  # FC: weight tiles; CONV: output positions x chunks
+    steps_per_unit: int
+    step_period_ns: float
+    energy_j: float
+    macs: int
+    processed_bits: int
+
+
+def layer_cost(
     layer: wir.LayerSpec,
     cfg: ArchConfig,
     catalog: DeviceCatalog,
     cp: _ConverterPlan,
     laser_mw: float,
-) -> LayerReport:
+) -> LayerCost:
+    """Work and energy of one layer; reads neither ``cfg.V`` nor ``cfg.K``."""
     d = catalog.devices
-    plan = _map_layer(layer, cfg, cp.n_a, cp.n_w)
     period = _step_period_ns(cfg, catalog, cp)
-    steps = plan.steps_per_unit
 
     if layer.kind == wir.FC:
         n_i, n_o = layer.in_features, layer.out_features
         lane_chunks = _ceil_div(n_i, cfg.v)
         row_chunks = _ceil_div(n_o, cfg.v)
+        work = lane_chunks * row_chunks
+        steps = cp.n_a * cp.n_w
         act_dac_holds = row_chunks * n_i * steps
         w_dac_holds = lane_chunks * n_o * steps
         adc_convs = lane_chunks * n_o * steps  # one per output row per step
@@ -446,11 +513,13 @@ def _sim_layer(
         vcsel_events = act_dac_holds
         # weight slices cycle every step; the activation slice holds still
         eo_events = n_i * n_o * (steps if cp.n_w > 1 else 1) + row_chunks * n_i * cp.n_a
-        busy_slots = plan.n_units_of_work * steps
     else:
         length = layer.kernel_h * layer.kernel_w * layer.in_channels
         chunks = _ceil_div(length, cfg.k)
-        positions = plan.n_units_of_work // chunks
+        oh, ow = wir.layer_out_hw(layer)
+        positions = oh * ow * layer.out_channels
+        work = positions * chunks
+        steps = cp.n_a
         act_dac_holds = positions * length * steps
         w_dac_holds = positions * chunks * cp.n_w * steps  # one per weight-slice lane
         adc_convs = positions * chunks * steps  # current-summed: one conversion
@@ -459,7 +528,7 @@ def _sim_layer(
         vcsel_events = act_dac_holds
         # activations re-imprint every step; kernel slices once per position
         eo_events = act_dac_holds + positions * length * cp.n_w
-        busy_slots = plan.n_units_of_work * steps
+    busy_slots = work * steps
 
     energy_pj = act_dac_holds * catalog.dac_power(cp.dac_bits_act) * period
     energy_pj += w_dac_holds * catalog.dac_power(cp.dac_bits_w) * period
@@ -471,22 +540,36 @@ def _sim_layer(
     energy_pj += _static_power_mw(laser_mw, catalog) * busy_slots * period
 
     macs = wir.layer_mac_count(layer)
-    return LayerReport(
+    return LayerCost(
         index=layer.index,
         kind=layer.kind,
-        time_steps=plan.seq_steps,
+        n_units_of_work=work,
+        steps_per_unit=steps,
         step_period_ns=period,
-        latency_s=plan.seq_steps * period * 1e-9,
         energy_j=energy_pj * 1e-12 * cfg.energy_scale,
         macs=macs,
         processed_bits=macs * (layer.weight_bits + layer.act_bits),
-        mvus_used=plan.mvus_used,
     )
 
 
-def _unit_active_power_mw(
-    spec: MvuSpec, cfg: ArchConfig, catalog: DeviceCatalog, cp: _ConverterPlan
-) -> float:
+def place_layer(cost: LayerCost, n_units: int) -> tuple[int, int, float, int]:
+    """Round-robin a layer's work over ``n_units`` units.
+
+    Returns (passes, seq_steps, latency_s, mvus_used).
+    """
+    passes = _ceil_div(cost.n_units_of_work, n_units)
+    seq_steps = passes * cost.steps_per_unit
+    return passes, seq_steps, seq_steps * cost.step_period_ns * 1e-9, min(n_units, cost.n_units_of_work)
+
+
+def efficiency(latency_s: float, energy_j: float, macs: int, bits: int) -> tuple[float, float, float]:
+    """(EPB, GOPS, GOPS/EPB) of one inference; each reads 0.0 where it is undefined."""
+    epb_val = energy_j / bits if bits else 0.0
+    gops = 2.0 * macs / latency_s / 1e9 if latency_s > 0 else 0.0
+    return epb_val, gops, gops / epb_val if epb_val > 0 else 0.0
+
+
+def _unit_active_power_mw(spec: MvuSpec, catalog: DeviceCatalog, cp: _ConverterPlan) -> float:
     """Worst-case power of one fully occupied unit (all devices active)."""
     d = catalog.devices
     dev = spec.per_step_devices
@@ -507,15 +590,42 @@ def max_power(cfg: ArchConfig, catalog: DeviceCatalog = DEFAULT_CATALOG) -> floa
     CONV units are sized for the widest supported operand (16-bit weights
     at the configured slice width).
     """
+    return array_power_w(cfg, MvuCache(catalog))
+
+
+def array_power_w(cfg: ArchConfig, units: MvuCache) -> float:
+    """``max_power`` from per-unit powers: V FC units plus K CONV units."""
     total_mw = 0.0
     if cfg.V > 0:
-        cp = _ConverterPlan(1, 1, cfg.b, cfg.b, cfg.b, False)
-        total_mw += cfg.V * _unit_active_power_mw(fc_mvu_spec(cfg, catalog), cfg, catalog, cp)
+        total_mw += cfg.V * units.unit_power_mw(wir.FC, cfg.v, cfg.b)
     if cfg.K > 0:
-        n_w = _ceil_div(_MAX_BITS, cfg.b)
-        cp = _ConverterPlan(1, n_w, cfg.b, cfg.b, cfg.b, True)
-        total_mw += cfg.K * _unit_active_power_mw(conv_mvu_spec(cfg, n_w, catalog), cfg, catalog, cp)
+        total_mw += cfg.K * units.unit_power_mw(wir.CONV, cfg.k, cfg.b)
     return total_mw * 1e-3
+
+
+def checked_layers(model: wir.WorkloadModel, cfg: ArchConfig, plan_for_layer, units: MvuCache):
+    """Yield (layer, converter plan, unit spec) for each layer in order.
+
+    Each check runs before the first layer it concerns: the FC unit count
+    and FC laser budget before any layer, then the CONV unit count and each
+    CONV unit's laser budget at the CONV layers.
+    """
+    fc_spec = None
+    if any(l.kind == wir.FC for l in model.layers):
+        if cfg.V < 1:
+            raise ConfigError("model has FC layers but the config has V=0 FC units")
+        fc_spec = units.spec(wir.FC, cfg.v, cfg.v)
+        _require_feasible(fc_spec, cfg)
+    for layer in model.layers:
+        cp: _ConverterPlan = plan_for_layer(layer)
+        if layer.kind == wir.FC:
+            spec = fc_spec
+        else:
+            if cfg.K < 1:
+                raise ConfigError("model has CONV layers but the config has K=0 CONV units")
+            spec = units.spec(wir.CONV, cfg.k, cp.n_w)
+            _require_feasible(spec, cfg)
+        yield layer, cp, spec
 
 
 def _zero_report(model_name: str, accelerator: str) -> SimReport:
@@ -545,37 +655,29 @@ def _simulate(
     if not model.layers:
         return _zero_report(model.name, accelerator)
 
-    fc_spec = fc_mvu_spec(cfg, catalog) if any(l.kind == wir.FC for l in model.layers) else None
-    if fc_spec is not None:
-        if cfg.V < 1:
-            raise ConfigError("model has FC layers but the config has V=0 FC units")
-        _require_feasible(fc_spec, cfg)
-
-    conv_specs: dict[int, MvuSpec] = {}
     per_layer: list[LayerReport] = []
     peak_mw = 0.0
-    for layer in model.layers:
-        cp: _ConverterPlan = plan_for_layer(layer)
-        if layer.kind == wir.FC:
-            spec = fc_spec
-        else:
-            if cfg.K < 1:
-                raise ConfigError("model has CONV layers but the config has K=0 CONV units")
-            spec = conv_specs.get(cp.n_w)
-            if spec is None:
-                spec = conv_mvu_spec(cfg, cp.n_w, catalog)
-                _require_feasible(spec, cfg)
-                conv_specs[cp.n_w] = spec
-        rep = _sim_layer(layer, cfg, catalog, cp, dbm_to_mw(spec.min_laser_dbm))
-        per_layer.append(rep)
-        peak_mw = max(peak_mw, rep.mvus_used * _unit_active_power_mw(spec, cfg, catalog, cp))
+    for layer, cp, spec in checked_layers(model, cfg, plan_for_layer, MvuCache(catalog)):
+        cost = layer_cost(layer, cfg, catalog, cp, dbm_to_mw(spec.min_laser_dbm))
+        _, seq_steps, latency_s, used = place_layer(cost, unit_count(layer.kind, cfg))
+        per_layer.append(LayerReport(
+            index=cost.index,
+            kind=cost.kind,
+            time_steps=seq_steps,
+            step_period_ns=cost.step_period_ns,
+            latency_s=latency_s,
+            energy_j=cost.energy_j,
+            macs=cost.macs,
+            processed_bits=cost.processed_bits,
+            mvus_used=used,
+        ))
+        peak_mw = max(peak_mw, used * _unit_active_power_mw(spec, catalog, cp))
 
     latency = sum(r.latency_s for r in per_layer)
     energy = sum(r.energy_j for r in per_layer)
     macs = sum(r.macs for r in per_layer)
     bits = sum(r.processed_bits for r in per_layer)
-    epb_val = energy / bits if bits else 0.0
-    gops = 2.0 * macs / latency / 1e9 if latency > 0 else 0.0
+    epb_val, gops, gops_per_epb_val = efficiency(latency, energy, macs, bits)
     return SimReport(
         model_name=model.name,
         accelerator=accelerator,
@@ -587,7 +689,7 @@ def _simulate(
         processed_bits=bits,
         epb_j_per_bit=epb_val,
         gops=gops,
-        gops_per_epb=gops / epb_val if epb_val > 0 else 0.0,
+        gops_per_epb=gops_per_epb_val,
         per_layer=tuple(per_layer),
     )
 
@@ -598,18 +700,7 @@ def simulate_inference(
     catalog: DeviceCatalog = DEFAULT_CATALOG,
 ) -> SimReport:
     """Run one inference of a quantized model on the bit-sliced architecture."""
-
-    def plan(layer: wir.LayerSpec) -> _ConverterPlan:
-        return _ConverterPlan(
-            n_a=_ceil_div(layer.act_bits, cfg.b),
-            n_w=_ceil_div(layer.weight_bits, cfg.b),
-            dac_bits_act=cfg.b,
-            dac_bits_w=cfg.b,
-            adc_bits=cfg.b,
-            use_soa=layer.kind == wir.CONV,
-        )
-
-    return _simulate(model, cfg, catalog, ARCH_NAME, plan)
+    return _simulate(model, cfg, catalog, ARCH_NAME, lambda layer: bitwave_plan(layer, cfg.b))
 
 
 def simulate_baseline(
@@ -625,10 +716,8 @@ def simulate_baseline(
     dot products in one step (no slicing, no gain ladder), and sizes its
     converters to those bitwidths.
     """
-    from .device_catalog import apply_device_overrides
-
     homogeneous = wir.with_bits(model, spec.weight_bits, spec.act_bits)
-    cat = apply_device_overrides(catalog, spec.device_overrides)
+    cat = device_catalog.apply_device_overrides(catalog, spec.device_overrides)
 
     def plan(layer: wir.LayerSpec) -> _ConverterPlan:
         return _ConverterPlan(

@@ -18,7 +18,7 @@ import json
 import os
 import random
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from pathlib import Path
 
 from . import __version__
@@ -104,8 +104,6 @@ def _load_catalog_arg(args):
 def _load_config(args) -> am.ArchConfig:
     cfg = am.load_arch_config(args.config)
     if getattr(args, "no_pipeline", False):
-        from dataclasses import replace
-
         cfg = replace(cfg, pipelined=False)
     return cfg
 
@@ -174,10 +172,6 @@ def cmd_explore(args) -> int:
     catalog = _load_catalog_arg(args)
     models = [wir.load_workload(p) for p in args.models]
     space = dse.load_search_space(args.space)
-    configs = dse.enumerate_configs(space)
-    if not configs:
-        raise dse.SearchSpaceError("search space enumerates zero configurations")
-
     result = dse.explore(models, space, catalog, aggregate=args.aggregate)
 
     out = _out_dir(args)

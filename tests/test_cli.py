@@ -2,6 +2,8 @@ import csv
 import json
 from pathlib import Path
 
+import pytest
+
 from bitwave.cli import main
 
 
@@ -182,3 +184,24 @@ def test_validate_custom_bit_ranges(capsys):
                "--p-bits", "16", "--b-bits", "1,3,5"])
     assert rc == 0
     assert "50/50 ok" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("field, value", [
+    ("b", [True]),
+    ("max_power_w", "100"),
+    ("laser_ceiling_dbm", "30"),
+    ("max_power_w", float("nan")),
+])
+def test_explore_malformed_space_exits_3(tmp_path, model_paths, capsys, field, value):
+    doc = {"v": [16], "k": [9], "b": [4], "V": [8], "K": [8], "constraints": {}}
+    if field == "b":
+        doc["b"] = value
+    else:
+        doc["constraints"][field] = value
+    space = tmp_path / "space.json"
+    space.write_text(json.dumps(doc))  # NaN is written as the bare JSON token
+    out = tmp_path / "out"
+    rc = main(["explore", str(model_paths["svhn_cnn"]), "--space", str(space), "--out-dir", str(out)])
+    assert rc == 3
+    assert f"{field!r}" in capsys.readouterr().err
+    assert not (out / "ranking.csv").exists()

@@ -1,3 +1,7 @@
+import hashlib
+import json
+import math
+
 import pytest
 
 from bitwave import arch_model as am
@@ -155,3 +159,172 @@ def test_search_space_rejects_unknown_fields():
         dse.search_space_from_dict({"v": [1], "k": [1], "b": [4], "V": [1], "K": [1], "q": []})
     with pytest.raises(dse.SearchSpaceError):
         dse.search_space_from_dict({"v": "nope", "k": [1], "b": [4], "V": [1], "K": [1]})
+
+
+# -- the separable search against a per-configuration rescan -----------------------
+
+HETERO = wir.WorkloadModel(
+    name="hetero",
+    layers=(
+        wir.LayerSpec(index=0, kind=wir.CONV, in_channels=3, out_channels=8,
+                      kernel_h=3, kernel_w=3, in_height=10, in_width=10,
+                      stride=1, padding=1, weight_bits=8, act_bits=2),
+        wir.LayerSpec(index=1, kind=wir.FC, in_features=100, out_features=40,
+                      weight_bits=16, act_bits=1),
+        wir.LayerSpec(index=2, kind=wir.CONV, in_channels=8, out_channels=16,
+                      kernel_h=5, kernel_w=5, in_height=10, in_width=10,
+                      stride=2, padding=0, weight_bits=2, act_bits=5),
+        wir.LayerSpec(index=3, kind=wir.FC, in_features=40, out_features=10,
+                      weight_bits=3, act_bits=7),
+    ),
+)
+CONV_ONLY = wir.WorkloadModel(
+    name="conv_only",
+    layers=(
+        wir.LayerSpec(index=0, kind=wir.CONV, in_channels=16, out_channels=4,
+                      kernel_h=3, kernel_w=3, in_height=6, in_width=6,
+                      stride=1, padding=0, weight_bits=16, act_bits=3),
+    ),
+)
+# At 15 dBm the FC unit fails its laser budget at v=64, and the CONV unit
+# at k=128 fails once a layer's weights need 8 or more slices.
+MIXED = dse.SearchSpace(v=(8, 32, 64), k=(9, 64, 128), b=(1, 3, 4), V=(1, 4), K=(2, 6))
+LASER_CEILING_DBM = 15.0
+
+
+def rescan(models, space, aggregate="geomean"):
+    """Score every configuration with ``max_power`` and ``simulate_inference``, as explore did before it was separable."""
+    cons = space.constraints
+    entries, rejected = [], {"laser": 0, "max_power": 0}
+    for cfg in dse.enumerate_configs(space):
+        power = am.max_power(cfg)
+        if cons.max_power_w is not None and power > cons.max_power_w:
+            rejected["max_power"] += 1
+            continue
+        try:
+            reps = [am.simulate_inference(m, cfg) for m in models]
+        except am.LaserInfeasibleError:
+            rejected["laser"] += 1
+            continue
+        per_model = {r.model_name: dse.ModelScore(r.epb_j_per_bit, r.gops, r.gops_per_epb) for r in reps}
+        score = dse._aggregate([s.gops_per_epb for s in per_model.values()], aggregate)
+        entries.append(dse.EvaluatedConfig(cfg, score, power, per_model))
+    return sorted(entries, key=dse._rank_key), rejected
+
+
+def with_constraints(space, **constraints):
+    return dse.SearchSpace(v=space.v, k=space.k, b=space.b, V=space.V, K=space.K,
+                           constraints=dse.SearchConstraints(**constraints))
+
+
+@pytest.mark.parametrize("aggregate", dse.AGGREGATES)
+def test_explore_equals_per_config_rescan_exactly(aggregate):
+    models = [MODEL, HETERO, CONV_ONLY]
+    powers = sorted(am.max_power(cfg) for cfg in dse.enumerate_configs(MIXED))
+    space = with_constraints(MIXED, max_power_w=powers[len(powers) * 3 // 4],
+                             laser_ceiling_dbm=LASER_CEILING_DBM)
+    result = dse.explore(models, space, aggregate=aggregate)
+    expected, rejected = rescan(models, space, aggregate)
+    assert rejected["laser"] > 0 and rejected["max_power"] > 0 and expected
+    assert result.diagnostics == rejected
+    assert result.infeasible_count == len(dse.enumerate_configs(space)) - len(expected)
+    assert len(result.ranked) == len(expected)
+    for got, want in zip(result.ranked, expected):
+        assert got.config == want.config
+        assert got.score == want.score  # exact, not approx
+        assert got.max_power_w == want.max_power_w
+        assert got.per_model == want.per_model
+    assert result.best == expected[0]
+
+
+def test_explore_equals_rescan_with_a_model_without_layers():
+    empty = wir.WorkloadModel(name="empty", layers=())
+    for aggregate in ("mean", "min"):
+        result = dse.explore([empty, MODEL], SPACE, aggregate=aggregate)
+        expected, rejected = rescan([empty, MODEL], SPACE, aggregate)
+        assert list(result.ranked) == expected
+        assert result.diagnostics == rejected
+
+
+def test_explore_equals_rescan_when_laser_rejects_before_a_zero_unit_count():
+    # K=0 with CONV layers is a ConfigError, but an FC unit that fails its
+    # laser budget is checked first and rejects the configuration instead.
+    space = with_constraints(dse.SearchSpace(v=(64,), k=(9,), b=(4,), V=(1,), K=(0,)),
+                             laser_ceiling_dbm=LASER_CEILING_DBM)
+    result = dse.explore([HETERO], space)
+    assert result.ranked == ()
+    assert result.diagnostics == rescan([HETERO], space)[1] == {"laser": 1, "max_power": 0}
+
+
+@pytest.mark.parametrize("space, models", [
+    (dse.SearchSpace(v=(8, 16), k=(6,), b=(4,), V=(0,), K=(2,)), [MODEL]),
+    (dse.SearchSpace(v=(8,), k=(6,), b=(4,), V=(2,), K=(0, 2)), [CONV_ONLY]),
+])
+def test_explore_zero_unit_count_still_raises_config_error(space, models):
+    with pytest.raises(am.ConfigError) as separable:
+        dse.explore(models, space)
+    with pytest.raises(am.ConfigError) as per_config:
+        rescan(models, space)
+    assert str(separable.value) == str(per_config.value)
+
+
+def test_explore_zero_config_space_raises():
+    with pytest.raises(dse.SearchSpaceError, match="zero configurations"):
+        dse.explore([MODEL], dse.SearchSpace(v=(), k=(6,), b=(4,), V=(1,), K=(1,)))
+
+
+# sha256 (first 16 hex digits) of each shipped model's simulate_inference
+# report on configs/reference.json, as JSON with sorted keys, recorded from
+# the per-configuration model before the search became separable.
+REFERENCE_REPORTS = {
+    "alexnet": "f8b0a53121e4e5d5",
+    "alexnet_w16a16": "58d621c7a7e28274",
+    "alexnet_w1a1": "d584d0c12f3820f7",
+    "alexnet_w1a4": "65a5d98981b28282",
+    "alexnet_w4a4": "0e0743f6c6942b0c",
+    "resnet20": "9da40a9ee6e0f5e2",
+    "resnet20_w16a16": "a843f06268cd110a",
+    "resnet20_w1a1": "4d70446556b51b9d",
+    "resnet20_w1a4": "683b66137e2bf001",
+    "resnet20_w4a4": "cb780a6869789e08",
+    "svhn_cnn": "80b16eef22a3a225",
+    "svhn_cnn_w16a16": "db41163623754a5e",
+    "svhn_cnn_w1a1": "4238276eaf4c45ab",
+    "svhn_cnn_w1a4": "924e410d748f3608",
+    "svhn_cnn_w4a4": "4b60c8e38e3f53a7",
+}
+
+
+def test_shipped_model_reports_unchanged_on_reference_config(repo_root, reference_config_path):
+    cfg = am.load_arch_config(reference_config_path)
+    digests = {}
+    for path in sorted((repo_root / "models").glob("*.json")):
+        report = am.simulate_inference(wir.load_workload(path), cfg)
+        doc = json.dumps(report.to_dict(), sort_keys=True).encode()
+        digests[path.stem] = hashlib.sha256(doc).hexdigest()[:16]
+    assert digests == REFERENCE_REPORTS
+
+
+# -- strict search-space parsing ---------------------------------------------------------
+
+
+@pytest.mark.parametrize("doc", [
+    {"v": [8], "k": [6], "b": [True], "V": [1], "K": [1]},
+    {"v": [8], "k": [6], "b": [4], "V": [1.0], "K": [1]},
+    {"v": [8], "k": [6], "b": [4], "V": [1], "K": [1], "constraints": {"max_power_w": "100"}},
+    {"v": [8], "k": [6], "b": [4], "V": [1], "K": [1], "constraints": {"laser_ceiling_dbm": "30"}},
+    {"v": [8], "k": [6], "b": [4], "V": [1], "K": [1], "constraints": {"max_power_w": math.nan}},
+    {"v": [8], "k": [6], "b": [4], "V": [1], "K": [1], "constraints": {"laser_ceiling_dbm": math.inf}},
+    {"v": [8], "k": [6], "b": [4], "V": [1], "K": [1], "constraints": {"max_power_w": True}},
+])
+def test_search_space_rejects_non_numeric_values(doc):
+    with pytest.raises(dse.SearchSpaceError):
+        dse.search_space_from_dict(doc)
+
+
+def test_search_space_accepts_numbers_and_null_constraints():
+    space = dse.search_space_from_dict({
+        "v": [8], "k": [6], "b": [4], "V": [1], "K": [1],
+        "constraints": {"max_power_w": 100, "laser_ceiling_dbm": None},
+    })
+    assert space.constraints == dse.SearchConstraints(max_power_w=100, laser_ceiling_dbm=None)
