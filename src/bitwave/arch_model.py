@@ -42,10 +42,10 @@ immutable values and safe to share across threads.
 
 from __future__ import annotations
 
+import json
 import math
 from dataclasses import dataclass, field
 from pathlib import Path
-import json
 
 # apply_device_overrides is looked up on the module at call time, where
 # bench/tracing.py wraps it.
@@ -58,8 +58,7 @@ from .device_catalog import (
     dbm_to_mw,
     min_laser_power,
 )
-
-_MAX_BITS = 16
+from .workload_ir import MAX_BITS, ceil_div, check_bits
 
 #: name used for this architecture in reports and comparison tables
 ARCH_NAME = "bitwave"
@@ -75,10 +74,6 @@ class ConfigError(ValueError):
 
 class LaserInfeasibleError(RuntimeError):
     """The link budget cannot be closed under the configured laser ceiling."""
-
-
-def _ceil_div(a: int, b: int) -> int:
-    return -(-a // b)
 
 
 @dataclass(frozen=True)
@@ -99,8 +94,7 @@ class ArchConfig:
         for name in ("v", "k"):
             if getattr(self, name) < 1:
                 raise ConfigError(f"{name} must be >= 1, got {getattr(self, name)}")
-        if not 1 <= self.b <= _MAX_BITS:
-            raise ConfigError(f"b must be in [1, {_MAX_BITS}], got {self.b}")
+        check_bits("b", self.b, ConfigError)
         for name in ("V", "K"):
             if getattr(self, name) < 0:
                 raise ConfigError(f"{name} must be >= 0, got {getattr(self, name)}")
@@ -140,20 +134,17 @@ class BaselineSpec:
     name: str
     weight_bits: int
     act_bits: int
-    single_step: bool = True
     device_overrides: dict = field(default_factory=dict)
 
     def __post_init__(self) -> None:
-        for name in ("weight_bits", "act_bits"):
-            bits = getattr(self, name)
-            if not 1 <= bits <= _MAX_BITS:
-                raise ConfigError(f"baseline {self.name!r}: {name} out of [1, {_MAX_BITS}]")
+        check_bits(f"baseline {self.name!r}: weight_bits", self.weight_bits, ConfigError)
+        check_bits(f"baseline {self.name!r}: act_bits", self.act_bits, ConfigError)
 
 
 def load_baseline_spec(path: str | Path) -> BaselineSpec:
     with open(path, "r", encoding="utf-8") as fh:
         doc = json.load(fh)
-    known = {"name", "weight_bits", "act_bits", "single_step", "device_overrides"}
+    known = {"name", "weight_bits", "act_bits", "device_overrides"}
     unknown = set(doc) - known
     if unknown:
         raise ConfigError(f"unknown baseline fields: {sorted(unknown)}")
@@ -163,24 +154,19 @@ def load_baseline_spec(path: str | Path) -> BaselineSpec:
 # -- step-count laws ----------------------------------------------------------
 
 
-def _check_bits(name: str, bits: int) -> None:
-    if not 1 <= bits <= _MAX_BITS:
-        raise ConfigError(f"{name} must be in [1, {_MAX_BITS}], got {bits}")
-
-
 def fc_time_steps(p_a: int, p_w: int, b: int) -> int:
     """Steps per FC tile: every (activation, weight) slice pair once."""
-    _check_bits("p_a", p_a)
-    _check_bits("p_w", p_w)
-    _check_bits("b", b)
-    return _ceil_div(p_a, b) * _ceil_div(p_w, b)
+    check_bits("p_a", p_a, ConfigError)
+    check_bits("p_w", p_w, ConfigError)
+    check_bits("b", b, ConfigError)
+    return ceil_div(p_a, b) * ceil_div(p_w, b)
 
 
 def conv_time_steps(p_a: int, b: int) -> int:
     """Steps per CONV output element and kernel chunk: one per activation slice."""
-    _check_bits("p_a", p_a)
-    _check_bits("b", b)
-    return _ceil_div(p_a, b)
+    check_bits("p_a", p_a, ConfigError)
+    check_bits("b", b, ConfigError)
+    return ceil_div(p_a, b)
 
 
 # -- MVU geometry and the link budget -----------------------------------------
@@ -194,7 +180,6 @@ class MvuSpec:
     n_wavelengths: int
     n_rows: int
     n_mr: int
-    waveguide_cm: float
     path_loss_db: float
     min_laser_dbm: float
     per_step_devices: dict
@@ -220,27 +205,14 @@ def _mvu_spec(kind: str, n_lambda: int, n_rows: int, catalog: DeviceCatalog) -> 
     loss = aggregate_photoloss(path, L) + _split_loss_db(n_rows, catalog)
     laser = min_laser_power(loss, n_lambda, catalog.detector_sensitivity_dbm)
     if kind == wir.FC:
-        devices = {
-            "dac": n_lambda + n_rows,
-            "adc": n_rows,
-            "pd": n_rows,
-            "vcsel": n_lambda,
-            "soa": 0,
-        }
+        devices = {"adc": n_rows, "pd": n_rows, "vcsel": n_lambda, "soa": 0}
     else:
-        devices = {
-            "dac": n_lambda + n_rows,
-            "adc": 1,
-            "pd": n_rows,
-            "vcsel": n_lambda,
-            "soa": n_rows,
-        }
+        devices = {"adc": 1, "pd": n_rows, "vcsel": n_lambda, "soa": n_rows}
     return MvuSpec(
         kind=kind,
         n_wavelengths=n_lambda,
         n_rows=n_rows,
         n_mr=n_lambda + n_lambda * n_rows,
-        waveguide_cm=wg_cm,
         path_loss_db=loss,
         min_laser_dbm=laser,
         per_step_devices=devices,
@@ -297,43 +269,11 @@ class MvuCache:
             if kind == wir.FC:
                 n_rows, cp = width, _ConverterPlan(1, 1, b, b, b, False)
             else:
-                n_rows = _ceil_div(_MAX_BITS, b)
+                n_rows = ceil_div(MAX_BITS, b)
                 cp = _ConverterPlan(1, n_rows, b, b, b, True)
             spec = self.spec(kind, width, n_rows)
             mw = self._unit_mw[key] = _unit_active_power_mw(spec, self.catalog, cp)
         return mw
-
-
-# -- mapping -------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class MappingPlan:
-    """How one layer spreads over the unit array."""
-
-    layer_index: int
-    kind: str
-    n_units_of_work: int  # FC: weight tiles; CONV: output positions x chunks
-    steps_per_unit: int
-    passes: int  # sequential rounds over the available units
-    mvus_used: int
-    seq_steps: int  # total sequential time steps for the layer
-
-
-def map_layer(layer: wir.LayerSpec, cfg: ArchConfig) -> MappingPlan:
-    """Tile a layer onto the configured array (bit-sliced operation).
-
-    Built from ``layer_cost`` (the tiling) and ``place_layer`` (the
-    round-robin), so mapping and simulation share one definition of each;
-    the cost's energy goes unused.
-    """
-    n_units = unit_count(layer.kind, cfg)
-    if n_units < 1:
-        letter = "V" if layer.kind == wir.FC else "K"
-        raise ConfigError(f"layer {layer.index} is {layer.kind} but the config has {letter}=0 {layer.kind} units")
-    cost = layer_cost(layer, cfg, DEFAULT_CATALOG, bitwave_plan(layer, cfg.b), laser_mw=0.0)
-    passes, seq_steps, _, used = place_layer(cost, n_units)
-    return MappingPlan(layer.index, layer.kind, cost.n_units_of_work, cost.steps_per_unit, passes, used, seq_steps)
 
 
 def unit_count(kind: str, cfg: ArchConfig) -> int:
@@ -356,19 +296,6 @@ class LayerReport:
     processed_bits: int
     mvus_used: int
 
-    def to_dict(self) -> dict:
-        return {
-            "index": self.index,
-            "kind": self.kind,
-            "time_steps": self.time_steps,
-            "step_period_ns": self.step_period_ns,
-            "latency_s": self.latency_s,
-            "energy_j": self.energy_j,
-            "macs": self.macs,
-            "processed_bits": self.processed_bits,
-            "mvus_used": self.mvus_used,
-        }
-
 
 @dataclass(frozen=True)
 class SimReport:
@@ -386,34 +313,6 @@ class SimReport:
     gops: float
     gops_per_epb: float
     per_layer: tuple[LayerReport, ...]
-
-    def to_dict(self) -> dict:
-        return {
-            "model_name": self.model_name,
-            "accelerator": self.accelerator,
-            "total_time_steps": self.total_time_steps,
-            "latency_s": self.latency_s,
-            "energy_j": self.energy_j,
-            "peak_power_w": self.peak_power_w,
-            "total_macs": self.total_macs,
-            "processed_bits": self.processed_bits,
-            "epb_j_per_bit": self.epb_j_per_bit,
-            "gops": self.gops,
-            "gops_per_epb": self.gops_per_epb,
-            "per_layer": [l.to_dict() for l in self.per_layer],
-        }
-
-
-def epb(report: SimReport) -> float:
-    """Energy per processed data bit."""
-    if report.processed_bits <= 0:
-        raise ValueError("report has zero processed bits")
-    return report.energy_j / report.processed_bits
-
-
-def gops_per_epb(report: SimReport) -> float:
-    e = epb(report)
-    return report.gops / e
 
 
 # -- core simulation -----------------------------------------------------------
@@ -460,8 +359,8 @@ def _eo_event_pj(catalog: DeviceCatalog) -> float:
 def bitwave_plan(layer: wir.LayerSpec, b: int) -> _ConverterPlan:
     """Slice counts and b-bit converters of the bit-sliced architecture."""
     return _ConverterPlan(
-        n_a=_ceil_div(layer.act_bits, b),
-        n_w=_ceil_div(layer.weight_bits, b),
+        n_a=ceil_div(layer.act_bits, b),
+        n_w=ceil_div(layer.weight_bits, b),
         dac_bits_act=b,
         dac_bits_w=b,
         adc_bits=b,
@@ -501,8 +400,8 @@ def layer_cost(
 
     if layer.kind == wir.FC:
         n_i, n_o = layer.in_features, layer.out_features
-        lane_chunks = _ceil_div(n_i, cfg.v)
-        row_chunks = _ceil_div(n_o, cfg.v)
+        lane_chunks = ceil_div(n_i, cfg.v)
+        row_chunks = ceil_div(n_o, cfg.v)
         work = lane_chunks * row_chunks
         steps = cp.n_a * cp.n_w
         act_dac_holds = row_chunks * n_i * steps
@@ -515,7 +414,7 @@ def layer_cost(
         eo_events = n_i * n_o * (steps if cp.n_w > 1 else 1) + row_chunks * n_i * cp.n_a
     else:
         length = layer.kernel_h * layer.kernel_w * layer.in_channels
-        chunks = _ceil_div(length, cfg.k)
+        chunks = ceil_div(length, cfg.k)
         oh, ow = wir.layer_out_hw(layer)
         positions = oh * ow * layer.out_channels
         work = positions * chunks
@@ -557,7 +456,7 @@ def place_layer(cost: LayerCost, n_units: int) -> tuple[int, int, float, int]:
 
     Returns (passes, seq_steps, latency_s, mvus_used).
     """
-    passes = _ceil_div(cost.n_units_of_work, n_units)
+    passes = ceil_div(cost.n_units_of_work, n_units)
     seq_steps = passes * cost.steps_per_unit
     return passes, seq_steps, seq_steps * cost.step_period_ns * 1e-9, min(n_units, cost.n_units_of_work)
 
@@ -628,23 +527,6 @@ def checked_layers(model: wir.WorkloadModel, cfg: ArchConfig, plan_for_layer, un
         yield layer, cp, spec
 
 
-def _zero_report(model_name: str, accelerator: str) -> SimReport:
-    return SimReport(
-        model_name=model_name,
-        accelerator=accelerator,
-        total_time_steps=0,
-        latency_s=0.0,
-        energy_j=0.0,
-        peak_power_w=0.0,
-        total_macs=0,
-        processed_bits=0,
-        epb_j_per_bit=0.0,
-        gops=0.0,
-        gops_per_epb=0.0,
-        per_layer=(),
-    )
-
-
 def _simulate(
     model: wir.WorkloadModel,
     cfg: ArchConfig,
@@ -652,9 +534,6 @@ def _simulate(
     accelerator: str,
     plan_for_layer,
 ) -> SimReport:
-    if not model.layers:
-        return _zero_report(model.name, accelerator)
-
     per_layer: list[LayerReport] = []
     peak_mw = 0.0
     for layer, cp, spec in checked_layers(model, cfg, plan_for_layer, MvuCache(catalog)):
@@ -673,8 +552,9 @@ def _simulate(
         ))
         peak_mw = max(peak_mw, used * _unit_active_power_mw(spec, catalog, cp))
 
-    latency = sum(r.latency_s for r in per_layer)
-    energy = sum(r.energy_j for r in per_layer)
+    # float starts keep a layerless model's latency and energy floats (0.0)
+    latency = sum((r.latency_s for r in per_layer), 0.0)
+    energy = sum((r.energy_j for r in per_layer), 0.0)
     macs = sum(r.macs for r in per_layer)
     bits = sum(r.processed_bits for r in per_layer)
     epb_val, gops, gops_per_epb_val = efficiency(latency, energy, macs, bits)

@@ -25,12 +25,9 @@ container immutable, so values can be shared freely across threads.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Sequence
 
-FC = "FC"
-CONV = "CONV"
-
-_MAX_BITS = 16
+from .workload_ir import CONV, FC, ceil_div, check_bits
 
 
 class OperandRangeError(ValueError):
@@ -41,55 +38,25 @@ class LadderSizeError(ValueError):
     """A gain ladder is too short for the trace it must reconstruct."""
 
 
-def _check_bits(name: str, bits: int) -> None:
-    if not 1 <= bits <= _MAX_BITS:
-        raise ValueError(f"{name} must be in [1, {_MAX_BITS}], got {bits}")
-
-
 def _check_mode(mode: str) -> None:
     if mode not in (FC, CONV):
         raise ValueError(f"mode must be {FC!r} or {CONV!r}, got {mode!r}")
 
 
-def n_slices(p: int, b: int) -> int:
-    """Number of b-bit slices covering a p-bit value."""
-    return -(-p // b)
-
-
 def slice_value(value: int, p: int, b: int) -> list[int]:
     """Decompose ``value`` into ceil(p/b) base-2^b digits, LSB first."""
-    _check_bits("p", p)
-    _check_bits("b", b)
+    check_bits("p", p, ValueError)
+    check_bits("b", b, ValueError)
     if not 0 <= value < (1 << p):
         raise OperandRangeError(f"value {value} out of range for {p}-bit operand")
     mask = (1 << b) - 1
-    return [(value >> (b * i)) & mask for i in range(n_slices(p, b))]
+    return [(value >> (b * i)) & mask for i in range(ceil_div(p, b))]
 
 
 def recompose(slices: Sequence[int], b: int) -> int:
     """Inverse of :func:`slice_value`."""
-    _check_bits("b", b)
+    check_bits("b", b, ValueError)
     return sum(s << (b * i) for i, s in enumerate(slices))
-
-
-@dataclass(frozen=True)
-class BitSliceVector:
-    """A vector of p-bit values with their b-bit slice decompositions."""
-
-    original_values: tuple[int, ...]
-    p: int
-    b: int
-    slices: tuple[tuple[int, ...], ...]  # slices[j][i] = slice i of element j
-
-
-def bit_slice_vector(values: Iterable[int], p: int, b: int) -> BitSliceVector:
-    vals = tuple(values)
-    return BitSliceVector(
-        original_values=vals,
-        p=p,
-        b=b,
-        slices=tuple(tuple(slice_value(x, p, b)) for x in vals),
-    )
 
 
 @dataclass(frozen=True)
@@ -116,11 +83,11 @@ def build_schedule(p_a: int, p_w: int, b: int, mode: str = FC) -> TdmSchedule:
     FC ordering keeps the activation slice stationary across consecutive
     weight slices: (0,0), (0,1), ..., (1,0), (1,1), ...
     """
-    _check_bits("p_a", p_a)
-    _check_bits("p_w", p_w)
-    _check_bits("b", b)
+    check_bits("p_a", p_a, ValueError)
+    check_bits("p_w", p_w, ValueError)
+    check_bits("b", b, ValueError)
     _check_mode(mode)
-    na, nw = n_slices(p_a, b), n_slices(p_w, b)
+    na, nw = ceil_div(p_a, b), ceil_div(p_w, b)
     if mode == FC:
         steps = tuple(
             (ai, wi, b * (ai + wi)) for ai in range(na) for wi in range(nw)
@@ -157,7 +124,7 @@ class SoaGainLadder:
 
 
 def soa_gain_ladder(b: int, count: int) -> SoaGainLadder:
-    _check_bits("b", b)
+    check_bits("b", b, ValueError)
     if count < 1:
         raise ValueError(f"ladder needs at least one gain, got {count}")
     return SoaGainLadder(b=b, gains=tuple(float(1 << (b * i)) for i in range(count)))
@@ -178,21 +145,21 @@ def execute_dot(
     """
     if len(a) != len(w):
         raise ValueError(f"vector lengths differ: {len(a)} vs {len(w)}")
-    av = bit_slice_vector(a, p_a, b)
-    wv = bit_slice_vector(w, p_w, b)
+    a_sl = [slice_value(x, p_a, b) for x in a]  # a_sl[j][i] = slice i of element j
+    w_sl = [slice_value(x, p_w, b) for x in w]
     schedule = build_schedule(p_a, p_w, b, mode)
-    n = len(av.original_values)
-    nw = n_slices(p_w, b)
+    n = len(a)
+    nw = ceil_div(p_w, b)
 
     trace: list[StepTrace] = []
     result = 0
     for idx, (ai, wi, shift) in enumerate(schedule.steps):
         if mode == FC:
-            lanes = tuple(av.slices[j][ai] * wv.slices[j][wi] for j in range(n))
+            lanes = tuple(a_sl[j][ai] * w_sl[j][wi] for j in range(n))
         else:
             # one lane per weight slice: photodetector sum times ladder gain
             lanes = tuple(
-                sum(av.slices[j][ai] * wv.slices[j][k] for j in range(n)) << (b * k)
+                sum(a_sl[j][ai] * w_sl[j][k] for j in range(n)) << (b * k)
                 for k in range(nw)
             )
         step_sum = sum(lanes)
@@ -228,8 +195,3 @@ def reconstruct(trace: Sequence[StepTrace], ladder: SoaGainLadder | None = None)
             f"ladder has {len(ladder.gains)} gains but the trace needs index {need}"
         )
     return round(sum(st.step_sum * ladder.gains[st.shift_bits // ladder.b] for st in trace))
-
-
-def trace_csv_rows(trace: Sequence[StepTrace]) -> list[tuple[int, int, int]]:
-    """Trace dump rows: (step_index, shift_bits, step_sum)."""
-    return [(st.step_index, st.shift_bits, st.step_sum) for st in trace]

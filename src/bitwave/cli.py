@@ -49,17 +49,16 @@ class RunManifest:
     pipelined: bool
     version: str
 
-    def to_dict(self) -> dict:
-        return {
-            "command": self.command,
-            "inputs": list(self.inputs),
-            "catalog": self.catalog,
-            "seed": self.seed,
-            "out_dir": self.out_dir,
-            "aggregate": self.aggregate,
-            "pipelined": self.pipelined,
-            "version": self.version,
-        }
+
+def as_dict(value) -> dict:
+    """The fields of a manifest or report as a JSON-ready dict; per-layer reports become dicts too.
+
+    Tuples stay tuples, which ``json`` writes as lists.
+    """
+    doc = dict(vars(value))
+    if "per_layer" in doc:
+        doc["per_layer"] = [vars(l) for l in doc["per_layer"]]
+    return doc
 
 
 def _manifest(args, command: str, inputs: list[str]) -> RunManifest:
@@ -82,13 +81,13 @@ def _atomic_write(path: Path, data: str) -> None:
 
 
 def _write_json(path: Path, manifest: RunManifest, payload: dict) -> None:
-    doc = {"manifest": manifest.to_dict(), **payload}
+    doc = {"manifest": as_dict(manifest), **payload}
     _atomic_write(path, json.dumps(doc, indent=2, sort_keys=True) + "\n")
 
 
 def _write_csv(path: Path, manifest: RunManifest, header: list[str], rows: list[list]) -> None:
     buf = io.StringIO()
-    buf.write("# manifest: " + json.dumps(manifest.to_dict(), sort_keys=True) + "\n")
+    buf.write("# manifest: " + json.dumps(as_dict(manifest), sort_keys=True) + "\n")
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(header)
     writer.writerows(rows)
@@ -125,7 +124,7 @@ def cmd_simulate(args) -> int:
 
     out = _out_dir(args)
     manifest = _manifest(args, "simulate", [args.model, args.config])
-    _write_json(out / "report.json", manifest, {"report": report.to_dict()})
+    _write_json(out / "report.json", manifest, {"report": as_dict(report)})
     header = [
         "index", "kind", "time_steps", "step_period_ns", "latency_s",
         "energy_j", "macs", "processed_bits", "mvus_used",
@@ -284,9 +283,12 @@ def cmd_validate(args) -> int:
 
 def _int_list(text: str) -> tuple[int, ...]:
     try:
-        return tuple(int(x) for x in text.split(",") if x.strip())
+        values = tuple(int(x) for x in text.split(",") if x.strip())
     except ValueError as exc:
         raise argparse.ArgumentTypeError(f"expected comma-separated ints, got {text!r}") from exc
+    if not values:
+        raise argparse.ArgumentTypeError(f"expected at least one int, got {text!r}")
+    return values
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -20,6 +20,8 @@ from dataclasses import dataclass, field, fields, replace
 from pathlib import Path
 from typing import Iterable
 
+from .workload_ir import check_bits
+
 
 class CatalogError(ValueError):
     """Malformed catalog file or out-of-range device query."""
@@ -31,7 +33,6 @@ class DeviceParams:
 
     eo_tuning_latency_ns: float = 20.0
     eo_tuning_power_mw_per_nm: float = 0.004  # 4 uW per nm of resonance shift
-    to_tuning_latency_ns: float = 4000.0
     to_tuning_power_mw_per_fsr: float = 27.5
     vcsel_latency_ns: float = 0.07
     vcsel_power_mw: float = 1.3
@@ -108,7 +109,7 @@ class DeviceCatalog:
         single proportionality constant fits both, so the gap is bridged
         log-linearly.
         """
-        _check_resolution(n_bits)
+        check_bits("converter resolution", n_bits, CatalogError)
         d = self.devices
         if n_bits == 16:
             return d.dac16_power_mw
@@ -125,28 +126,23 @@ class DeviceCatalog:
 
     def dac_latency(self, n_bits: int) -> float:
         """DAC latency (ns); low-resolution designs share the 8-bit figure."""
-        _check_resolution(n_bits)
+        check_bits("converter resolution", n_bits, CatalogError)
         if n_bits <= 8:
             return self.devices.dac8_latency_ns
         return self.devices.dac16_latency_ns
 
     def adc_power(self, n_bits: int) -> float:
         """ADC power (mW); resolutions up to 8 bits use the 8-bit design."""
-        _check_resolution(n_bits)
+        check_bits("converter resolution", n_bits, CatalogError)
         if n_bits <= 8:
             return self.devices.adc8_power_mw
         return self.devices.adc16_power_mw
 
     def adc_latency(self, n_bits: int) -> float:
-        _check_resolution(n_bits)
+        check_bits("converter resolution", n_bits, CatalogError)
         if n_bits <= 8:
             return self.devices.adc8_latency_ns
         return self.devices.adc16_latency_ns
-
-
-def _check_resolution(n_bits: int) -> None:
-    if not 1 <= n_bits <= 16:
-        raise CatalogError(f"converter resolution must be in [1, 16], got {n_bits}")
 
 
 DEFAULT_CATALOG = DeviceCatalog()

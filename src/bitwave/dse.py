@@ -94,12 +94,10 @@ def load_search_space(path: str | Path) -> SearchSpace:
         return search_space_from_dict(json.load(fh))
 
 
-def enumerate_configs(space: SearchSpace, laser_ceiling_dbm: float | None = None) -> list[am.ArchConfig]:
+def enumerate_configs(space: SearchSpace) -> list[am.ArchConfig]:
     """Cartesian product of the value lists, deduplicated, ascending order."""
     dims = [sorted(set(getattr(space, d))) for d in ("v", "k", "b", "V", "K")]
-    ceiling = laser_ceiling_dbm
-    if ceiling is None:
-        ceiling = space.constraints.laser_ceiling_dbm
+    ceiling = space.constraints.laser_ceiling_dbm
     extra = {} if ceiling is None else {"laser_ceiling_dbm": ceiling}
     return [
         am.ArchConfig(v=v, k=k, b=b, V=V, K=K, **extra)

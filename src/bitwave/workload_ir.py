@@ -35,13 +35,26 @@ from pathlib import Path
 CONV = "CONV"
 FC = "FC"
 
+#: widest operand, slice and converter resolution anywhere in the package
+MAX_BITS = 16
+
 _CONV_FIELDS = ("in_channels", "out_channels", "kernel_h", "kernel_w", "in_height", "in_width")
 _FC_FIELDS = ("in_features", "out_features")
-_MAX_BITS = 16
 
 
 class WorkloadError(ValueError):
     """Validation failure in a workload description."""
+
+
+def ceil_div(a: int, b: int) -> int:
+    """ceil(a / b) for positive b: the slice count ceil(p/b) and every tiling count."""
+    return -(-a // b)
+
+
+def check_bits(name: str, bits: int, error: type[Exception]) -> None:
+    """Raise ``error`` unless ``bits`` is an int in [1, MAX_BITS]."""
+    if not isinstance(bits, int) or not 1 <= bits <= MAX_BITS:
+        raise error(f"{name} must be an int in [1, {MAX_BITS}], got {bits!r}")
 
 
 @dataclass(frozen=True)
@@ -67,10 +80,8 @@ class LayerSpec:
         where = f"layer {self.index}"
         if self.kind not in (CONV, FC):
             raise WorkloadError(f"{where}: kind must be CONV or FC, got {self.kind!r}")
-        for name in ("weight_bits", "act_bits"):
-            bits = getattr(self, name)
-            if not isinstance(bits, int) or not 1 <= bits <= _MAX_BITS:
-                raise WorkloadError(f"{where}: {name} must be an int in [1, {_MAX_BITS}], got {bits!r}")
+        check_bits(f"{where}: weight_bits", self.weight_bits, WorkloadError)
+        check_bits(f"{where}: act_bits", self.act_bits, WorkloadError)
         if self.kind == CONV:
             missing = [f for f in _CONV_FIELDS if getattr(self, f) is None]
             if missing:
@@ -147,12 +158,8 @@ def param_count(model: WorkloadModel) -> int:
     return sum(layer_param_count(l) for l in model.layers)
 
 
-def mac_counts(model: WorkloadModel) -> list[int]:
-    return [layer_mac_count(l) for l in model.layers]
-
-
 def mac_count(model: WorkloadModel) -> int:
-    return sum(mac_counts(model))
+    return sum(layer_mac_count(l) for l in model.layers)
 
 
 def weight_footprint_bits(model: WorkloadModel) -> int:

@@ -1,8 +1,11 @@
 from dataclasses import replace
 
+import json
+
 import pytest
 
 from bitwave import arch_model as am
+from bitwave import cli
 from bitwave import workload_ir as wir
 from bitwave.device_catalog import DEFAULT_CATALOG
 
@@ -82,44 +85,54 @@ def test_config_from_dict_checks_fields():
         am.arch_config_from_dict({"v": 2, "k": 2, "b": 4, "V": 1, "K": 1, "zz": 3})
 
 
-# -- mapping ---------------------------------------------------------------------
+# -- mapping: layer_cost tiles a layer, place_layer round-robins it ----------------
+
+
+def map_layer(layer, cfg):
+    """(cost, (passes, seq_steps, latency_s, mvus_used)) of one layer on ``cfg``."""
+    cost = am.layer_cost(layer, cfg, DEFAULT_CATALOG, am.bitwave_plan(layer, cfg.b), laser_mw=0.0)
+    return cost, am.place_layer(cost, am.unit_count(layer.kind, cfg))
 
 
 def test_map_layer_fc_exact_fit():
-    plan = am.map_layer(fc_layer(0, 50, 50), am.ArchConfig(v=50, k=20, b=4, V=4, K=4))
-    assert plan.n_units_of_work == 1
-    assert plan.passes == 1
-    assert plan.mvus_used == 1
-    assert plan.seq_steps == plan.steps_per_unit == am.fc_time_steps(8, 8, 4)
+    cost, (passes, seq_steps, _, used) = map_layer(fc_layer(0, 50, 50), am.ArchConfig(v=50, k=20, b=4, V=4, K=4))
+    assert cost.n_units_of_work == 1
+    assert passes == 1
+    assert used == 1
+    assert seq_steps == cost.steps_per_unit == am.fc_time_steps(8, 8, 4)
 
 
 def test_map_layer_fc_tiling():
-    plan = am.map_layer(fc_layer(0, 100, 100), am.ArchConfig(v=50, k=20, b=4, V=4, K=4))
-    assert plan.n_units_of_work == 4
-    assert plan.passes == 1
-    assert plan.mvus_used == 4
+    cost, (passes, _, _, used) = map_layer(fc_layer(0, 100, 100), am.ArchConfig(v=50, k=20, b=4, V=4, K=4))
+    assert cost.n_units_of_work == 4
+    assert passes == 1
+    assert used == 4
 
 
 def test_map_layer_fc_round_robin_passes():
-    plan = am.map_layer(fc_layer(0, 100, 100), am.ArchConfig(v=50, k=20, b=4, V=3, K=4))
-    assert plan.passes == 2
-    assert plan.seq_steps == 2 * plan.steps_per_unit
+    cost, (passes, seq_steps, latency_s, _) = map_layer(
+        fc_layer(0, 100, 100), am.ArchConfig(v=50, k=20, b=4, V=3, K=4))
+    assert passes == 2
+    assert seq_steps == 2 * cost.steps_per_unit
+    assert latency_s == seq_steps * cost.step_period_ns * 1e-9
 
 
 def test_map_layer_conv_chunking():
     # kernel unfurls to 5*5*1 = 25 elements; k=20 needs two chunks
     layer = conv_layer(0, 1, 1, k=5, h=8, w=8, wb=4, ab=4)
-    plan = am.map_layer(layer, am.ArchConfig(v=50, k=20, b=4, V=4, K=4))
+    cost, _ = map_layer(layer, am.ArchConfig(v=50, k=20, b=4, V=4, K=4))
     oh, ow = wir.layer_out_hw(layer)
-    assert plan.n_units_of_work == oh * ow * 1 * 2
-    assert plan.steps_per_unit == 1
+    assert cost.n_units_of_work == oh * ow * 1 * 2
+    assert cost.steps_per_unit == 1
 
 
 def test_map_layer_requires_matching_units():
+    fc_only = wir.WorkloadModel(name="fc", layers=(fc_layer(0, 4, 4),))
     with pytest.raises(am.ConfigError, match="V=0"):
-        am.map_layer(fc_layer(0, 4, 4), am.ArchConfig(v=4, k=4, b=4, V=0, K=1))
+        am.simulate_inference(fc_only, am.ArchConfig(v=4, k=4, b=4, V=0, K=1))
+    conv_only = wir.WorkloadModel(name="conv", layers=(conv_layer(0, 1, 1),))
     with pytest.raises(am.ConfigError, match="K=0"):
-        am.map_layer(conv_layer(0, 1, 1), am.ArchConfig(v=4, k=4, b=4, V=1, K=0))
+        am.simulate_inference(conv_only, am.ArchConfig(v=4, k=4, b=4, V=1, K=0))
 
 
 # -- micro-workload behavior -------------------------------------------------------
@@ -169,6 +182,15 @@ def test_empty_model_reports_zero():
     rep = am.simulate_inference(wir.WorkloadModel(name="none", layers=()), CFG)
     assert rep.total_time_steps == 0
     assert rep.latency_s == rep.energy_j == rep.gops == rep.epb_j_per_bit == 0.0
+    doc = json.loads(json.dumps(cli.as_dict(rep)))
+    assert doc == {
+        "model_name": "none", "accelerator": "bitwave", "total_time_steps": 0,
+        "latency_s": 0.0, "energy_j": 0.0, "peak_power_w": 0.0, "total_macs": 0,
+        "processed_bits": 0, "epb_j_per_bit": 0.0, "gops": 0.0, "gops_per_epb": 0.0,
+        "per_layer": [],
+    }
+    floats = ("latency_s", "energy_j", "peak_power_w", "epb_j_per_bit", "gops", "gops_per_epb")
+    assert all(type(doc[k]) is float for k in floats)  # report.json reads 0.0, not 0
     spec = am.BaselineSpec(name="b", weight_bits=16, act_bits=16)
     repb = am.simulate_baseline(wir.WorkloadModel(name="none", layers=()), spec, CFG)
     assert repb.energy_j == 0.0
@@ -225,11 +247,11 @@ def test_baseline_uses_its_own_bits():
 
 def test_epb_accessors():
     rep = am.simulate_inference(SMALL_MODEL, CFG)
-    assert am.epb(rep) == pytest.approx(rep.energy_j / rep.processed_bits)
-    assert am.gops_per_epb(rep) == pytest.approx(rep.gops / rep.epb_j_per_bit)
-    empty = am.simulate_inference(wir.WorkloadModel(name="none", layers=()), CFG)
-    with pytest.raises(ValueError):
-        am.epb(empty)
+    assert rep.epb_j_per_bit == pytest.approx(rep.energy_j / rep.processed_bits)
+    assert rep.gops_per_epb == pytest.approx(rep.gops / rep.epb_j_per_bit)
+    assert am.efficiency(rep.latency_s, rep.energy_j, rep.total_macs, rep.processed_bits) == (
+        rep.epb_j_per_bit, rep.gops, rep.gops_per_epb)
+    assert am.efficiency(0.0, 0.0, 0, 0) == (0.0, 0.0, 0.0)
 
 
 def test_gops_definition():
@@ -346,7 +368,7 @@ def test_baseline_spec_file_round_trip(tmp_path):
     path.write_text('{"name": "flat", "weight_bits": 4, "act_bits": 4}')
     spec = am.load_baseline_spec(path)
     assert spec.weight_bits == spec.act_bits == 4
-    assert spec.single_step
+    assert spec.device_overrides == {}
 
 
 def test_baseline_spec_rejects_bad_bits():

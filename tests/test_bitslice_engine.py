@@ -187,8 +187,3 @@ def test_reconstruct_short_ladder_rejected():
     _, trace = bse.execute_dot(GOLD_A, GOLD_W, 8, 8, 4)
     with pytest.raises(bse.LadderSizeError):
         bse.reconstruct(trace, bse.soa_gain_ladder(4, 2))
-
-
-def test_trace_csv_rows():
-    _, trace = bse.execute_dot(GOLD_A, GOLD_W, 8, 8, 4)
-    assert bse.trace_csv_rows(trace) == [(0, 0, 56), (1, 4, 16), (2, 4, 12), (3, 8, 9)]

