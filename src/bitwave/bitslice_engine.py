@@ -17,6 +17,10 @@ Two step layouts are supported:
   combined through a gain ladder (one amplifier per weight-slice lane,
   gain 2^(b*i)) before a single conversion.
 
+An operand vector is sliced once, per slice index rather than per element:
+:func:`slice_vector` returns ``digits[i][j]``, slice ``i`` of element ``j``,
+so the lanes of one step are the elementwise product of two digit lists.
+
 Everything here is exact unsigned integer arithmetic; signed operands
 are a caller-side mapping concern. All functions are pure and every
 container immutable, so values can be shared freely across threads.
@@ -25,6 +29,7 @@ container immutable, so values can be shared freely across threads.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import mul
 from typing import Sequence
 
 from .workload_ir import CONV, FC, ceil_div, check_bits
@@ -43,14 +48,27 @@ def _check_mode(mode: str) -> None:
         raise ValueError(f"mode must be {FC!r} or {CONV!r}, got {mode!r}")
 
 
-def slice_value(value: int, p: int, b: int) -> list[int]:
-    """Decompose ``value`` into ceil(p/b) base-2^b digits, LSB first."""
+def slice_vector(values: Sequence[int], p: int, b: int) -> list[list[int]]:
+    """Slice every p-bit element of ``values`` into ceil(p/b) base-2^b digits.
+
+    The digits come back transposed: ``digits[i][j]`` is slice ``i`` (LSB
+    first) of element ``j``, so one slice index of the whole vector is one
+    list. The first element out of range raises :class:`OperandRangeError`.
+    """
     check_bits("p", p, ValueError)
     check_bits("b", b, ValueError)
-    if not 0 <= value < (1 << p):
+    limit = 1 << p
+    if values and not (0 <= min(values) and max(values) < limit):
+        value = next(x for x in values if not 0 <= x < limit)
         raise OperandRangeError(f"value {value} out of range for {p}-bit operand")
     mask = (1 << b) - 1
-    return [(value >> (b * i)) & mask for i in range(ceil_div(p, b))]
+    shifts = [b * i for i in range(ceil_div(p, b))]
+    return [[(x >> s) & mask for x in values] for s in shifts]
+
+
+def slice_value(value: int, p: int, b: int) -> list[int]:
+    """Decompose ``value`` into ceil(p/b) base-2^b digits, LSB first."""
+    return [digits[0] for digits in slice_vector([value], p, b)]
 
 
 def recompose(slices: Sequence[int], b: int) -> int:
@@ -145,23 +163,21 @@ def execute_dot(
     """
     if len(a) != len(w):
         raise ValueError(f"vector lengths differ: {len(a)} vs {len(w)}")
-    a_sl = [slice_value(x, p_a, b) for x in a]  # a_sl[j][i] = slice i of element j
-    w_sl = [slice_value(x, p_w, b) for x in w]
+    if not a:  # no element to check, so the schedule's checks of p_a, p_w and b come first
+        build_schedule(p_a, p_w, b, mode)
+    ad = slice_vector(a, p_a, b)  # ad[i][j] = slice i of element j
+    wd = slice_vector(w, p_w, b)
     schedule = build_schedule(p_a, p_w, b, mode)
-    n = len(a)
-    nw = ceil_div(p_w, b)
+    nw = len(wd)
 
     trace: list[StepTrace] = []
     result = 0
     for idx, (ai, wi, shift) in enumerate(schedule.steps):
         if mode == FC:
-            lanes = tuple(a_sl[j][ai] * w_sl[j][wi] for j in range(n))
+            lanes = tuple(map(mul, ad[ai], wd[wi]))
         else:
             # one lane per weight slice: photodetector sum times ladder gain
-            lanes = tuple(
-                sum(a_sl[j][ai] * w_sl[j][k] for j in range(n)) << (b * k)
-                for k in range(nw)
-            )
+            lanes = tuple(sum(map(mul, ad[ai], wd[k])) << (b * k) for k in range(nw))
         step_sum = sum(lanes)
         trace.append(
             StepTrace(

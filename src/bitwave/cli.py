@@ -19,6 +19,7 @@ import os
 import random
 import sys
 from dataclasses import dataclass, replace
+from operator import mul
 from pathlib import Path
 
 from . import __version__
@@ -244,7 +245,7 @@ def cmd_validate(args) -> int:
         a = [rng.randrange(1 << p_a) for _ in range(n)]
         w = [rng.randrange(1 << p_w) for _ in range(n)]
         result, trace = bse.execute_dot(a, w, p_a, p_w, b, mode)
-        expected = sum(x * y for x, y in zip(a, w))
+        expected = sum(map(mul, a, w))
         rebuilt = bse.reconstruct(trace)
         ok = result == expected and rebuilt == expected
         digest.update(repr((trial, p_a, p_w, b, mode, a, w, result)).encode())

@@ -20,11 +20,16 @@ from dataclasses import dataclass, field, fields, replace
 from pathlib import Path
 from typing import Iterable
 
-from .workload_ir import check_bits
+from .workload_ir import check_bits, is_finite_number
 
 
 class CatalogError(ValueError):
     """Malformed catalog file or out-of-range device query."""
+
+
+def _check_number(name: str, value) -> None:
+    if not is_finite_number(value):
+        raise CatalogError(f"{name} must be a finite number, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -51,7 +56,9 @@ class DeviceParams:
 
     def __post_init__(self) -> None:
         for f in fields(self):
-            if getattr(self, f.name) <= 0:
+            value = getattr(self, f.name)
+            _check_number(f"device parameter {f.name}", value)
+            if value <= 0:
                 raise CatalogError(f"device parameter {f.name} must be positive")
 
 
@@ -67,7 +74,9 @@ class LossModel:
 
     def __post_init__(self) -> None:
         for f in fields(self):
-            if getattr(self, f.name) < 0:
+            value = getattr(self, f.name)
+            _check_number(f"loss {f.name}", value)
+            if value < 0:
                 raise CatalogError(f"loss {f.name} must be non-negative")
 
 
@@ -92,6 +101,9 @@ class DeviceCatalog:
     base_waveguide_cm: float = 0.1  # routing overhead per unit
 
     def __post_init__(self) -> None:
+        for f in fields(self):
+            if f.name not in ("devices", "losses"):
+                _check_number(f.name, getattr(self, f.name))
         if self.to_duty_cycle < 0 or self.to_duty_cycle > 1:
             raise CatalogError("to_duty_cycle must be in [0, 1]")
         for name in ("eo_shift_nm", "mr_pitch_cm", "eo_section_cm", "base_waveguide_cm"):

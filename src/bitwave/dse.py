@@ -83,8 +83,7 @@ def search_space_from_dict(doc: dict) -> SearchSpace:
     if unknown:
         raise SearchSpaceError(f"unknown constraint fields: {sorted(unknown)}")
     for name, value in cons.items():
-        numeric = isinstance(value, (int, float)) and not isinstance(value, bool)
-        if value is not None and not (numeric and math.isfinite(value)):
+        if value is not None and not wir.is_finite_number(value):
             raise SearchSpaceError(f"constraint {name!r} must be a finite number or null, got {value!r}")
     return SearchSpace(constraints=SearchConstraints(**cons), **lists)
 

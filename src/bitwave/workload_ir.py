@@ -29,6 +29,7 @@ per layer. Bias parameters are not counted anywhere.
 from __future__ import annotations
 
 import json
+import sys
 from dataclasses import dataclass, replace
 from pathlib import Path
 
@@ -55,6 +56,15 @@ def check_bits(name: str, bits: int, error: type[Exception]) -> None:
     """Raise ``error`` unless ``bits`` is an int in [1, MAX_BITS]."""
     if not isinstance(bits, int) or not 1 <= bits <= MAX_BITS:
         raise error(f"{name} must be an int in [1, {MAX_BITS}], got {bits!r}")
+
+
+def is_finite_number(value) -> bool:
+    """True for an int or float (not a bool) within the float range; NaN, infinities and larger ints are not."""
+    return (
+        isinstance(value, (int, float))
+        and not isinstance(value, bool)
+        and -sys.float_info.max <= value <= sys.float_info.max
+    )
 
 
 @dataclass(frozen=True)

@@ -1,12 +1,53 @@
 import random
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from bitwave import bitslice_engine as bse
 
 # the worked two-element example used throughout: 49*52 + 13*20 = 2808
 GOLD_A = [0x31, 0x0D]
 GOLD_W = [0x34, 0x14]
+
+
+def reference_execute_dot(a, w, p_a, p_w, b, mode=bse.FC):
+    """The per-element traced dot product: slice each element on its own, then walk the schedule.
+
+    This is the straightforward form of :func:`bse.execute_dot`, kept as its
+    oracle; the two must agree on the result and on every trace field.
+    """
+    if len(a) != len(w):
+        raise ValueError(f"vector lengths differ: {len(a)} vs {len(w)}")
+    a_sl = [bse.slice_value(x, p_a, b) for x in a]  # a_sl[j][i] = slice i of element j
+    w_sl = [bse.slice_value(x, p_w, b) for x in w]
+    schedule = bse.build_schedule(p_a, p_w, b, mode)
+    n = len(a)
+    nw = -(-p_w // b)
+
+    trace = []
+    result = 0
+    for idx, (ai, wi, shift) in enumerate(schedule.steps):
+        if mode == bse.FC:
+            lanes = tuple(a_sl[j][ai] * w_sl[j][wi] for j in range(n))
+        else:
+            lanes = tuple(
+                sum(a_sl[j][ai] * w_sl[j][k] for j in range(n)) << (b * k)
+                for k in range(nw)
+            )
+        step_sum = sum(lanes)
+        trace.append(
+            bse.StepTrace(
+                step_index=idx,
+                a_slice_index=ai,
+                w_slice_index=wi,
+                lane_partials=lanes,
+                step_sum=step_sum,
+                shift_bits=shift,
+            )
+        )
+        result += step_sum << shift
+    return result, trace
 
 
 def test_slice_golden_nibbles():
@@ -41,6 +82,28 @@ def test_slice_range_and_bit_errors():
         bse.slice_value(1, 17, 4)
     with pytest.raises(ValueError):
         bse.slice_value(1, 8, 0)
+
+
+def test_slice_vector_is_per_element_slicing_transposed():
+    values = [0x31, 0x0D, 0x00, 0xFF]
+    digits = bse.slice_vector(values, 8, 4)
+    assert digits == [[0x1, 0xD, 0x0, 0xF], [0x3, 0x0, 0x0, 0xF]]
+    rng = random.Random(3)
+    for _ in range(200):
+        p = rng.randint(1, 16)
+        b = rng.randint(1, 16)
+        values = [rng.randrange(1 << p) for _ in range(rng.randint(1, 8))]
+        per_element = [bse.slice_value(x, p, b) for x in values]
+        assert bse.slice_vector(values, p, b) == [list(col) for col in zip(*per_element)]
+
+
+def test_slice_vector_reports_first_bad_element():
+    with pytest.raises(bse.OperandRangeError, match=r"^value 300 out of range for 8-bit operand$"):
+        bse.slice_vector([1, 300, -1, 256], 8, 4)
+    with pytest.raises(bse.OperandRangeError, match=r"^value -1 out of range for 8-bit operand$"):
+        bse.slice_vector([1, -1, 300], 8, 4)
+    with pytest.raises(ValueError, match=r"^p must be an int in \[1, 16\], got 17$"):
+        bse.slice_vector([1 << 17], 17, 4)
 
 
 def test_recompose_round_trip_exhaustive_small():
@@ -152,6 +215,59 @@ def test_execute_dot_input_errors():
         bse.execute_dot([1, 2], [1], 8, 8, 4)
     with pytest.raises(bse.OperandRangeError):
         bse.execute_dot([256], [1], 8, 8, 4)
+
+
+@settings(max_examples=200, derandomize=True, deadline=None)
+@given(
+    data=st.data(),
+    p_a=st.integers(1, 16),
+    p_w=st.integers(1, 16),
+    b=st.integers(1, 16),
+    n=st.integers(0, 64),
+    mode=st.sampled_from([bse.FC, bse.CONV]),
+)
+@example(data=None, p_a=8, p_w=8, b=4, n=0, mode=bse.CONV)
+def test_execute_dot_equals_reference(data, p_a, p_w, b, n, mode):
+    if data is None:
+        a = w = []
+    else:
+        a = data.draw(st.lists(st.integers(0, (1 << p_a) - 1), min_size=n, max_size=n))
+        w = data.draw(st.lists(st.integers(0, (1 << p_w) - 1), min_size=n, max_size=n))
+    got = bse.execute_dot(a, w, p_a, p_w, b, mode)
+    assert got == reference_execute_dot(a, w, p_a, p_w, b, mode)
+    assert got[0] == sum(x * y for x, y in zip(a, w))
+
+
+@pytest.mark.parametrize("a, w, error, message", [
+    # lengths are checked before any operand
+    ([256, 1], [1], ValueError, "vector lengths differ: 2 vs 1"),
+    # the first bad element of a, before any bad element of w
+    ([1, 300, 256], [999, 1, 1], bse.OperandRangeError, "value 300 out of range for 8-bit operand"),
+    ([1, 2], [3, -4], bse.OperandRangeError, "value -4 out of range for 8-bit operand"),
+])
+def test_execute_dot_error_order(a, w, error, message):
+    for dot in (bse.execute_dot, reference_execute_dot):
+        with pytest.raises(ValueError) as exc:
+            dot(a, w, 8, 8, 4)
+        assert type(exc.value) is error
+        assert str(exc.value) == message
+
+
+@pytest.mark.parametrize("a, w, p_a, p_w, b, mode", [
+    ([1], [1], 17, 8, 4, bse.FC),
+    ([1], [1], 8, 0, 4, bse.FC),
+    ([1], [1], 8, 8, 17, bse.FC),
+    ([1], [1], 8, 8, 4, "conv"),
+    ([], [], 17, 8, 4, bse.FC),  # no element to check: the schedule names p_a
+    ([], [], 8, 8, 0, bse.CONV),
+    ([256], [1], 17, 8, 4, bse.FC),  # the width is checked before the value
+])
+def test_execute_dot_parameter_errors_match_reference(a, w, p_a, p_w, b, mode):
+    with pytest.raises(ValueError) as want:
+        reference_execute_dot(a, w, p_a, p_w, b, mode)
+    with pytest.raises(ValueError) as got:
+        bse.execute_dot(a, w, p_a, p_w, b, mode)
+    assert (type(got.value), str(got.value)) == (type(want.value), str(want.value))
 
 
 def test_reconstruct_empty_trace():

@@ -1,4 +1,5 @@
 import csv
+import hashlib
 import json
 from pathlib import Path
 
@@ -186,6 +187,24 @@ def test_validate_custom_bit_ranges(capsys):
     assert "50/50 ok" in capsys.readouterr().out
 
 
+def test_validate_digest_pinned(tmp_path, monkeypatch, capsys):
+    # the RNG draw order, the trials and the digest are part of the command's contract
+    monkeypatch.chdir(tmp_path)
+    rc = main(["validate", "--trials", "2000", "--seed", "0", "--out-dir", "v"])
+    assert rc == 0
+    assert capsys.readouterr().out == "2000/2000 ok\ntrial digest: 596c7aa8637453fd\n"
+    summary = (tmp_path / "v" / "validate.json").read_bytes()
+    assert hashlib.sha256(summary).hexdigest()[:16] == "4767267899d55bbc"
+
+
+def test_validate_out_of_range_p_bits_exits_3(capsys):
+    rc = main(["validate", "--trials", "5", "--p-bits", "17"])
+    assert rc == 3
+    captured = capsys.readouterr()
+    assert captured.err == "error: p must be an int in [1, 16], got 17\n"
+    assert "ok" not in captured.out
+
+
 @pytest.mark.parametrize("flag, value", [("--b-bits", ""), ("--p-bits", ",")])
 def test_validate_empty_bit_list_is_usage_error(capsys, flag, value):
     with pytest.raises(SystemExit) as exc:
@@ -201,6 +220,7 @@ def test_validate_empty_bit_list_is_usage_error(capsys, flag, value):
     ("max_power_w", "100"),
     ("laser_ceiling_dbm", "30"),
     ("max_power_w", float("nan")),
+    pytest.param("max_power_w", 10**400, id="max_power_w-int-beyond-float"),
 ])
 def test_explore_malformed_space_exits_3(tmp_path, model_paths, capsys, field, value):
     doc = {"v": [16], "k": [9], "b": [4], "V": [8], "K": [8], "constraints": {}}
@@ -238,6 +258,51 @@ def test_removed_catalog_field_exits_3(tmp_path, model_paths, reference_config_p
     err = capsys.readouterr().err
     assert err == "error: unknown devices fields: ['to_tuning_latency_ns']\n"
     assert not (tmp_path / "out" / "report.json").exists()
+
+
+@pytest.mark.parametrize("doc, message", [
+    pytest.param('{"weight_bits": 4, "act_bits": 4}', "baseline is missing field 'name'", id="no-name"),
+    pytest.param('{"name": "x", "act_bits": 4}', "baseline is missing field 'weight_bits'",
+                 id="no-weight-bits"),
+    pytest.param('[4, 4]', "baseline document must be a JSON object", id="not-an-object"),
+    pytest.param('{"name": 3, "weight_bits": 4, "act_bits": 4}', "baseline name must be a string, got 3",
+                 id="int-name"),
+    pytest.param('{"name": "x", "weight_bits": 4, "act_bits": 4, "device_overrides": [1]}',
+                 "baseline 'x': device_overrides must be a JSON object", id="list-overrides"),
+])
+def test_malformed_baseline_exits_3(tmp_path, model_paths, reference_config_path, capsys, doc, message):
+    bdir = tmp_path / "baselines"
+    bdir.mkdir()
+    (bdir / "x.json").write_text(doc)
+    rc = main(["compare", str(model_paths["svhn_cnn"]), "--config", str(reference_config_path),
+               "--baselines", str(bdir), "--out-dir", str(tmp_path / "out")])
+    assert rc == 3
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not (tmp_path / "out" / "compare.csv").exists()
+
+
+@pytest.mark.parametrize("value, shown", [('"3"', "'3'"), ("NaN", "nan"), ("true", "True")])
+def test_non_numeric_device_value_exits_3(tmp_path, model_paths, reference_config_path, capsys,
+                                          value, shown):
+    message = f"error: device parameter adc8_power_mw must be a finite number, got {shown}\n"
+    catalog = tmp_path / "catalog.json"
+    catalog.write_text(f'{{"devices": {{"adc8_power_mw": {value}}}}}')
+    rc = main(["simulate", str(model_paths["svhn_cnn"]), "--config", str(reference_config_path),
+               "--catalog", str(catalog), "--out-dir", str(tmp_path / "sim")])
+    assert rc == 3
+    assert capsys.readouterr().err == message
+    assert not (tmp_path / "sim" / "report.json").exists()
+
+    bdir = tmp_path / "baselines"
+    bdir.mkdir()
+    (bdir / "hot.json").write_text(
+        f'{{"name": "hot", "weight_bits": 4, "act_bits": 4, "device_overrides": {{"adc8_power_mw": {value}}}}}'
+    )
+    rc = main(["compare", str(model_paths["svhn_cnn"]), "--config", str(reference_config_path),
+               "--baselines", str(bdir), "--out-dir", str(tmp_path / "cmp")])
+    assert rc == 3
+    assert capsys.readouterr().err == message
+    assert not (tmp_path / "cmp" / "compare.csv").exists()
 
 
 # -- byte-identical artifacts for the shipped inputs ---------------------------------
@@ -285,7 +350,6 @@ SHIPPED_ARTIFACTS = {
 
 
 def test_shipped_artifacts_byte_identical(tmp_path, repo_root, monkeypatch, capsys):
-    import hashlib
     import shutil
 
     for name in SHIPPED_DIRS:

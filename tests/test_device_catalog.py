@@ -159,6 +159,46 @@ def test_catalog_rejects_nonpositive_device_values():
         dcat.catalog_from_dict({"devices": {"vcsel_power_mw": 0.0}})
 
 
+@pytest.mark.parametrize("value", [
+    "3", True, None, float("nan"), float("inf"), -float("inf"),
+    pytest.param(10**400, id="int-beyond-float"), [1.0],
+])
+def test_catalog_numbers_must_be_finite_and_numeric(value):
+    docs = [
+        {"devices": {"adc8_power_mw": value}},
+        {"losses": {"splitter_db": value}},
+        {"detector_sensitivity_dbm": value},
+        {"to_duty_cycle": value},
+        {"mr_pitch_cm": value},
+    ]
+    for doc in docs:
+        with pytest.raises(CatalogError, match="must be a finite number, got"):
+            dcat.catalog_from_dict(doc)
+    with pytest.raises(CatalogError, match="must be a finite number, got"):
+        dcat.apply_device_overrides(DEFAULT_CATALOG, {"vcsel_power_mw": value})
+
+
+def test_catalog_sign_rules_kept():
+    cat = dcat.catalog_from_dict({
+        "devices": {"adc8_power_mw": 3},  # an int is a number
+        "losses": {"splitter_db": 0},
+        "detector_sensitivity_dbm": -30,
+        "to_duty_cycle": 1,
+        "mr_pitch_cm": 0.0,
+    })
+    assert cat.devices.adc8_power_mw == 3
+    assert cat.detector_sensitivity_dbm == -30
+    for doc, message in [
+        ({"devices": {"adc8_power_mw": -1.0}}, "device parameter adc8_power_mw must be positive"),
+        ({"losses": {"splitter_db": -0.1}}, "loss splitter_db must be non-negative"),
+        ({"to_duty_cycle": 1.5}, "to_duty_cycle must be in [0, 1]"),
+        ({"eo_shift_nm": -1}, "eo_shift_nm must be non-negative"),
+    ]:
+        with pytest.raises(CatalogError) as exc:
+            dcat.catalog_from_dict(doc)
+        assert str(exc.value) == message
+
+
 def test_apply_device_overrides():
     cat = dcat.apply_device_overrides(DEFAULT_CATALOG, {"adc16_power_mw": 50.0})
     assert cat.devices.adc16_power_mw == 50.0
