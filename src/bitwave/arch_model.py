@@ -104,22 +104,8 @@ class ArchConfig:
             raise ConfigError(f"step_period_ns must be positive, got {self.step_period_ns}")
 
 
-_CONFIG_FIELDS = (
-    "v", "k", "b", "V", "K",
-    "laser_ceiling_dbm", "energy_scale", "pipelined", "step_period_ns",
-)
-
-
 def arch_config_from_dict(doc: dict) -> ArchConfig:
-    if not isinstance(doc, dict):
-        raise ConfigError("config document must be a JSON object")
-    unknown = set(doc) - set(_CONFIG_FIELDS)
-    if unknown:
-        raise ConfigError(f"unknown config fields: {sorted(unknown)}")
-    for req in ("v", "k", "b", "V", "K"):
-        if req not in doc:
-            raise ConfigError(f"config is missing field {req!r}")
-    return ArchConfig(**doc)
+    return ArchConfig(**wir.read_fields(doc, ArchConfig, "config", ConfigError))
 
 
 def load_arch_config(path: str | Path) -> ArchConfig:
@@ -137,26 +123,13 @@ class BaselineSpec:
     device_overrides: dict = field(default_factory=dict)
 
     def __post_init__(self) -> None:
-        if not isinstance(self.name, str):
-            raise ConfigError(f"baseline name must be a string, got {self.name!r}")
         check_bits(f"baseline {self.name!r}: weight_bits", self.weight_bits, ConfigError)
         check_bits(f"baseline {self.name!r}: act_bits", self.act_bits, ConfigError)
-        if not isinstance(self.device_overrides, dict):
-            raise ConfigError(f"baseline {self.name!r}: device_overrides must be a JSON object")
 
 
 def load_baseline_spec(path: str | Path) -> BaselineSpec:
     with open(path, "r", encoding="utf-8") as fh:
-        doc = json.load(fh)
-    if not isinstance(doc, dict):
-        raise ConfigError("baseline document must be a JSON object")
-    unknown = set(doc) - {"name", "weight_bits", "act_bits", "device_overrides"}
-    if unknown:
-        raise ConfigError(f"unknown baseline fields: {sorted(unknown)}")
-    for req in ("name", "weight_bits", "act_bits"):
-        if req not in doc:
-            raise ConfigError(f"baseline is missing field {req!r}")
-    return BaselineSpec(**doc)
+        return BaselineSpec(**wir.read_fields(json.load(fh), BaselineSpec, "baseline", ConfigError))
 
 
 # -- step-count laws ----------------------------------------------------------

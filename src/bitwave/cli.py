@@ -15,6 +15,7 @@ import csv
 import hashlib
 import io
 import json
+import math
 import os
 import random
 import sys
@@ -81,12 +82,21 @@ def _atomic_write(path: Path, data: str) -> None:
     os.replace(tmp, path)
 
 
+_NON_FINITE = "{} would hold a non-finite number; the inputs overflow the float range"
+
+
 def _write_json(path: Path, manifest: RunManifest, payload: dict) -> None:
     doc = {"manifest": as_dict(manifest), **payload}
-    _atomic_write(path, json.dumps(doc, indent=2, sort_keys=True) + "\n")
+    try:
+        text = json.dumps(doc, indent=2, sort_keys=True, allow_nan=False)
+    except ValueError:
+        raise ValueError(_NON_FINITE.format(path.name)) from None
+    _atomic_write(path, text + "\n")
 
 
 def _write_csv(path: Path, manifest: RunManifest, header: list[str], rows: list[list]) -> None:
+    if not all(math.isfinite(x) for row in rows for x in row if isinstance(x, float)):
+        raise ValueError(_NON_FINITE.format(path.name))
     buf = io.StringIO()
     buf.write("# manifest: " + json.dumps(as_dict(manifest), sort_keys=True) + "\n")
     writer = csv.writer(buf, lineterminator="\n")

@@ -20,16 +20,11 @@ from dataclasses import dataclass, field, fields, replace
 from pathlib import Path
 from typing import Iterable
 
-from .workload_ir import check_bits, is_finite_number
+from .workload_ir import check_bits, read_fields
 
 
 class CatalogError(ValueError):
     """Malformed catalog file or out-of-range device query."""
-
-
-def _check_number(name: str, value) -> None:
-    if not is_finite_number(value):
-        raise CatalogError(f"{name} must be a finite number, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -56,9 +51,7 @@ class DeviceParams:
 
     def __post_init__(self) -> None:
         for f in fields(self):
-            value = getattr(self, f.name)
-            _check_number(f"device parameter {f.name}", value)
-            if value <= 0:
+            if getattr(self, f.name) <= 0:
                 raise CatalogError(f"device parameter {f.name} must be positive")
 
 
@@ -74,9 +67,7 @@ class LossModel:
 
     def __post_init__(self) -> None:
         for f in fields(self):
-            value = getattr(self, f.name)
-            _check_number(f"loss {f.name}", value)
-            if value < 0:
+            if getattr(self, f.name) < 0:
                 raise CatalogError(f"loss {f.name} must be non-negative")
 
 
@@ -101,9 +92,6 @@ class DeviceCatalog:
     base_waveguide_cm: float = 0.1  # routing overhead per unit
 
     def __post_init__(self) -> None:
-        for f in fields(self):
-            if f.name not in ("devices", "losses"):
-                _check_number(f.name, getattr(self, f.name))
         if self.to_duty_cycle < 0 or self.to_duty_cycle > 1:
             raise CatalogError("to_duty_cycle must be in [0, 1]")
         for name in ("eo_shift_nm", "mr_pitch_cm", "eo_section_cm", "base_waveguide_cm"):
@@ -220,27 +208,7 @@ def aggregate_photoloss(path: Iterable[tuple[str, float]], losses: LossModel | N
 
 def catalog_from_dict(doc: dict) -> DeviceCatalog:
     """Build a catalog from a JSON document, defaulting unspecified fields."""
-    if not isinstance(doc, dict):
-        raise CatalogError("catalog document must be a JSON object")
-    known_top = {f.name for f in fields(DeviceCatalog)}
-    unknown = set(doc) - known_top
-    if unknown:
-        raise CatalogError(f"unknown catalog fields: {sorted(unknown)}")
-
-    devices = DeviceParams(**_subdict(doc.get("devices", {}), DeviceParams, "devices"))
-    losses = LossModel(**_subdict(doc.get("losses", {}), LossModel, "losses"))
-    scalars = {k: v for k, v in doc.items() if k not in ("devices", "losses")}
-    return DeviceCatalog(devices=devices, losses=losses, **scalars)
-
-
-def _subdict(doc: dict, cls, label: str) -> dict:
-    if not isinstance(doc, dict):
-        raise CatalogError(f"catalog section {label!r} must be an object")
-    known = set(cls.__dataclass_fields__)
-    unknown = set(doc) - known
-    if unknown:
-        raise CatalogError(f"unknown {label} fields: {sorted(unknown)}")
-    return doc
+    return DeviceCatalog(**read_fields(doc, DeviceCatalog, "catalog", CatalogError))
 
 
 def load_catalog(path: str | Path) -> DeviceCatalog:
@@ -253,8 +221,5 @@ def apply_device_overrides(catalog: DeviceCatalog, overrides: dict) -> DeviceCat
     """Return a catalog with selected device fields replaced."""
     if not overrides:
         return catalog
-    known = {f.name for f in fields(DeviceParams)}
-    unknown = set(overrides) - known
-    if unknown:
-        raise CatalogError(f"unknown device override fields: {sorted(unknown)}")
-    return replace(catalog, devices=replace(catalog.devices, **overrides))
+    checked = read_fields(overrides, DeviceParams, "device_overrides", CatalogError)
+    return replace(catalog, devices=replace(catalog.devices, **checked))

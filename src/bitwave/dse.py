@@ -62,30 +62,7 @@ class SearchSpace:
 
 
 def search_space_from_dict(doc: dict) -> SearchSpace:
-    if not isinstance(doc, dict):
-        raise SearchSpaceError("search space document must be a JSON object")
-    known = {"v", "k", "b", "V", "K", "constraints"}
-    unknown = set(doc) - known
-    if unknown:
-        raise SearchSpaceError(f"unknown search-space fields: {sorted(unknown)}")
-    lists = {}
-    for dim in ("v", "k", "b", "V", "K"):
-        values = doc.get(dim, [])
-        if not isinstance(values, list) or not all(
-            isinstance(x, int) and not isinstance(x, bool) for x in values
-        ):
-            raise SearchSpaceError(f"dimension {dim!r} must be a list of ints")
-        lists[dim] = tuple(values)
-    cons = doc.get("constraints", {})
-    if not isinstance(cons, dict):
-        raise SearchSpaceError("constraints must be an object")
-    unknown = set(cons) - {"max_power_w", "laser_ceiling_dbm"}
-    if unknown:
-        raise SearchSpaceError(f"unknown constraint fields: {sorted(unknown)}")
-    for name, value in cons.items():
-        if value is not None and not wir.is_finite_number(value):
-            raise SearchSpaceError(f"constraint {name!r} must be a finite number or null, got {value!r}")
-    return SearchSpace(constraints=SearchConstraints(**cons), **lists)
+    return SearchSpace(**wir.read_fields(doc, SearchSpace, "search space", SearchSpaceError))
 
 
 def load_search_space(path: str | Path) -> SearchSpace:

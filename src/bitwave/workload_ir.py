@@ -4,34 +4,25 @@ A workload is an ordered list of CONV/FC layers, each carrying its own
 weight and activation bitwidths (heterogeneous quantization is just a
 per-layer choice). Models are immutable values after loading.
 
-Workload file schema (JSON):
+A workload file (JSON) is the object ``_ModelDoc`` declares, and each of
+its ``layers`` is an ``_FcDoc`` or a ``_ConvDoc``. Per-layer bitwidths win
+over the top-level ``weight_bits``/``act_bits``; a scalar top-level value
+broadcasts to every layer, and a list must have exactly one entry per layer.
+Bias parameters are not counted anywhere.
 
-    {
-      "name": "...",
-      "footprint_scale": 1.0,            // optional, default 1.0
-      "declared_param_count": 123,       // optional cross-check, exact
-      "weight_bits": [..] | int,         // optional, applied across layers
-      "act_bits": [..] | int,            // optional, applied across layers
-      "layers": [
-        {"kind": "CONV", "in_channels": .., "out_channels": ..,
-         "kernel_h": .., "kernel_w": .., "in_height": .., "in_width": ..,
-         "stride": .., "padding": .., "weight_bits": .., "act_bits": ..},
-        {"kind": "FC", "in_features": .., "out_features": ..,
-         "weight_bits": .., "act_bits": ..}
-      ]
-    }
-
-Per-layer bitwidths win over the top-level lists; a scalar top-level
-value broadcasts to every layer, and a list must have exactly one entry
-per layer. Bias parameters are not counted anywhere.
+``read_fields`` checks every input document of the package (workload,
+config, baseline, catalog, search space) against the dataclass it fills.
 """
 
 from __future__ import annotations
 
+import functools
 import json
 import sys
-from dataclasses import dataclass, replace
+from dataclasses import MISSING, dataclass, fields, is_dataclass, replace
 from pathlib import Path
+from types import UnionType
+from typing import get_args, get_origin
 
 CONV = "CONV"
 FC = "FC"
@@ -39,8 +30,11 @@ FC = "FC"
 #: widest operand, slice and converter resolution anywhere in the package
 MAX_BITS = 16
 
-_CONV_FIELDS = ("in_channels", "out_channels", "kernel_h", "kernel_w", "in_height", "in_width")
-_FC_FIELDS = ("in_features", "out_features")
+#: the shape fields each layer kind requires, and the other kind must leave None
+_SHAPE_FIELDS = {
+    CONV: ("in_channels", "out_channels", "kernel_h", "kernel_w", "in_height", "in_width"),
+    FC: ("in_features", "out_features"),
+}
 
 
 class WorkloadError(ValueError):
@@ -53,8 +47,8 @@ def ceil_div(a: int, b: int) -> int:
 
 
 def check_bits(name: str, bits: int, error: type[Exception]) -> None:
-    """Raise ``error`` unless ``bits`` is an int in [1, MAX_BITS]."""
-    if not isinstance(bits, int) or not 1 <= bits <= MAX_BITS:
+    """Raise ``error`` unless ``bits`` is an int (not a bool) in [1, MAX_BITS]."""
+    if isinstance(bits, bool) or not isinstance(bits, int) or not 1 <= bits <= MAX_BITS:
         raise error(f"{name} must be an int in [1, {MAX_BITS}], got {bits!r}")
 
 
@@ -65,6 +59,91 @@ def is_finite_number(value) -> bool:
         and not isinstance(value, bool)
         and -sys.float_info.max <= value <= sys.float_info.max
     )
+
+
+#: how a message names each type a field may declare
+_TYPE_NAMES = {
+    int: "an int",
+    float: "a finite number",
+    bool: "a bool",
+    str: "a string",
+    dict: "a JSON object",
+    list: "a list",
+    type(None): "null",
+}
+
+
+def _is(tp):
+    """The test a JSON value passes as a ``tp``: any finite number for ``float``, else exactly a ``tp``."""
+    return is_finite_number if tp is float else lambda v: type(v) is tp
+
+
+@functools.cache
+def _field_table(cls) -> tuple[dict, list[str]]:
+    """``cls``'s fields as name -> (exact types, [(test, build), ...], description), and its required names.
+
+    A value of one of the exact types is taken as it is; any other must pass a
+    test. ``build`` is None (keep the value), ``tuple`` (a list becomes a tuple)
+    or the dataclass of a nested document. Built once per class.
+    """
+    namespace = vars(sys.modules[cls.__module__])
+    table = {}
+    for f in fields(cls):
+        hint = eval(f.type, namespace)  # typing.get_type_hints would add about 1 ms to each run
+        exact, rules, descriptions = set(), [], []
+        for tp in get_args(hint) if isinstance(hint, UnionType) else (hint,):
+            if get_origin(tp) in (list, tuple):  # list[X] or tuple[X, ...]
+                item = get_args(tp)[0]
+                test = lambda v, item_test=_is(item): type(v) is list and all(map(item_test, v))
+                rules.append((test, tuple if get_origin(tp) is tuple else None))
+                descriptions.append(f"a list of {_TYPE_NAMES[item].split(' ', 1)[1]}s")
+            elif is_dataclass(tp):
+                rules.append((_is(dict), tp))
+                descriptions.append(_TYPE_NAMES[dict])
+            elif tp is float:
+                rules.append((is_finite_number, None))
+                descriptions.append(_TYPE_NAMES[float])
+            else:
+                exact.add(tp)
+                descriptions.append(_TYPE_NAMES[tp])
+        table[f.name] = (frozenset(exact), rules, " or ".join(descriptions))
+    required = [f.name for f in fields(cls) if f.default is MISSING and f.default_factory is MISSING]
+    return table, required
+
+
+def read_fields(doc, cls, what: str, error: type[Exception]) -> dict:
+    """Check JSON document ``doc`` against dataclass ``cls``; return its fields as keyword arguments.
+
+    ``doc`` must be an object with no unknown field and every field that has no
+    default. Each value must be of its field's type: an ``int`` is an int and
+    not a bool, a ``float`` any finite number but a bool, ``X | None`` also
+    takes null, ``list[X]`` and ``tuple[X, ...]`` take a list of X, and a
+    dataclass-typed field is a nested document named after the field. Failures
+    raise ``error``; the range rules stay in each class's ``__post_init__``.
+    """
+    table, required = _field_table(cls)
+    if not isinstance(doc, dict):
+        raise error(f"{what} document must be a JSON object")
+    if not doc.keys() <= table.keys():
+        raise error(f"unknown {what} fields: {sorted(doc.keys() - table.keys())}")
+    for name in required:
+        if name not in doc:
+            raise error(f"{what} is missing field {name!r}")
+    kwargs = dict(doc)
+    for name, value in doc.items():
+        exact, rules, description = table[name]
+        if type(value) in exact:
+            continue
+        for test, build in rules:
+            if test(value):
+                break
+        else:
+            raise error(f"{what} field {name!r} must be {description}, got {value!r}")
+        if build is tuple:
+            kwargs[name] = tuple(value)
+        elif build is not None:
+            kwargs[name] = build(**read_fields(value, build, name, error))
+    return kwargs
 
 
 @dataclass(frozen=True)
@@ -92,16 +171,17 @@ class LayerSpec:
             raise WorkloadError(f"{where}: kind must be CONV or FC, got {self.kind!r}")
         check_bits(f"{where}: weight_bits", self.weight_bits, WorkloadError)
         check_bits(f"{where}: act_bits", self.act_bits, WorkloadError)
+        own, other = (CONV, FC) if self.kind == CONV else (FC, CONV)
+        missing = [f for f in _SHAPE_FIELDS[own] if getattr(self, f) is None]
+        if missing:
+            raise WorkloadError(f"{where}: {own} layer missing fields {missing}")
+        extra = [f for f in _SHAPE_FIELDS[other] if getattr(self, f) is not None]
+        if extra:
+            raise WorkloadError(f"{where}: {own} layer must not set {other} fields {extra}")
+        for f in _SHAPE_FIELDS[own]:
+            if getattr(self, f) <= 0:
+                raise WorkloadError(f"{where}: {f} must be positive, got {getattr(self, f)}")
         if self.kind == CONV:
-            missing = [f for f in _CONV_FIELDS if getattr(self, f) is None]
-            if missing:
-                raise WorkloadError(f"{where}: CONV layer missing fields {missing}")
-            extra = [f for f in _FC_FIELDS if getattr(self, f) is not None]
-            if extra:
-                raise WorkloadError(f"{where}: CONV layer must not set FC fields {extra}")
-            for f in _CONV_FIELDS:
-                if getattr(self, f) <= 0:
-                    raise WorkloadError(f"{where}: {f} must be positive, got {getattr(self, f)}")
             if self.stride < 1:
                 raise WorkloadError(f"{where}: stride must be positive, got {self.stride}")
             if self.padding < 0:
@@ -109,16 +189,6 @@ class LayerSpec:
             oh, ow = layer_out_hw(self)
             if oh < 1 or ow < 1:
                 raise WorkloadError(f"{where}: kernel/stride/padding yield empty {oh}x{ow} output")
-        else:
-            missing = [f for f in _FC_FIELDS if getattr(self, f) is None]
-            if missing:
-                raise WorkloadError(f"{where}: FC layer missing fields {missing}")
-            extra = [f for f in _CONV_FIELDS if getattr(self, f) is not None]
-            if extra:
-                raise WorkloadError(f"{where}: FC layer must not set CONV fields {extra}")
-            for f in _FC_FIELDS:
-                if getattr(self, f) <= 0:
-                    raise WorkloadError(f"{where}: {f} must be positive, got {getattr(self, f)}")
 
 
 def layer_out_hw(layer: LayerSpec) -> tuple[int, int]:
@@ -189,87 +259,90 @@ def processed_bits(model: WorkloadModel) -> int:
 def with_bits(model: WorkloadModel, weight_bits: int, act_bits: int) -> WorkloadModel:
     """Homogeneous-quantization variant of a model (same shapes)."""
     layers = tuple(replace(l, weight_bits=weight_bits, act_bits=act_bits) for l in model.layers)
-    return WorkloadModel(
-        name=model.name,
-        layers=layers,
-        declared_param_count=model.declared_param_count,
-        footprint_scale=model.footprint_scale,
-    )
+    return replace(model, layers=layers)
 
 
 # -- (de)serialization --------------------------------------------------------
 
 
-def _resolve_bits(doc: dict, n_layers: int, field: str) -> list[int | None]:
-    """Expand a top-level bitwidth spec (scalar or list) to one entry per layer."""
-    spec = doc.get(field)
-    if spec is None:
-        return [None] * n_layers
-    if isinstance(spec, int):
-        return [spec] * n_layers
-    if isinstance(spec, list):
-        if len(spec) != n_layers:
-            raise WorkloadError(
-                f"{field} list has {len(spec)} entries for a {n_layers}-layer model"
-            )
-        return list(spec)
-    raise WorkloadError(f"{field} must be an int or a list of ints")
+# Schemas for read_fields. Generated methods that nothing calls are skipped and
+# each class has a docstring: both would otherwise cost import time.
+@dataclass(kw_only=True, repr=False, eq=False)
+class _ModelDoc:
+    """The top level of a workload file; ``weight_bits``/``act_bits`` apply across layers."""
+
+    layers: list
+    name: str = "unnamed"
+    declared_param_count: int | None = None
+    footprint_scale: float = WorkloadModel.footprint_scale
+    weight_bits: int | list[int] | None = None
+    act_bits: int | list[int] | None = None
+
+
+@dataclass(kw_only=True, init=False, repr=False, eq=False)
+class _LayerDoc:
+    """The fields every layer entry may set; its bitwidths default to the top level's."""
+
+    kind: str
+    weight_bits: int | None = None
+    act_bits: int | None = None
+
+
+@dataclass(kw_only=True, init=False, repr=False, eq=False)
+class _FcDoc(_LayerDoc):
+    """An FC layer entry; FC layers take no stride or padding."""
+
+    in_features: int
+    out_features: int
+
+
+@dataclass(kw_only=True, init=False, repr=False, eq=False)
+class _ConvDoc(_LayerDoc):
+    """A CONV layer entry."""
+
+    in_channels: int
+    out_channels: int
+    kernel_h: int
+    kernel_w: int
+    in_height: int
+    in_width: int
+    stride: int = 1
+    padding: int = 0
 
 
 def workload_from_dict(doc: dict) -> WorkloadModel:
-    if not isinstance(doc, dict):
-        raise WorkloadError("workload document must be a JSON object")
-    if "layers" not in doc or not isinstance(doc["layers"], list):
-        raise WorkloadError("workload document needs a 'layers' list")
-    name = doc.get("name", "unnamed")
-    raw_layers = doc["layers"]
-    wbits = _resolve_bits(doc, len(raw_layers), "weight_bits")
-    abits = _resolve_bits(doc, len(raw_layers), "act_bits")
-
-    known = {
-        "kind", "weight_bits", "act_bits", "stride", "padding",
-        *_CONV_FIELDS, *_FC_FIELDS,
-    }
+    top = _ModelDoc(**read_fields(doc, _ModelDoc, "workload", WorkloadError))
+    n = len(top.layers)
+    top_bits = {}  # field -> one entry per layer, None where the top level is silent
+    for field in ("weight_bits", "act_bits"):
+        spec = getattr(top, field)
+        if isinstance(spec, list) and len(spec) != n:
+            raise WorkloadError(f"{field} list has {len(spec)} entries for a {n}-layer model")
+        top_bits[field] = spec if isinstance(spec, list) else [spec] * n
     layers = []
-    for i, raw in enumerate(raw_layers):
-        if not isinstance(raw, dict):
-            raise WorkloadError(f"layer {i}: entry must be an object")
-        unknown = set(raw) - known
-        if unknown:
-            raise WorkloadError(f"layer {i}: unknown fields {sorted(unknown)}")
-        wb = raw.get("weight_bits", wbits[i])
-        ab = raw.get("act_bits", abits[i])
-        if wb is None:
-            raise WorkloadError(f"layer {i}: no weight_bits given (per layer or top level)")
-        if ab is None:
-            raise WorkloadError(f"layer {i}: no act_bits given (per layer or top level)")
-        fields = {k: v for k, v in raw.items() if k not in ("weight_bits", "act_bits")}
-        layers.append(LayerSpec(index=i, weight_bits=wb, act_bits=ab, **fields))
-
+    for i, raw in enumerate(top.layers):
+        doc_cls = _ConvDoc if isinstance(raw, dict) and raw.get("kind") == CONV else _FcDoc
+        entry = read_fields(raw, doc_cls, f"layer {i}", WorkloadError)
+        for field, per_layer in top_bits.items():
+            if entry.get(field) is None:
+                entry[field] = per_layer[i]
+            if entry[field] is None:
+                raise WorkloadError(f"layer {i}: no {field} given (per layer or top level)")
+        layers.append(LayerSpec(index=i, **entry))
     return WorkloadModel(
-        name=name,
+        name=top.name,
         layers=tuple(layers),
-        declared_param_count=doc.get("declared_param_count"),
-        footprint_scale=doc.get("footprint_scale", 1.0),
+        declared_param_count=top.declared_param_count,
+        footprint_scale=top.footprint_scale,
     )
 
 
 def workload_to_dict(model: WorkloadModel) -> dict:
     """Canonical document form; bitwidths are written per layer."""
-    layers = []
-    for l in model.layers:
-        entry: dict = {"kind": l.kind}
-        if l.kind == CONV:
-            for f in _CONV_FIELDS:
-                entry[f] = getattr(l, f)
-            entry["stride"] = l.stride
-            entry["padding"] = l.padding
-        else:
-            for f in _FC_FIELDS:
-                entry[f] = getattr(l, f)
-        entry["weight_bits"] = l.weight_bits
-        entry["act_bits"] = l.act_bits
-        layers.append(entry)
+    layers = [
+        {f.name: getattr(l, f.name) for f in fields(_ConvDoc if l.kind == CONV else _FcDoc)}
+        for l in model.layers
+    ]
     doc: dict = {"name": model.name, "footprint_scale": model.footprint_scale, "layers": layers}
     if model.declared_param_count is not None:
         doc["declared_param_count"] = model.declared_param_count

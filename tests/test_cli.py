@@ -1,6 +1,7 @@
 import csv
 import hashlib
 import json
+import math
 from pathlib import Path
 
 import pytest
@@ -265,10 +266,10 @@ def test_removed_catalog_field_exits_3(tmp_path, model_paths, reference_config_p
     pytest.param('{"name": "x", "act_bits": 4}', "baseline is missing field 'weight_bits'",
                  id="no-weight-bits"),
     pytest.param('[4, 4]', "baseline document must be a JSON object", id="not-an-object"),
-    pytest.param('{"name": 3, "weight_bits": 4, "act_bits": 4}', "baseline name must be a string, got 3",
+    pytest.param('{"name": 3, "weight_bits": 4, "act_bits": 4}', "baseline field 'name' must be a string, got 3",
                  id="int-name"),
     pytest.param('{"name": "x", "weight_bits": 4, "act_bits": 4, "device_overrides": [1]}',
-                 "baseline 'x': device_overrides must be a JSON object", id="list-overrides"),
+                 "baseline field 'device_overrides' must be a JSON object, got [1]", id="list-overrides"),
 ])
 def test_malformed_baseline_exits_3(tmp_path, model_paths, reference_config_path, capsys, doc, message):
     bdir = tmp_path / "baselines"
@@ -284,13 +285,13 @@ def test_malformed_baseline_exits_3(tmp_path, model_paths, reference_config_path
 @pytest.mark.parametrize("value, shown", [('"3"', "'3'"), ("NaN", "nan"), ("true", "True")])
 def test_non_numeric_device_value_exits_3(tmp_path, model_paths, reference_config_path, capsys,
                                           value, shown):
-    message = f"error: device parameter adc8_power_mw must be a finite number, got {shown}\n"
+    message = f"field 'adc8_power_mw' must be a finite number, got {shown}\n"
     catalog = tmp_path / "catalog.json"
     catalog.write_text(f'{{"devices": {{"adc8_power_mw": {value}}}}}')
     rc = main(["simulate", str(model_paths["svhn_cnn"]), "--config", str(reference_config_path),
                "--catalog", str(catalog), "--out-dir", str(tmp_path / "sim")])
     assert rc == 3
-    assert capsys.readouterr().err == message
+    assert capsys.readouterr().err == "error: devices " + message
     assert not (tmp_path / "sim" / "report.json").exists()
 
     bdir = tmp_path / "baselines"
@@ -301,8 +302,70 @@ def test_non_numeric_device_value_exits_3(tmp_path, model_paths, reference_confi
     rc = main(["compare", str(model_paths["svhn_cnn"]), "--config", str(reference_config_path),
                "--baselines", str(bdir), "--out-dir", str(tmp_path / "cmp")])
     assert rc == 3
-    assert capsys.readouterr().err == message
+    assert capsys.readouterr().err == "error: device_overrides " + message
     assert not (tmp_path / "cmp" / "compare.csv").exists()
+
+
+@pytest.mark.parametrize("target, field, value", [
+    ("config", "v", "50"),
+    ("config", "v", 2.5),
+    ("config", "V", 200.0),
+    ("config", "b", True),
+    ("config", "pipelined", "no"),
+    ("config", "laser_ceiling_dbm", "30"),
+    ("config", "laser_ceiling_dbm", math.nan),
+    ("config", "energy_scale", math.nan),
+    ("fc layer", "in_features", 3.5),
+    ("fc layer", "in_features", "9"),
+    ("conv layer", "act_bits", True),
+    ("conv layer", "stride", 1.5),
+    ("fc layer", "stride", 7),
+    ("fc layer", "padding", 3),
+    ("model", "name", 5),
+    ("model", "footprint_scale", "2"),
+    ("model", "footprint_scale", math.nan),
+    ("model", "declared_param_count", 552362.0),
+    ("model", "weight_bits", True),
+    ("baseline", "weight_bits", True),
+])
+def test_malformed_input_field_exits_3(tmp_path, repo_root, capsys, target, field, value):
+    config = json.loads((repo_root / "configs" / "reference.json").read_text())
+    model = json.loads((repo_root / "models" / "svhn_cnn.json").read_text())
+    baseline = json.loads((repo_root / "baselines" / "crosslight.json").read_text())
+    assert model["layers"][0]["kind"] == "CONV" and model["layers"][-1]["kind"] == "FC"
+    docs = {"config": config, "model": model, "baseline": baseline,
+            "conv layer": model["layers"][0], "fc layer": model["layers"][-1]}
+    docs[target][field] = value
+    bdir = tmp_path / "baselines"
+    bdir.mkdir()
+    (bdir / "b.json").write_text(json.dumps(baseline))  # NaN is written as the bare JSON token
+    (tmp_path / "config.json").write_text(json.dumps(config))
+    (tmp_path / "model.json").write_text(json.dumps(model))
+    out = tmp_path / "out"
+    rc = main(["compare", str(tmp_path / "model.json"), "--config", str(tmp_path / "config.json"),
+               "--baselines", str(bdir), "--out-dir", str(out)])
+    assert rc == 3
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert f"'{field}'" in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command, artifact", [("simulate", "report.json"), ("compare", "compare.csv")])
+def test_non_finite_result_exits_3_writing_nothing(tmp_path, model_paths, baselines_dir, capsys,
+                                                   command, artifact):
+    # every input is finite, but a 1e308 ns step makes the energy overflow to infinity
+    cfg = write_config(tmp_path, step_period_ns=1e308)
+    out = tmp_path / "out"
+    argv = [command, str(model_paths["svhn_cnn"]), "--config", str(cfg), "--out-dir", str(out)]
+    if command == "compare":
+        argv += ["--baselines", str(baselines_dir)]
+    rc = main(argv)
+    assert rc == 3
+    assert capsys.readouterr().err == (
+        f"error: {artifact} would hold a non-finite number; the inputs overflow the float range\n"
+    )
+    assert list(out.iterdir()) == []
 
 
 # -- byte-identical artifacts for the shipped inputs ---------------------------------

@@ -1,0 +1,90 @@
+"""Every loader either returns a value or raises its own error class, whatever one field holds.
+
+Each shipped input kind gets one field replaced, deleted or added, with an
+arbitrary JSON value, at the top level or one level down (a layer, a catalog
+section, the search-space constraints).
+"""
+
+import json
+from dataclasses import fields
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from bitwave import arch_model as am
+from bitwave import device_catalog as dcat
+from bitwave import dse
+from bitwave import workload_ir as wir
+
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=4),
+    lambda children: st.lists(children, max_size=3) | st.dictionaries(st.text(max_size=4), children, max_size=3),
+    max_leaves=6,
+)
+# field names of every input kind, so an added field is often one that belongs elsewhere
+KNOWN_NAMES = sorted({
+    f.name
+    for cls in (am.ArchConfig, am.BaselineSpec, dcat.DeviceCatalog, dcat.DeviceParams, dcat.LossModel,
+                dse.SearchSpace, dse.SearchConstraints, wir.LayerSpec, wir.WorkloadModel)
+    for f in fields(cls)
+} | {"weight_bits", "act_bits"})
+
+
+def full_catalog() -> dict:
+    """A catalog document that sets every field of every section."""
+    doc = {f.name: getattr(dcat.DEFAULT_CATALOG, f.name) for f in fields(dcat.DeviceCatalog)}
+    doc["devices"] = vars(dcat.DEFAULT_CATALOG.devices).copy()
+    doc["losses"] = vars(dcat.DEFAULT_CATALOG.losses).copy()
+    return doc
+
+
+def load_baseline(doc: dict, tmp_dir) -> None:
+    """The baseline file loader, then the override check ``simulate_baseline`` runs (a ``CatalogError``)."""
+    path = tmp_dir / "baseline.json"
+    path.write_text(json.dumps(doc))
+    spec = am.load_baseline_spec(path)
+    try:
+        dcat.apply_device_overrides(dcat.DEFAULT_CATALOG, spec.device_overrides)
+    except dcat.CatalogError:
+        pass
+
+
+# kind -> (shipped document, loader, its error class, the objects a field may change in)
+KINDS = {
+    "model": (lambda root: json.loads((root / "models" / "svhn_cnn.json").read_text()),
+              lambda doc, _: wir.workload_from_dict(doc), wir.WorkloadError,
+              lambda doc: [doc, *doc["layers"]]),
+    "config": (lambda root: json.loads((root / "configs" / "reference.json").read_text()),
+               lambda doc, _: am.arch_config_from_dict(doc), am.ConfigError, lambda doc: [doc]),
+    "baseline": (lambda root: {**json.loads((root / "baselines" / "robin.json").read_text()),
+                               "device_overrides": {"adc8_power_mw": 3.1}},
+                 load_baseline, am.ConfigError, lambda doc: [doc, doc["device_overrides"]]),
+    "space": (lambda root: json.loads((root / "spaces" / "grid_small.json").read_text()),
+              lambda doc, _: dse.search_space_from_dict(doc), dse.SearchSpaceError,
+              lambda doc: [doc, doc["constraints"]]),
+    "catalog": (lambda root: full_catalog(), lambda doc, _: dcat.catalog_from_dict(doc), dcat.CatalogError,
+                lambda doc: [doc, doc["devices"], doc["losses"]]),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(KINDS))
+@settings(max_examples=150, derandomize=True, deadline=None)
+@given(data=st.data())
+def test_loader_returns_or_raises_its_own_error(repo_root, tmp_path_factory, kind, data):
+    shipped, load, error, targets = KINDS[kind]
+    doc = shipped(repo_root)
+    target = data.draw(st.sampled_from(targets(doc)), label="target")
+    op = data.draw(st.sampled_from(["replace", "delete", "add"]), label="op")
+    if op == "add" or not target:
+        key = data.draw(st.sampled_from(KNOWN_NAMES) | st.text(max_size=6), label="key")
+    else:
+        key = data.draw(st.sampled_from(sorted(target)), label="key")
+    if op == "delete" and key in target:
+        del target[key]
+    else:
+        target[key] = data.draw(JSON_VALUES, label="value")
+    try:
+        load(doc, tmp_path_factory.getbasetemp())
+    except error:
+        pass

@@ -225,16 +225,18 @@ def test_bit_range_check_raises_each_callers_error():
     from bitwave.device_catalog import DEFAULT_CATALOG, CatalogError
 
     sites = [
-        (wir.WorkloadError, lambda: fc_layer(0, 2, 2, wb=wir.MAX_BITS + 1)),
-        (am.ConfigError, lambda: am.ArchConfig(v=2, k=2, b=0, V=1, K=1)),
-        (am.ConfigError, lambda: am.BaselineSpec(name="x", weight_bits=4, act_bits=17)),
-        (am.ConfigError, lambda: am.fc_time_steps(8, 8, 17)),
-        (CatalogError, lambda: DEFAULT_CATALOG.adc_power(0)),
-        (ValueError, lambda: bse.build_schedule(8, 8, 0)),
+        (wir.WorkloadError, lambda bits: fc_layer(0, 2, 2, wb=bits)),
+        (am.ConfigError, lambda bits: am.ArchConfig(v=2, k=2, b=bits, V=1, K=1)),
+        (am.ConfigError, lambda bits: am.BaselineSpec(name="x", weight_bits=4, act_bits=bits)),
+        (am.ConfigError, lambda bits: am.fc_time_steps(8, 8, bits)),
+        (CatalogError, lambda bits: DEFAULT_CATALOG.adc_power(bits)),
+        (ValueError, lambda bits: bse.build_schedule(8, 8, bits)),
     ]
-    for error, call in sites:
-        with pytest.raises(error, match=r"must be an int in \[1, 16\]"):
-            call()
+    # a bool is an int to Python, but True is not a bitwidth
+    for bad in (0, wir.MAX_BITS + 1, True):
+        for error, call in sites:
+            with pytest.raises(error, match=rf"must be an int in \[1, 16\], got {bad!r}$"):
+                call(bad)
     with pytest.raises(wir.WorkloadError, match="weight_bits"):
         fc_layer(0, 2, 2, wb=4.0)
 
