@@ -128,8 +128,11 @@ class BaselineSpec:
 
 
 def load_baseline_spec(path: str | Path) -> BaselineSpec:
+    """Read a baseline file; a bad ``device_overrides`` value is reported with the file's path."""
     with open(path, "r", encoding="utf-8") as fh:
-        return BaselineSpec(**wir.read_fields(json.load(fh), BaselineSpec, "baseline", ConfigError))
+        spec = BaselineSpec(**wir.read_fields(json.load(fh), BaselineSpec, "baseline", ConfigError))
+    wir.read_fields(spec.device_overrides, device_catalog.DeviceParams, f"{path}: device_overrides", ConfigError)
+    return spec
 
 
 # -- step-count laws ----------------------------------------------------------
@@ -210,8 +213,13 @@ def conv_mvu_spec(
     return _mvu_spec(wir.CONV, cfg.k, n_weight_slices, catalog)
 
 
+def over_laser_ceiling(spec: MvuSpec, ceiling_dbm: float) -> bool:
+    """The laser law: a unit's link budget fails if its minimum laser power exceeds the ceiling."""
+    return spec.min_laser_dbm > ceiling_dbm
+
+
 def _require_feasible(spec: MvuSpec, cfg: ArchConfig) -> None:
-    if spec.min_laser_dbm > cfg.laser_ceiling_dbm:
+    if over_laser_ceiling(spec, cfg.laser_ceiling_dbm):
         raise LaserInfeasibleError(
             f"{spec.kind} unit path ({spec.n_wavelengths} wavelengths, "
             f"{spec.n_rows} rows, {spec.path_loss_db:.2f} dB loss) needs "
@@ -260,6 +268,27 @@ class MvuCache:
 def unit_count(kind: str, cfg: ArchConfig) -> int:
     """Units a layer of ``kind`` spreads over: V for FC, K for CONV."""
     return cfg.V if kind == wir.FC else cfg.K
+
+
+def unit_width(kind: str, cfg: ArchConfig) -> int:
+    """Width of the units a layer of ``kind`` runs on: v for FC, k for CONV."""
+    return cfg.v if kind == wir.FC else cfg.k
+
+
+def layer_unit(kind: str, cfg: ArchConfig, cp: _ConverterPlan | None, units: MvuCache) -> MvuSpec:
+    """The unit a layer runs on: a v x v FC unit, or a k-wide CONV unit with one row per weight slice."""
+    if kind == wir.FC:
+        return units.spec(wir.FC, cfg.v, cfg.v)
+    return units.spec(wir.CONV, cfg.k, cp.n_w)
+
+
+def require_units(kind: str, cfg: ArchConfig) -> int:
+    """The unit count for the layers of ``kind`` a model holds; ConfigError if ``cfg`` has none."""
+    n_units = unit_count(kind, cfg)
+    if n_units < 1:
+        field_name = "V" if kind == wir.FC else "K"
+        raise ConfigError(f"model has {kind} layers but the config has {field_name}=0 {kind} units")
+    return n_units
 
 
 # -- reports -------------------------------------------------------------------
@@ -486,24 +515,24 @@ def array_power_w(cfg: ArchConfig, units: MvuCache) -> float:
 def checked_layers(model: wir.WorkloadModel, cfg: ArchConfig, plan_for_layer, units: MvuCache):
     """Yield (layer, converter plan, unit spec) for each layer in order.
 
-    Each check runs before the first layer it concerns: the FC unit count
-    and FC laser budget before any layer, then the CONV unit count and each
-    CONV unit's laser budget at the CONV layers.
+    The checks run in this order: the FC unit count and the FC laser budget,
+    then the CONV unit count, all before any layer, then each CONV unit's
+    laser budget at its layer.
     """
+    kinds = {l.kind for l in model.layers}
     fc_spec = None
-    if any(l.kind == wir.FC for l in model.layers):
-        if cfg.V < 1:
-            raise ConfigError("model has FC layers but the config has V=0 FC units")
-        fc_spec = units.spec(wir.FC, cfg.v, cfg.v)
+    if wir.FC in kinds:
+        require_units(wir.FC, cfg)
+        fc_spec = layer_unit(wir.FC, cfg, None, units)
         _require_feasible(fc_spec, cfg)
+    if wir.CONV in kinds:
+        require_units(wir.CONV, cfg)
     for layer in model.layers:
         cp: _ConverterPlan = plan_for_layer(layer)
         if layer.kind == wir.FC:
             spec = fc_spec
         else:
-            if cfg.K < 1:
-                raise ConfigError("model has CONV layers but the config has K=0 CONV units")
-            spec = units.spec(wir.CONV, cfg.k, cp.n_w)
+            spec = layer_unit(wir.CONV, cfg, cp, units)
             _require_feasible(spec, cfg)
         yield layer, cp, spec
 

@@ -16,14 +16,22 @@ aggregate score across workloads is the geometric mean of per-workload
 GOPS/EPB by default (scale-free across models of very different size).
 Ranking and tie-breaking are deterministic regardless of evaluation order.
 
-The search is separable. A layer's energy and work depend on (v, b) for FC
-and (k, b) for CONV, and the unit counts (V, K) only divide its latency
-(``arch_model.place_layer``); peak power is V FC units plus K CONV units.
-So ``explore`` costs each (model, layer, width, b), each unit spec and each
-per-unit power once per call, checks each model once per (v, k, b), then
-combines over every (V, K). Layers are summed in their original order, so every reported number
-is bit-identical to ``arch_model.max_power`` plus ``simulate_inference`` run
-on each configuration.
+The search is separable, and each piece of work runs once per key it
+depends on rather than once per configuration. ``explore`` splits each model
+once into its maximal runs of same-kind layers (CONV runs then FC runs in the
+shipped models). It builds a run's converter plans once per (model, run, b),
+its ``LayerCost``s and laser verdict once per (model, run, width, b), where
+width is v for FC and k for CONV, and its per-layer latency terms
+(``arch_model.place_layer``) once per (model, run, width, b, unit count).
+Each unit spec and per-unit power is built once per call; peak power is V FC
+units plus K CONV units. A configuration then only looks up its runs: its
+unit counts and laser verdicts are checked in ``checked_layers``' order, its
+latency is one ``sum`` over the runs' terms chained in layer order, and its
+energy is one ``sum`` per (model, v, k, b). Partial sums per run are never
+added together (a compensated float ``sum``, as in Python 3.12, would round
+them differently), so every reported number is bit-identical to
+``arch_model.max_power`` plus ``simulate_inference`` run on each
+configuration.
 """
 
 from __future__ import annotations
@@ -121,6 +129,11 @@ def _rank_key(entry: EvaluatedConfig) -> tuple:
     return (-entry.score, entry.max_power_w, c.v, c.k, c.b, c.V, c.K)
 
 
+def _kind_runs(model: wir.WorkloadModel) -> list[tuple[str, tuple[wir.LayerSpec, ...]]]:
+    """The model's maximal runs of same-kind layers, in layer order, as (kind, layers)."""
+    return [(kind, tuple(run)) for kind, run in itertools.groupby(model.layers, key=lambda l: l.kind)]
+
+
 def explore(
     models: list[wir.WorkloadModel],
     space: SearchSpace,
@@ -146,50 +159,77 @@ def explore(
         raise SearchSpaceError("search space enumerates zero configurations")
 
     units = am.MvuCache(catalog)
-    costs: dict[tuple, am.LayerCost] = {}  # (model, layer position, width, b) -> cost
+    model_runs = [_kind_runs(m) for m in models]
+    plans: dict[tuple, tuple] = {}  # (model, run, b) -> converter plans
+    # (model, run, width, b) -> (kind, laser verdict, layer costs, unit count -> layer latencies)
+    run_costs: dict[tuple, tuple] = {}
 
-    def prepare(mi: int, model: wir.WorkloadModel, cfg: am.ArchConfig):
-        """A model's layer costs and (V, K)-independent totals, or None if its laser budget fails."""
-        try:
-            checked = list(am.checked_layers(model, cfg, lambda l: am.bitwave_plan(l, cfg.b), units))
-        except am.LaserInfeasibleError:
-            return None
-        layer_costs = []
-        for li, (layer, cp, spec) in enumerate(checked):
-            key = (mi, li, cfg.v if layer.kind == wir.FC else cfg.k, cfg.b)
-            cost = costs.get(key)
-            if cost is None:
-                cost = costs[key] = am.layer_cost(layer, cfg, catalog, cp, am.dbm_to_mw(spec.min_laser_dbm))
-            layer_costs.append(cost)
+    def cost_run(mi: int, ri: int, cfg: am.ArchConfig) -> tuple:
+        """The ``run_costs`` entry of run ``ri`` of model ``mi`` at cfg's width and b."""
+        kind, layers = model_runs[mi][ri]
+        key = (mi, ri, am.unit_width(kind, cfg), cfg.b)
+        entry = run_costs.get(key)
+        if entry is None:
+            plan_key = (mi, ri, cfg.b)
+            cps = plans.get(plan_key)
+            if cps is None:
+                cps = plans[plan_key] = tuple(am.bitwave_plan(l, cfg.b) for l in layers)
+            specs = [am.layer_unit(kind, cfg, cp, units) for cp in cps]
+            feasible = not any(am.over_laser_ceiling(spec, cfg.laser_ceiling_dbm) for spec in specs)
+            costs = tuple(
+                am.layer_cost(l, cfg, catalog, cp, am.dbm_to_mw(spec.min_laser_dbm))
+                for l, cp, spec in zip(layers, cps, specs)
+            )
+            entry = run_costs[key] = (kind, feasible, costs, {})
+        return entry
+
+    def prepare(mi: int, cfg: am.ArchConfig) -> tuple:
+        """Model ``mi`` at cfg's (v, k, b): its checks, its runs, and its energy, MACs and bits."""
+        runs = [cost_run(mi, ri, cfg) for ri in range(len(model_runs[mi]))]
+        feasible: dict[str, bool] = {}
+        for kind, ok, _, _ in runs:
+            feasible[kind] = feasible.get(kind, True) and ok
+        # checked_layers' order: FC units and laser, then CONV units and lasers
+        checks = tuple((kind, feasible[kind]) for kind in (wir.FC, wir.CONV) if kind in feasible)
+        costs = list(itertools.chain(*(c for _, _, c, _ in runs)))
         return (
-            tuple(layer_costs),
-            sum(c.energy_j for c in layer_costs),
-            sum(c.macs for c in layer_costs),
-            sum(c.processed_bits for c in layer_costs),
+            checks,
+            tuple((kind, c, latencies) for kind, _, c, latencies in runs),
+            sum(c.energy_j for c in costs),
+            sum(c.macs for c in costs),
+            sum(c.processed_bits for c in costs),
         )
 
     def score_models(cfg: am.ArchConfig, prepared: dict) -> dict | None:
         per_model = {}
         for mi, model in enumerate(models):
-            # The checks depend on (V, K) only through V > 0 and K > 0.
-            key = (mi, cfg.V > 0, cfg.K > 0)
-            if key not in prepared:
-                prepared[key] = prepare(mi, model, cfg)
-            entry = prepared[key]
+            entry = prepared.get(mi)
             if entry is None:
-                return None
-            layer_costs, energy, macs, bits = entry
-            latency = sum(am.place_layer(c, am.unit_count(c.kind, cfg))[2] for c in layer_costs)
+                entry = prepared[mi] = prepare(mi, cfg)
+            checks, runs, energy, macs, bits = entry
+            n_units_of = {}
+            for kind, ok in checks:
+                n_units_of[kind] = am.require_units(kind, cfg)
+                if not ok:
+                    return None
+            parts = []
+            for kind, costs, latencies in runs:
+                n_units = n_units_of[kind]
+                part = latencies.get(n_units)
+                if part is None:
+                    part = latencies[n_units] = tuple(am.place_layer(c, n_units)[2] for c in costs)
+                parts.append(part)
+            # one sum over every layer in order, as simulate_inference adds them
+            latency = sum(itertools.chain(*parts))
             per_model[model.name] = ModelScore(*am.efficiency(latency, energy, macs, bits))
         return per_model
 
     evaluated: list[EvaluatedConfig] = []
     rejected = {"laser": 0, "max_power": 0}
-    # Configurations come grouped by (v, k, b), so the prepared models of one
-    # group are dropped before the next: a few entries per model, not one
-    # per configuration.
+    # Configurations come grouped by (v, k, b), so each model is prepared
+    # once per group and dropped before the next.
     for _, group in itertools.groupby(configs, key=lambda c: (c.v, c.k, c.b)):
-        prepared: dict[tuple, tuple | None] = {}
+        prepared: dict[int, tuple] = {}
         for cfg in group:
             power = am.array_power_w(cfg, units)
             if cons.max_power_w is not None and power > cons.max_power_w:

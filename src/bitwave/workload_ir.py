@@ -52,39 +52,51 @@ def check_bits(name: str, bits: int, error: type[Exception]) -> None:
         raise error(f"{name} must be an int in [1, {MAX_BITS}], got {bits!r}")
 
 
+#: the largest finite float; every number an input document holds lies within it
+FLOAT_MAX = sys.float_info.max
+#: FLOAT_MAX as an int, which an int compares with about twice as fast
+_INT_MAX = int(FLOAT_MAX)
+
+
 def is_finite_number(value) -> bool:
     """True for an int or float (not a bool) within the float range; NaN, infinities and larger ints are not."""
     return (
         isinstance(value, (int, float))
         and not isinstance(value, bool)
-        and -sys.float_info.max <= value <= sys.float_info.max
+        and -FLOAT_MAX <= value <= FLOAT_MAX
     )
 
 
-#: how a message names each type a field may declare
+#: how a message names each type a field may declare, alone and as the items of a list
 _TYPE_NAMES = {
-    int: "an int",
-    float: "a finite number",
-    bool: "a bool",
-    str: "a string",
-    dict: "a JSON object",
-    list: "a list",
-    type(None): "null",
+    int: ("an int within the float range", "ints within the float range"),
+    float: ("a finite number", "finite numbers"),
+    bool: ("a bool", "bools"),
+    str: ("a string", "strings"),
+    dict: ("a JSON object", "JSON objects"),
+    list: ("a list", "lists"),
+    type(None): ("null", "nulls"),
 }
 
 
 def _is(tp):
-    """The test a JSON value passes as a ``tp``: any finite number for ``float``, else exactly a ``tp``."""
-    return is_finite_number if tp is float else lambda v: type(v) is tp
+    """The test a JSON value passes as a ``tp``: any finite number for ``float``, an int (not a bool)
+    within the float range for ``int``, else exactly a ``tp``."""
+    if tp is float:
+        return is_finite_number
+    if tp is int:
+        return lambda v: type(v) is int and -_INT_MAX <= v <= _INT_MAX
+    return lambda v: type(v) is tp
 
 
 @functools.cache
 def _field_table(cls) -> tuple[dict, list[str]]:
     """``cls``'s fields as name -> (exact types, [(test, build), ...], description), and its required names.
 
-    A value of one of the exact types is taken as it is; any other must pass a
-    test. ``build`` is None (keep the value), ``tuple`` (a list becomes a tuple)
-    or the dataclass of a nested document. Built once per class.
+    A value of one of the exact types is taken as it is, an int only within the
+    float range; any other must pass a test. ``build`` is None (keep the value),
+    ``tuple`` (a list becomes a tuple) or the dataclass of a nested document.
+    Built once per class.
     """
     namespace = vars(sys.modules[cls.__module__])
     table = {}
@@ -96,16 +108,16 @@ def _field_table(cls) -> tuple[dict, list[str]]:
                 item = get_args(tp)[0]
                 test = lambda v, item_test=_is(item): type(v) is list and all(map(item_test, v))
                 rules.append((test, tuple if get_origin(tp) is tuple else None))
-                descriptions.append(f"a list of {_TYPE_NAMES[item].split(' ', 1)[1]}s")
+                descriptions.append(f"a list of {_TYPE_NAMES[item][1]}")
             elif is_dataclass(tp):
                 rules.append((_is(dict), tp))
-                descriptions.append(_TYPE_NAMES[dict])
+                descriptions.append(_TYPE_NAMES[dict][0])
             elif tp is float:
                 rules.append((is_finite_number, None))
-                descriptions.append(_TYPE_NAMES[float])
+                descriptions.append(_TYPE_NAMES[float][0])
             else:
                 exact.add(tp)
-                descriptions.append(_TYPE_NAMES[tp])
+                descriptions.append(_TYPE_NAMES[tp][0])
         table[f.name] = (frozenset(exact), rules, " or ".join(descriptions))
     required = [f.name for f in fields(cls) if f.default is MISSING and f.default_factory is MISSING]
     return table, required
@@ -115,11 +127,12 @@ def read_fields(doc, cls, what: str, error: type[Exception]) -> dict:
     """Check JSON document ``doc`` against dataclass ``cls``; return its fields as keyword arguments.
 
     ``doc`` must be an object with no unknown field and every field that has no
-    default. Each value must be of its field's type: an ``int`` is an int and
-    not a bool, a ``float`` any finite number but a bool, ``X | None`` also
-    takes null, ``list[X]`` and ``tuple[X, ...]`` take a list of X, and a
-    dataclass-typed field is a nested document named after the field. Failures
-    raise ``error``; the range rules stay in each class's ``__post_init__``.
+    default. Each value must be of its field's type: an ``int`` is an int (not a
+    bool) within the float range, a ``float`` any finite number but a bool,
+    ``X | None`` also takes null, ``list[X]`` and ``tuple[X, ...]`` take a list
+    of X, and a dataclass-typed field is a nested document named after the
+    field. Failures raise ``error``; the range rules stay in each class's
+    ``__post_init__``.
     """
     table, required = _field_table(cls)
     if not isinstance(doc, dict):
@@ -130,9 +143,11 @@ def read_fields(doc, cls, what: str, error: type[Exception]) -> dict:
         if name not in doc:
             raise error(f"{what} is missing field {name!r}")
     kwargs = dict(doc)
+    low, high = -_INT_MAX, _INT_MAX
     for name, value in doc.items():
         exact, rules, description = table[name]
-        if type(value) in exact:
+        tp = type(value)
+        if tp in exact and (tp is not int or low <= value <= high):
             continue
         for test, build in rules:
             if test(value):

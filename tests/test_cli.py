@@ -222,11 +222,12 @@ def test_validate_empty_bit_list_is_usage_error(capsys, flag, value):
     ("laser_ceiling_dbm", "30"),
     ("max_power_w", float("nan")),
     pytest.param("max_power_w", 10**400, id="max_power_w-int-beyond-float"),
+    pytest.param("k", [10**400], id="k-int-beyond-float"),
 ])
 def test_explore_malformed_space_exits_3(tmp_path, model_paths, capsys, field, value):
     doc = {"v": [16], "k": [9], "b": [4], "V": [8], "K": [8], "constraints": {}}
-    if field == "b":
-        doc["b"] = value
+    if field in doc:
+        doc[field] = value
     else:
         doc["constraints"][field] = value
     space = tmp_path / "space.json"
@@ -302,7 +303,7 @@ def test_non_numeric_device_value_exits_3(tmp_path, model_paths, reference_confi
     rc = main(["compare", str(model_paths["svhn_cnn"]), "--config", str(reference_config_path),
                "--baselines", str(bdir), "--out-dir", str(tmp_path / "cmp")])
     assert rc == 3
-    assert capsys.readouterr().err == "error: device_overrides " + message
+    assert capsys.readouterr().err == f"error: {bdir / 'hot.json'}: device_overrides " + message
     assert not (tmp_path / "cmp" / "compare.csv").exists()
 
 
@@ -315,8 +316,10 @@ def test_non_numeric_device_value_exits_3(tmp_path, model_paths, reference_confi
     ("config", "laser_ceiling_dbm", "30"),
     ("config", "laser_ceiling_dbm", math.nan),
     ("config", "energy_scale", math.nan),
+    pytest.param("config", "v", 10**400, id="config-v-int-beyond-float"),
     ("fc layer", "in_features", 3.5),
     ("fc layer", "in_features", "9"),
+    pytest.param("fc layer", "in_features", 10**400, id="fc layer-in_features-int-beyond-float"),
     ("conv layer", "act_bits", True),
     ("conv layer", "stride", 1.5),
     ("fc layer", "stride", 7),

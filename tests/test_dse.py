@@ -186,6 +186,22 @@ CONV_ONLY = wir.WorkloadModel(
                       stride=1, padding=0, weight_bits=16, act_bits=3),
     ),
 )
+# FC first, with three kind-runs: FC, CONV CONV, FC
+FC_FIRST = wir.WorkloadModel(
+    name="fc_first",
+    layers=(
+        wir.LayerSpec(index=0, kind=wir.FC, in_features=64, out_features=48,
+                      weight_bits=5, act_bits=3),
+        wir.LayerSpec(index=1, kind=wir.CONV, in_channels=4, out_channels=6,
+                      kernel_h=3, kernel_w=3, in_height=8, in_width=8,
+                      stride=1, padding=1, weight_bits=12, act_bits=2),
+        wir.LayerSpec(index=2, kind=wir.CONV, in_channels=6, out_channels=4,
+                      kernel_h=1, kernel_w=1, in_height=8, in_width=8,
+                      stride=1, padding=0, weight_bits=1, act_bits=9),
+        wir.LayerSpec(index=3, kind=wir.FC, in_features=48, out_features=20,
+                      weight_bits=8, act_bits=8),
+    ),
+)
 # At 15 dBm the FC unit fails its laser budget at v=64, and the CONV unit
 # at k=128 fails once a layer's weights need 8 or more slices.
 MIXED = dse.SearchSpace(v=(8, 32, 64), k=(9, 64, 128), b=(1, 3, 4), V=(1, 4), K=(2, 6))
@@ -219,7 +235,7 @@ def with_constraints(space, **constraints):
 
 @pytest.mark.parametrize("aggregate", dse.AGGREGATES)
 def test_explore_equals_per_config_rescan_exactly(aggregate):
-    models = [MODEL, HETERO, CONV_ONLY]
+    models = [MODEL, HETERO, CONV_ONLY, FC_FIRST]
     powers = sorted(am.max_power(cfg) for cfg in dse.enumerate_configs(MIXED))
     space = with_constraints(MIXED, max_power_w=powers[len(powers) * 3 // 4],
                              laser_ceiling_dbm=LASER_CEILING_DBM)
@@ -235,6 +251,43 @@ def test_explore_equals_per_config_rescan_exactly(aggregate):
         assert got.max_power_w == want.max_power_w
         assert got.per_model == want.per_model
     assert result.best == expected[0]
+
+
+def test_explore_builds_each_plan_cost_and_latency_term_once(monkeypatch):
+    models = [MODEL, HETERO, CONV_ONLY, FC_FIRST]
+    model_of = {id(l): m.name for m in models for l in m.layers}
+    built = {}  # id(cost) -> (model, layer, width, b)
+    keep = []  # every cost stays alive, so no id is reused
+    plan_keys, cost_keys, term_keys = [], [], []
+    bitwave_plan, layer_cost, place_layer = am.bitwave_plan, am.layer_cost, am.place_layer
+
+    def counted_plan(layer, b):
+        plan_keys.append((model_of[id(layer)], layer.index, b))
+        return bitwave_plan(layer, b)
+
+    def counted_cost(layer, cfg, *args):
+        cost = layer_cost(layer, cfg, *args)
+        key = (model_of[id(layer)], layer.index, am.unit_width(layer.kind, cfg), cfg.b)
+        cost_keys.append(key)
+        built[id(cost)] = key
+        keep.append(cost)
+        return cost
+
+    def counted_place(cost, n_units):
+        term_keys.append((*built[id(cost)], n_units))
+        return place_layer(cost, n_units)
+
+    def no_checked_layers(*args):
+        raise AssertionError("explore walks checked_layers")
+
+    monkeypatch.setattr(am, "bitwave_plan", counted_plan)
+    monkeypatch.setattr(am, "layer_cost", counted_cost)
+    monkeypatch.setattr(am, "place_layer", counted_place)
+    monkeypatch.setattr(am, "checked_layers", no_checked_layers)
+    result = dse.explore(models, with_constraints(MIXED, laser_ceiling_dbm=LASER_CEILING_DBM))
+    assert result.ranked and result.diagnostics["laser"] > 0
+    for keys in (plan_keys, cost_keys, term_keys):
+        assert keys and len(keys) == len(set(keys))
 
 
 def test_explore_equals_rescan_with_a_model_without_layers():

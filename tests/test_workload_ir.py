@@ -177,6 +177,18 @@ def test_unknown_layer_fields_rejected():
         wir.workload_from_dict(doc)
 
 
+def test_int_beyond_float_range_rejected_without_declared_param_count():
+    doc = {"name": "x", "layers": [{"kind": "FC", "in_features": 10**400, "out_features": 1,
+                                    "weight_bits": 4, "act_bits": 4}]}
+    with pytest.raises(wir.WorkloadError, match=r"^layer 0 field 'in_features' must be an int within the float range"):
+        wir.workload_from_dict(doc)
+    doc["layers"][0]["in_features"] = -(10**400)
+    with pytest.raises(wir.WorkloadError, match="'in_features'"):
+        wir.workload_from_dict(doc)
+    doc["layers"][0]["in_features"] = int(wir.FLOAT_MAX)  # the bound itself is in range
+    assert wir.workload_from_dict(doc).layers[0].in_features == int(wir.FLOAT_MAX)
+
+
 def test_parse_error_on_malformed_document():
     with pytest.raises(wir.WorkloadError, match="layers"):
         wir.workload_from_dict({"name": "nope"})
