@@ -18,7 +18,10 @@ Mapping: FC layers tile into ceil(in/v)*ceil(out/v) units of work, CONV
 layers into (output positions x kernel chunks); work units round-robin over
 the V or K available units, which divides latency but leaves energy alone.
 
-Energy accounting (each device is charged power x active time):
+Energy accounting follows one device table (``_device_table``): each device
+has a power and an active time per action. A layer's energy sums action
+count x power x active time over the table, and a unit's peak power sums
+device count x power over the same rows.
 
 * DACs hold analog values for the whole step: one per active wavelength lane
   (input bank) plus one per active output row/waveguide (weight side,
@@ -166,7 +169,6 @@ class MvuSpec:
     n_mr: int
     path_loss_db: float
     min_laser_dbm: float
-    per_step_devices: dict
 
 
 def _split_loss_db(n_branches: int, catalog: DeviceCatalog) -> float:
@@ -188,10 +190,6 @@ def _mvu_spec(kind: str, n_lambda: int, n_rows: int, catalog: DeviceCatalog) -> 
     ]
     loss = aggregate_photoloss(path, L) + _split_loss_db(n_rows, catalog)
     laser = min_laser_power(loss, n_lambda, catalog.detector_sensitivity_dbm)
-    if kind == wir.FC:
-        devices = {"adc": n_rows, "pd": n_rows, "vcsel": n_lambda, "soa": 0}
-    else:
-        devices = {"adc": 1, "pd": n_rows, "vcsel": n_lambda, "soa": n_rows}
     return MvuSpec(
         kind=kind,
         n_wavelengths=n_lambda,
@@ -199,18 +197,7 @@ def _mvu_spec(kind: str, n_lambda: int, n_rows: int, catalog: DeviceCatalog) -> 
         n_mr=n_lambda + n_lambda * n_rows,
         path_loss_db=loss,
         min_laser_dbm=laser,
-        per_step_devices=devices,
     )
-
-
-def fc_mvu_spec(cfg: ArchConfig, catalog: DeviceCatalog = DEFAULT_CATALOG) -> MvuSpec:
-    return _mvu_spec(wir.FC, cfg.v, cfg.v, catalog)
-
-
-def conv_mvu_spec(
-    cfg: ArchConfig, n_weight_slices: int, catalog: DeviceCatalog = DEFAULT_CATALOG
-) -> MvuSpec:
-    return _mvu_spec(wir.CONV, cfg.k, n_weight_slices, catalog)
 
 
 def over_laser_ceiling(spec: MvuSpec, ceiling_dbm: float) -> bool:
@@ -356,14 +343,26 @@ def _step_period_ns(cfg: ArchConfig, catalog: DeviceCatalog, cp: _ConverterPlan)
     return max(chain) if cfg.pipelined else sum(chain)
 
 
-def _static_power_mw(laser_mw: float, catalog: DeviceCatalog, n_banks: int = 2) -> float:
-    to_mw = catalog.devices.to_tuning_power_mw_per_fsr * catalog.to_duty_cycle * n_banks
-    return laser_mw + to_mw
+def _device_table(
+    catalog: DeviceCatalog, cp: _ConverterPlan, period_ns: float, laser_mw: float
+) -> tuple[tuple[float, float], ...]:
+    """(power mW, active ns per action) of each device, in summation order.
 
-
-def _eo_event_pj(catalog: DeviceCatalog) -> float:
+    Rows: activation DAC, weight DAC, ADC, photodetector, VCSEL, SOA, EO tuning,
+    and the laser plus thermal trim of the unit's two MR banks. DACs and laser
+    plus trim hold for the whole step period; the rest for their own latency.
+    """
     d = catalog.devices
-    return d.eo_tuning_power_mw_per_nm * catalog.eo_shift_nm * d.eo_tuning_latency_ns
+    return (
+        (catalog.dac_power(cp.dac_bits_act), period_ns),
+        (catalog.dac_power(cp.dac_bits_w), period_ns),
+        (catalog.adc_power(cp.adc_bits), catalog.adc_latency(cp.adc_bits)),
+        (d.photodetector_power_mw, d.photodetector_latency_ns),
+        (d.vcsel_power_mw, d.vcsel_latency_ns),
+        (d.soa_power_mw, d.soa_latency_ns),
+        (d.eo_tuning_power_mw_per_nm * catalog.eo_shift_nm, d.eo_tuning_latency_ns),
+        (laser_mw + d.to_tuning_power_mw_per_fsr * catalog.to_duty_cycle * 2, period_ns),
+    )
 
 
 def bitwave_plan(layer: wir.LayerSpec, b: int) -> _ConverterPlan:
@@ -405,23 +404,21 @@ def layer_cost(
     laser_mw: float,
 ) -> LayerCost:
     """Work and energy of one layer; reads neither ``cfg.V`` nor ``cfg.K``."""
-    d = catalog.devices
     period = _step_period_ns(cfg, catalog, cp)
 
+    # action counts in _device_table's row order; the laser and trim burn for every busy slot
     if layer.kind == wir.FC:
         n_i, n_o = layer.in_features, layer.out_features
         lane_chunks = ceil_div(n_i, cfg.v)
         row_chunks = ceil_div(n_o, cfg.v)
         work = lane_chunks * row_chunks
         steps = cp.n_a * cp.n_w
-        act_dac_holds = row_chunks * n_i * steps
-        w_dac_holds = lane_chunks * n_o * steps
-        adc_convs = lane_chunks * n_o * steps  # one per output row per step
-        pd_events = adc_convs
-        soa_events = 0
-        vcsel_events = act_dac_holds
+        lane_holds = row_chunks * n_i * steps  # one VCSEL pulse each
+        row_events = lane_chunks * n_o * steps  # weight DAC hold, conversion, PD event per row
         # weight slices cycle every step; the activation slice holds still
-        eo_events = n_i * n_o * (steps if cp.n_w > 1 else 1) + row_chunks * n_i * cp.n_a
+        imprints = n_i * n_o * (steps if cp.n_w > 1 else 1) + row_chunks * n_i * cp.n_a
+        counts = (lane_holds, row_events, row_events, row_events, lane_holds, 0, imprints,
+                  work * steps)
     else:
         length = layer.kernel_h * layer.kernel_w * layer.in_channels
         chunks = ceil_div(length, cfg.k)
@@ -429,26 +426,18 @@ def layer_cost(
         positions = oh * ow * layer.out_channels
         work = positions * chunks
         steps = cp.n_a
-        act_dac_holds = positions * length * steps
-        w_dac_holds = positions * chunks * cp.n_w * steps  # one per weight-slice lane
-        adc_convs = positions * chunks * steps  # current-summed: one conversion
-        pd_events = positions * chunks * cp.n_w * steps
-        soa_events = pd_events if cp.use_soa else 0
-        vcsel_events = act_dac_holds
+        lane_holds = positions * length * steps  # one VCSEL pulse each
+        row_events = work * cp.n_w * steps  # weight DAC hold, PD event, SOA pass per weight-slice row
         # activations re-imprint every step; kernel slices once per position
-        eo_events = act_dac_holds + positions * length * cp.n_w
-    busy_slots = work * steps
+        imprints = lane_holds + positions * length * cp.n_w
+        # current-summed rows: one conversion per unit of work per step
+        counts = (lane_holds, row_events, work * steps, row_events, lane_holds,
+                  row_events if cp.use_soa else 0, imprints, work * steps)
 
-    energy_pj = act_dac_holds * catalog.dac_power(cp.dac_bits_act) * period
-    energy_pj += w_dac_holds * catalog.dac_power(cp.dac_bits_w) * period
-    energy_pj += adc_convs * catalog.adc_power(cp.adc_bits) * catalog.adc_latency(cp.adc_bits)
-    energy_pj += pd_events * d.photodetector_power_mw * d.photodetector_latency_ns
-    energy_pj += vcsel_events * d.vcsel_power_mw * d.vcsel_latency_ns
-    energy_pj += soa_events * d.soa_power_mw * d.soa_latency_ns
-    energy_pj += eo_events * _eo_event_pj(catalog)
-    energy_pj += _static_power_mw(laser_mw, catalog) * busy_slots * period
-
-    macs = wir.layer_mac_count(layer)
+    # a loop, not sum(): it adds the terms in table order on every Python version
+    energy_pj = 0.0
+    for n, (p_mw, ns) in zip(counts, _device_table(catalog, cp, period, laser_mw)):
+        energy_pj += n * p_mw * ns
     return LayerCost(
         index=layer.index,
         kind=layer.kind,
@@ -456,8 +445,8 @@ def layer_cost(
         steps_per_unit=steps,
         step_period_ns=period,
         energy_j=energy_pj * 1e-12 * cfg.energy_scale,
-        macs=macs,
-        processed_bits=macs * (layer.weight_bits + layer.act_bits),
+        macs=wir.layer_mac_count(layer),
+        processed_bits=wir.layer_processed_bits(layer),
     )
 
 
@@ -480,16 +469,14 @@ def efficiency(latency_s: float, energy_j: float, macs: int, bits: int) -> tuple
 
 def _unit_active_power_mw(spec: MvuSpec, catalog: DeviceCatalog, cp: _ConverterPlan) -> float:
     """Worst-case power of one fully occupied unit (all devices active)."""
-    d = catalog.devices
-    dev = spec.per_step_devices
-    p = spec.n_wavelengths * catalog.dac_power(cp.dac_bits_act)
-    p += spec.n_rows * catalog.dac_power(cp.dac_bits_w)
-    p += dev["adc"] * catalog.adc_power(cp.adc_bits)
-    p += dev["pd"] * d.photodetector_power_mw
-    p += dev["vcsel"] * d.vcsel_power_mw
-    p += dev["soa"] * d.soa_power_mw
-    p += spec.n_mr * d.eo_tuning_power_mw_per_nm * catalog.eo_shift_nm
-    p += _static_power_mw(dbm_to_mw(spec.min_laser_dbm), catalog)
+    lanes, rows = spec.n_wavelengths, spec.n_rows
+    adcs = rows if spec.kind == wir.FC else 1  # CONV rows are current-summed into one ADC
+    counts = (lanes, rows, adcs, rows, lanes, rows if cp.use_soa else 0, spec.n_mr, 1)
+    # power reads no active time, so the table's step period is moot here
+    table = _device_table(catalog, cp, 0.0, dbm_to_mw(spec.min_laser_dbm))
+    p = 0.0
+    for n, (p_mw, _) in zip(counts, table):
+        p += n * p_mw
     return p
 
 

@@ -364,6 +364,9 @@ def main(argv: list[str] | None = None) -> int:
     except (wir.WorkloadError, am.ConfigError, CatalogError, dse.SearchSpaceError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INVALID
+    except OverflowError as exc:
+        print(f"error: the inputs overflow the float range ({exc})", file=sys.stderr)
+        return EXIT_INVALID
 
 
 if __name__ == "__main__":

@@ -228,6 +228,11 @@ def layer_mac_count(layer: LayerSpec) -> int:
     return layer.in_features * layer.out_features
 
 
+def layer_processed_bits(layer: LayerSpec) -> int:
+    """Data bits one inference pass of the layer touches: each MAC reads p_w + p_a bits."""
+    return layer_mac_count(layer) * (layer.weight_bits + layer.act_bits)
+
+
 @dataclass(frozen=True)
 class WorkloadModel:
     """A named, validated stack of layers."""
@@ -267,8 +272,8 @@ def footprint_mb(model: WorkloadModel) -> float:
 
 
 def processed_bits(model: WorkloadModel) -> int:
-    """Data bits touched per inference: sum over MACs of (p_w + p_a)."""
-    return sum(layer_mac_count(l) * (l.weight_bits + l.act_bits) for l in model.layers)
+    """Data bits touched per inference."""
+    return sum(layer_processed_bits(l) for l in model.layers)
 
 
 def with_bits(model: WorkloadModel, weight_bits: int, act_bits: int) -> WorkloadModel:

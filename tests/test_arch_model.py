@@ -162,7 +162,7 @@ def test_micro_dot_energy_oracle():
     pd = 4 * d.photodetector_power_mw * d.photodetector_latency_ns
     vcsel = 8 * d.vcsel_power_mw * d.vcsel_latency_ns
     eo = 12 * d.eo_tuning_power_mw_per_nm * cat.eo_shift_nm * d.eo_tuning_latency_ns
-    spec = am.fc_mvu_spec(am.micro_dot_config(4), cat)
+    spec = am.MvuCache(cat).spec(wir.FC, 2, 2)
     from bitwave.device_catalog import dbm_to_mw
     static = (dbm_to_mw(spec.min_laser_dbm)
               + d.to_tuning_power_mw_per_fsr * cat.to_duty_cycle * 2) * steps * period
@@ -292,21 +292,21 @@ def test_explicit_step_period_override():
 
 
 def test_mvu_spec_geometry():
-    spec = am.fc_mvu_spec(am.ArchConfig(v=4, k=4, b=4, V=1, K=1))
+    units = am.MvuCache(DEFAULT_CATALOG)
+    spec = units.spec(wir.FC, 4, 4)
     assert spec.n_wavelengths == 4
     assert spec.n_rows == 4
     assert spec.n_mr == 4 + 16
-    assert spec.per_step_devices["adc"] == 4
-    conv = am.conv_mvu_spec(am.ArchConfig(v=4, k=6, b=4, V=1, K=1), 2)
+    conv = units.spec(wir.CONV, 6, 2)
     assert conv.n_wavelengths == 6
     assert conv.n_rows == 2
-    assert conv.per_step_devices["adc"] == 1  # current-summed output
-    assert conv.per_step_devices["soa"] == 2
+    assert conv.n_mr == 6 + 12
 
 
 def test_laser_need_grows_with_vector_size():
-    smaller = am.fc_mvu_spec(am.ArchConfig(v=8, k=4, b=4, V=1, K=1))
-    larger = am.fc_mvu_spec(am.ArchConfig(v=64, k=4, b=4, V=1, K=1))
+    units = am.MvuCache(DEFAULT_CATALOG)
+    smaller = units.spec(wir.FC, 8, 8)
+    larger = units.spec(wir.FC, 64, 64)
     assert larger.min_laser_dbm > smaller.min_laser_dbm
 
 
@@ -333,7 +333,7 @@ def test_max_power_hand_sum_single_fc_unit():
     cfg = am.ArchConfig(v=2, k=2, b=4, V=1, K=0)
     cat = DEFAULT_CATALOG
     d = cat.devices
-    spec = am.fc_mvu_spec(cfg, cat)
+    spec = am.MvuCache(cat).spec(wir.FC, 2, 2)
     from bitwave.device_catalog import dbm_to_mw
     expect_mw = (
         2 * cat.dac_power(4) + 2 * cat.dac_power(4)          # lane + row DACs
@@ -344,6 +344,44 @@ def test_max_power_hand_sum_single_fc_unit():
         + d.to_tuning_power_mw_per_fsr * cat.to_duty_cycle * 2
     )
     assert am.max_power(cfg) == pytest.approx(expect_mw * 1e-3, rel=1e-9)
+
+
+def _conv_unit_hand_sum_mw(cat, k, rows, soas, bits):
+    """One k-wide CONV unit with ``rows`` weight-slice rows and ``bits``-bit converters."""
+    d = cat.devices
+    spec = am.MvuCache(cat).spec(wir.CONV, k, rows)
+    from bitwave.device_catalog import dbm_to_mw
+    return (
+        k * cat.dac_power(bits) + rows * cat.dac_power(bits)  # lane + row DACs
+        + 1 * cat.adc_power(bits)                            # rows current-summed into one ADC
+        + rows * d.photodetector_power_mw
+        + k * d.vcsel_power_mw
+        + soas * d.soa_power_mw
+        + (k + k * rows) * d.eo_tuning_power_mw_per_nm * cat.eo_shift_nm
+        + dbm_to_mw(spec.min_laser_dbm)
+        + d.to_tuning_power_mw_per_fsr * cat.to_duty_cycle * 2
+    )
+
+
+def test_max_power_hand_sum_single_conv_unit():
+    # b=8 sizes the unit for 16-bit weights: two weight-slice rows, one SOA on each
+    cfg = am.ArchConfig(v=2, k=3, b=8, V=0, K=1)
+    expect_mw = _conv_unit_hand_sum_mw(DEFAULT_CATALOG, k=3, rows=2, soas=2, bits=8)
+    assert am.max_power(cfg) == pytest.approx(expect_mw * 1e-3, rel=1e-9)
+
+
+def test_baseline_peak_power_counts_no_soa():
+    model = wir.WorkloadModel(name="conv", layers=(conv_layer(0, 3, 4, h=6, w=6),))
+    cfg = am.ArchConfig(v=2, k=3, b=4, V=0, K=1)
+    # the baseline runs 4-bit operands in one step on one row, with no gain ladder
+    spec = am.BaselineSpec(name="flat4", weight_bits=4, act_bits=4)
+    base = am.simulate_baseline(model, spec, cfg)
+    expect_mw = _conv_unit_hand_sum_mw(DEFAULT_CATALOG, k=3, rows=1, soas=0, bits=4)
+    assert base.peak_power_w == pytest.approx(expect_mw * 1e-3, rel=1e-9)
+    # the bit-sliced unit amplifies each of the layer's two 4-bit weight-slice rows
+    rep = am.simulate_inference(model, cfg)
+    expect_mw = _conv_unit_hand_sum_mw(DEFAULT_CATALOG, k=3, rows=2, soas=2, bits=4)
+    assert rep.peak_power_w == pytest.approx(expect_mw * 1e-3, rel=1e-9)
 
 
 def test_max_power_monotone_in_each_dimension():

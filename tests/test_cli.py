@@ -354,21 +354,38 @@ def test_malformed_input_field_exits_3(tmp_path, repo_root, capsys, target, fiel
     assert not out.exists()
 
 
-@pytest.mark.parametrize("command, artifact", [("simulate", "report.json"), ("compare", "compare.csv")])
+@pytest.mark.parametrize("command, artifact", [
+    ("simulate", "report.json"),
+    ("compare", "compare.csv"),
+    pytest.param("simulate", None, id="simulate-int-product-overflow"),
+])
 def test_non_finite_result_exits_3_writing_nothing(tmp_path, model_paths, baselines_dir, capsys,
                                                    command, artifact):
-    # every input is finite, but a 1e308 ns step makes the energy overflow to infinity
-    cfg = write_config(tmp_path, step_period_ns=1e308)
+    model = model_paths["svhn_cnn"]
+    if artifact is None:
+        # every int is within the float range, but the FC layer's action counts are not
+        doc = json.loads(model.read_text())
+        del doc["declared_param_count"]
+        doc["layers"][-1].update(in_features=10**200, out_features=10**200)
+        model = tmp_path / "model.json"
+        model.write_text(json.dumps(doc))
+        cfg = write_config(tmp_path)
+        expect = "error: the inputs overflow the float range (int too large to convert to float)\n"
+    else:
+        # every input is finite, but a 1e308 ns step makes the energy overflow to infinity
+        cfg = write_config(tmp_path, step_period_ns=1e308)
+        expect = f"error: {artifact} would hold a non-finite number; the inputs overflow the float range\n"
     out = tmp_path / "out"
-    argv = [command, str(model_paths["svhn_cnn"]), "--config", str(cfg), "--out-dir", str(out)]
+    argv = [command, str(model), "--config", str(cfg), "--out-dir", str(out)]
     if command == "compare":
         argv += ["--baselines", str(baselines_dir)]
     rc = main(argv)
     assert rc == 3
-    assert capsys.readouterr().err == (
-        f"error: {artifact} would hold a non-finite number; the inputs overflow the float range\n"
-    )
-    assert list(out.iterdir()) == []
+    assert capsys.readouterr().err == expect
+    if artifact is None:
+        assert not out.exists()  # the costing fails before the output directory is made
+    else:
+        assert list(out.iterdir()) == []
 
 
 # -- byte-identical artifacts for the shipped inputs ---------------------------------
@@ -412,6 +429,13 @@ SHIPPED_ARTIFACTS = {
     "simulate/svhn_cnn_w1a4/report_layers.csv": "74221e636b33c1ea",
     "simulate/svhn_cnn_w4a4/report.json": "cf4a48774fd808c6",
     "simulate/svhn_cnn_w4a4/report_layers.csv": "f84581799d444e13",
+    # simulate --no-pipeline of the base models
+    "simulate_no_pipeline/alexnet/report.json": "925d19182780b788",
+    "simulate_no_pipeline/alexnet/report_layers.csv": "80eb99ea47e14a78",
+    "simulate_no_pipeline/resnet20/report.json": "2be70f817331f278",
+    "simulate_no_pipeline/resnet20/report_layers.csv": "478e3052e3ce73f3",
+    "simulate_no_pipeline/svhn_cnn/report.json": "82e56897f36a708b",
+    "simulate_no_pipeline/svhn_cnn/report_layers.csv": "309db94ed4e10176",
 }
 
 
@@ -431,13 +455,16 @@ def test_shipped_artifacts_byte_identical(tmp_path, repo_root, monkeypatch, caps
                  "--baselines", "baselines", "--out-dir", "out/compare"]) == 0
     assert main(["explore", *BASE_MODELS, "--space", "spaces/grid_small.json",
                  "--out-dir", "out/explore"]) == 0
+    for model in BASE_MODELS:
+        assert main(["simulate", model, "--config", "configs/reference.json", "--no-pipeline",
+                     "--out-dir", f"out/simulate_no_pipeline/{Path(model).stem}"]) == 0
     capsys.readouterr()
 
     digests = {
         p.relative_to(tmp_path / "out").as_posix(): hashlib.sha256(p.read_bytes()).hexdigest()[:16]
         for p in sorted((tmp_path / "out").rglob("*")) if p.is_file()
     }
-    assert len(digests) == 2 * 15 + 1 + 2
+    assert len(digests) == 2 * 15 + 1 + 2 + 2 * 3
     _, _, rows = read_csv(tmp_path / "out" / "compare" / "compare.csv")
     assert len(rows) == 15 * 5  # each model on the architecture and on 4 baselines
     assert digests == SHIPPED_ARTIFACTS
