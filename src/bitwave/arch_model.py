@@ -50,6 +50,8 @@ import math
 from dataclasses import dataclass, field
 from pathlib import Path
 
+from . import bitslice_engine as bse
+
 # apply_device_overrides is looked up on the module at call time, where
 # bench/tracing.py wraps it.
 from . import device_catalog
@@ -146,14 +148,14 @@ def fc_time_steps(p_a: int, p_w: int, b: int) -> int:
     check_bits("p_a", p_a, ConfigError)
     check_bits("p_w", p_w, ConfigError)
     check_bits("b", b, ConfigError)
-    return ceil_div(p_a, b) * ceil_div(p_w, b)
+    return bse.build_schedule(p_a, p_w, b, wir.FC).n_steps
 
 
 def conv_time_steps(p_a: int, b: int) -> int:
     """Steps per CONV output element and kernel chunk: one per activation slice."""
     check_bits("p_a", p_a, ConfigError)
     check_bits("b", b, ConfigError)
-    return ceil_div(p_a, b)
+    return bse.build_schedule(p_a, p_a, b, wir.CONV).n_steps
 
 
 # -- MVU geometry and the link budget -----------------------------------------

@@ -29,8 +29,9 @@ container immutable, so values can be shared freely across threads.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from operator import mul
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 from .workload_ir import CONV, FC, ceil_div, check_bits
 
@@ -95,11 +96,17 @@ class TdmSchedule:
         return len(self.steps)
 
 
+@lru_cache(maxsize=None, typed=True)
 def build_schedule(p_a: int, p_w: int, b: int, mode: str = FC) -> TdmSchedule:
     """Step schedule for a (p_a, p_w)-bit dot product with b-bit slices.
 
     FC ordering keeps the activation slice stationary across consecutive
     weight slices: (0,0), (0,1), ..., (1,0), (1,1), ...
+
+    The schedule is cached per argument tuple. Only valid arguments reach
+    the cache (an exception is never cached, and ``typed`` keeps ``True``
+    apart from ``1``), so it holds at most 16 * 16 * 16 * 2 schedules per
+    way of passing the arguments, and bad arguments raise on every call.
     """
     check_bits("p_a", p_a, ValueError)
     check_bits("p_w", p_w, ValueError)
@@ -115,8 +122,7 @@ def build_schedule(p_a: int, p_w: int, b: int, mode: str = FC) -> TdmSchedule:
     return TdmSchedule(mode=mode, steps=steps)
 
 
-@dataclass(frozen=True)
-class StepTrace:
+class StepTrace(NamedTuple):
     """What one time step produced.
 
     ``lane_partials`` are the per-lane contributions whose sum is
@@ -168,27 +174,22 @@ def execute_dot(
     ad = slice_vector(a, p_a, b)  # ad[i][j] = slice i of element j
     wd = slice_vector(w, p_w, b)
     schedule = build_schedule(p_a, p_w, b, mode)
+    steps = schedule.steps
     nw = len(wd)
+    if mode == FC:
+        step_lanes = [tuple(map(mul, ad[ai], wd[wi])) for ai, wi, _ in steps]
+    else:
+        # one lane per weight slice: photodetector sum times ladder gain
+        step_lanes = [
+            tuple(sum(map(mul, ad[ai], wd[k])) << (b * k) for k in range(nw))
+            for ai, _, _ in steps
+        ]
 
     trace: list[StepTrace] = []
     result = 0
-    for idx, (ai, wi, shift) in enumerate(schedule.steps):
-        if mode == FC:
-            lanes = tuple(map(mul, ad[ai], wd[wi]))
-        else:
-            # one lane per weight slice: photodetector sum times ladder gain
-            lanes = tuple(sum(map(mul, ad[ai], wd[k])) << (b * k) for k in range(nw))
+    for idx, ((ai, wi, shift), lanes) in enumerate(zip(steps, step_lanes)):
         step_sum = sum(lanes)
-        trace.append(
-            StepTrace(
-                step_index=idx,
-                a_slice_index=ai,
-                w_slice_index=wi,
-                lane_partials=lanes,
-                step_sum=step_sum,
-                shift_bits=shift,
-            )
-        )
+        trace.append(StepTrace(idx, ai, wi, lanes, step_sum, shift))
         result += step_sum << shift
     return result, trace
 

@@ -157,6 +157,29 @@ def test_schedule_rejects_bad_mode():
         bse.build_schedule(8, 8, 4, "conv")
 
 
+def test_schedule_is_cached_per_key():
+    assert bse.build_schedule(10, 6, 4, bse.FC) is bse.build_schedule(10, 6, 4, bse.FC)
+    assert bse.build_schedule(8, 8, 2, bse.CONV) is bse.build_schedule(8, 8, 2, bse.CONV)
+    assert bse.build_schedule(8, 8, 2, bse.CONV) is not bse.build_schedule(8, 8, 2, bse.FC)
+
+
+@pytest.mark.parametrize("args", [(8, 8, 4, "conv"), (8, 17, 4, bse.FC), (8, 8, 0, bse.CONV),
+                                  (True, 8, 4, bse.FC), (8.0, 8, 4, bse.FC)])
+def test_schedule_bad_arguments_raise_on_every_call(args):
+    bse.build_schedule(1, 8, 4, bse.FC)
+    bse.build_schedule(8, 8, 4, bse.FC)  # equal keys of another type must not hit these
+    for _ in range(2):
+        with pytest.raises(ValueError):
+            bse.build_schedule(*args)
+
+
+def test_step_trace_is_immutable():
+    _, trace = bse.execute_dot(GOLD_A, GOLD_W, 8, 8, 4, bse.FC)
+    with pytest.raises(AttributeError):
+        trace[0].step_sum = 0
+    assert trace[0].step_sum == 56
+
+
 def test_execute_dot_golden_trace():
     result, trace = bse.execute_dot(GOLD_A, GOLD_W, 8, 8, 4, bse.FC)
     assert result == 2808

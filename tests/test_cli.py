@@ -2,11 +2,12 @@ import csv
 import hashlib
 import json
 import math
+import random
 from pathlib import Path
 
 import pytest
 
-from bitwave.cli import main
+from bitwave.cli import _draw_operands, main
 
 
 def write_config(tmp_path: Path, **overrides) -> Path:
@@ -204,6 +205,29 @@ def test_validate_out_of_range_p_bits_exits_3(capsys):
     captured = capsys.readouterr()
     assert captured.err == "error: p must be an int in [1, 16], got 17\n"
     assert "ok" not in captured.out
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["--p-bits", "-1"], "p must be an int in [1, 16], got -1"),
+    # seed 1 never draws p = 17, so only a check before the first trial catches it
+    (["--p-bits", "8,17", "--trials", "1", "--seed", "1"], "p must be an int in [1, 16], got 17"),
+    (["--b-bits", "4,0"], "b must be an int in [1, 16], got 0"),
+])
+def test_validate_checks_every_bit_value_before_drawing(capsys, argv, message):
+    rc = main(["validate", *argv])
+    assert rc == 3
+    captured = capsys.readouterr()
+    assert captured.err == f"error: {message}\n"
+    assert captured.out == ""
+
+
+@pytest.mark.parametrize("p", range(1, 17))
+def test_draw_operands_is_randrange_stream(p):
+    for seed in (0, 1, 7, 12345):
+        for n in (0, 1, 64):
+            rng, ref = random.Random(seed), random.Random(seed)
+            assert _draw_operands(rng, p, n) == [ref.randrange(1 << p) for _ in range(n)]
+            assert rng.getstate() == ref.getstate()
 
 
 @pytest.mark.parametrize("flag, value", [("--b-bits", ""), ("--p-bits", ",")])
