@@ -45,6 +45,7 @@ immutable values and safe to share across threads.
 
 from __future__ import annotations
 
+import itertools
 import json
 import math
 from dataclasses import dataclass, field
@@ -202,20 +203,6 @@ def _mvu_spec(kind: str, n_lambda: int, n_rows: int, catalog: DeviceCatalog) -> 
     )
 
 
-def over_laser_ceiling(spec: MvuSpec, ceiling_dbm: float) -> bool:
-    """The laser law: a unit's link budget fails if its minimum laser power exceeds the ceiling."""
-    return spec.min_laser_dbm > ceiling_dbm
-
-
-def _require_feasible(spec: MvuSpec, cfg: ArchConfig) -> None:
-    if over_laser_ceiling(spec, cfg.laser_ceiling_dbm):
-        raise LaserInfeasibleError(
-            f"{spec.kind} unit path ({spec.n_wavelengths} wavelengths, "
-            f"{spec.n_rows} rows, {spec.path_loss_db:.2f} dB loss) needs "
-            f"{spec.min_laser_dbm:.2f} dBm laser > ceiling {cfg.laser_ceiling_dbm:.2f} dBm"
-        )
-
-
 class MvuCache:
     """Unit specs and per-unit peak powers under one catalog, each computed once.
 
@@ -262,22 +249,6 @@ def unit_count(kind: str, cfg: ArchConfig) -> int:
 def unit_width(kind: str, cfg: ArchConfig) -> int:
     """Width of the units a layer of ``kind`` runs on: v for FC, k for CONV."""
     return cfg.v if kind == wir.FC else cfg.k
-
-
-def layer_unit(kind: str, cfg: ArchConfig, cp: _ConverterPlan | None, units: MvuCache) -> MvuSpec:
-    """The unit a layer runs on: a v x v FC unit, or a k-wide CONV unit with one row per weight slice."""
-    if kind == wir.FC:
-        return units.spec(wir.FC, cfg.v, cfg.v)
-    return units.spec(wir.CONV, cfg.k, cp.n_w)
-
-
-def require_units(kind: str, cfg: ArchConfig) -> int:
-    """The unit count for the layers of ``kind`` a model holds; ConfigError if ``cfg`` has none."""
-    n_units = unit_count(kind, cfg)
-    if n_units < 1:
-        field_name = "V" if kind == wir.FC else "K"
-        raise ConfigError(f"model has {kind} layers but the config has {field_name}=0 {kind} units")
-    return n_units
 
 
 # -- reports -------------------------------------------------------------------
@@ -501,29 +472,76 @@ def array_power_w(cfg: ArchConfig, units: MvuCache) -> float:
     return total_mw * 1e-3
 
 
-def checked_layers(model: wir.WorkloadModel, cfg: ArchConfig, plan_for_layer, units: MvuCache):
-    """Yield (layer, converter plan, unit spec) for each layer in order.
+# -- runs of same-kind layers and their checks ----------------------------------
+# Their tuples are built from lists: CPython builds tuple(generator) by resizing, and
+# its tuple free lists then keep the resized blocks (+1 MB peak RSS over a CLI batch).
 
-    The checks run in this order: the FC unit count and the FC laser budget,
-    then the CONV unit count, all before any layer, then each CONV unit's
-    laser budget at its layer.
+
+def kind_runs(model: wir.WorkloadModel) -> list[tuple[str, tuple[wir.LayerSpec, ...]]]:
+    """The model's maximal runs of same-kind layers, in layer order, as (kind, layers)."""
+    return [(kind, tuple([*run])) for kind, run in itertools.groupby(model.layers, key=lambda l: l.kind)]
+
+
+@dataclass(frozen=True, slots=True)
+class RunCost:
+    """Per-layer plans, unit specs and costs of a run, and its first unit over the laser ceiling (or None)."""
+
+    kind: str
+    plans: tuple[_ConverterPlan, ...]
+    specs: tuple[MvuSpec, ...]
+    costs: tuple[LayerCost, ...]
+    over_ceiling: MvuSpec | None
+
+
+def run_cost(
+    kind: str,
+    layers: tuple[wir.LayerSpec, ...],
+    plans: tuple[_ConverterPlan, ...],
+    cfg: ArchConfig,
+    units: MvuCache,
+) -> RunCost:
+    """Cost a run of same-kind layers, given each layer's converter plan.
+
+    FC layers share one v x v unit; a CONV layer runs on a k-wide unit with
+    one row per weight slice. Reads neither ``cfg.V`` nor ``cfg.K``.
     """
-    kinds = {l.kind for l in model.layers}
-    fc_spec = None
-    if wir.FC in kinds:
-        require_units(wir.FC, cfg)
-        fc_spec = layer_unit(wir.FC, cfg, None, units)
-        _require_feasible(fc_spec, cfg)
-    if wir.CONV in kinds:
-        require_units(wir.CONV, cfg)
-    for layer in model.layers:
-        cp: _ConverterPlan = plan_for_layer(layer)
-        if layer.kind == wir.FC:
-            spec = fc_spec
-        else:
-            spec = layer_unit(wir.CONV, cfg, cp, units)
-            _require_feasible(spec, cfg)
-        yield layer, cp, spec
+    if kind == wir.FC:
+        specs = (units.spec(wir.FC, cfg.v, cfg.v),) * len(plans)
+    else:
+        specs = tuple([units.spec(wir.CONV, cfg.k, cp.n_w) for cp in plans])
+    costs = tuple([
+        layer_cost(l, cfg, units.catalog, cp, dbm_to_mw(spec.min_laser_dbm))
+        for l, cp, spec in zip(layers, plans, specs)
+    ])
+    # the laser law: a unit's link budget fails if its minimum laser power exceeds the ceiling
+    over = next((spec for spec in specs if spec.min_laser_dbm > cfg.laser_ceiling_dbm), None)
+    return RunCost(kind, plans, specs, costs, over)
+
+
+def check_runs(runs: list[RunCost], cfg: ArchConfig) -> dict[str, int]:
+    """The unit count of each kind the runs hold, once ``cfg`` passes every check.
+
+    The checks run in this order: the FC unit count, the FC laser budget,
+    the CONV unit count, then each CONV unit's laser budget in layer order.
+    The first that fails raises ConfigError or LaserInfeasibleError.
+    """
+    n_units_of: dict[str, int] = {}
+    for kind, field_name in ((wir.FC, "V"), (wir.CONV, "K")):
+        for run in runs:
+            if run.kind != kind:
+                continue
+            if kind not in n_units_of:
+                n_units = n_units_of[kind] = unit_count(kind, cfg)
+                if n_units < 1:
+                    raise ConfigError(f"model has {kind} layers but the config has {field_name}=0 {kind} units")
+            spec = run.over_ceiling
+            if spec is not None:
+                raise LaserInfeasibleError(
+                    f"{spec.kind} unit path ({spec.n_wavelengths} wavelengths, "
+                    f"{spec.n_rows} rows, {spec.path_loss_db:.2f} dB loss) needs "
+                    f"{spec.min_laser_dbm:.2f} dBm laser > ceiling {cfg.laser_ceiling_dbm:.2f} dBm"
+                )
+    return n_units_of
 
 
 def _simulate(
@@ -533,23 +551,29 @@ def _simulate(
     accelerator: str,
     plan_for_layer,
 ) -> SimReport:
+    units = MvuCache(catalog)
+    runs = [
+        run_cost(kind, layers, tuple([plan_for_layer(l) for l in layers]), cfg, units)
+        for kind, layers in kind_runs(model)
+    ]
+    n_units_of = check_runs(runs, cfg)
     per_layer: list[LayerReport] = []
     peak_mw = 0.0
-    for layer, cp, spec in checked_layers(model, cfg, plan_for_layer, MvuCache(catalog)):
-        cost = layer_cost(layer, cfg, catalog, cp, dbm_to_mw(spec.min_laser_dbm))
-        _, seq_steps, latency_s, used = place_layer(cost, unit_count(layer.kind, cfg))
-        per_layer.append(LayerReport(
-            index=cost.index,
-            kind=cost.kind,
-            time_steps=seq_steps,
-            step_period_ns=cost.step_period_ns,
-            latency_s=latency_s,
-            energy_j=cost.energy_j,
-            macs=cost.macs,
-            processed_bits=cost.processed_bits,
-            mvus_used=used,
-        ))
-        peak_mw = max(peak_mw, used * _unit_active_power_mw(spec, catalog, cp))
+    for run in runs:
+        for cost, cp, spec in zip(run.costs, run.plans, run.specs):
+            _, seq_steps, latency_s, used = place_layer(cost, n_units_of[run.kind])
+            per_layer.append(LayerReport(
+                index=cost.index,
+                kind=cost.kind,
+                time_steps=seq_steps,
+                step_period_ns=cost.step_period_ns,
+                latency_s=latency_s,
+                energy_j=cost.energy_j,
+                macs=cost.macs,
+                processed_bits=cost.processed_bits,
+                mvus_used=used,
+            ))
+            peak_mw = max(peak_mw, used * _unit_active_power_mw(spec, catalog, cp))
 
     # float starts keep a layerless model's latency and energy floats (0.0)
     latency = sum((r.latency_s for r in per_layer), 0.0)

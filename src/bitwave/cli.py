@@ -155,8 +155,11 @@ def cmd_compare(args) -> int:
     cfg = _load_config(args)
     models = [wir.load_workload(p) for p in args.models]
 
-    baseline_paths = sorted(Path(args.baselines).glob("*.json")) if args.baselines else []
-    baselines = [am.load_baseline_spec(p) for p in baseline_paths]
+    baselines = []
+    if args.baselines:
+        if not Path(args.baselines).is_dir():
+            raise NotADirectoryError(f"--baselines {args.baselines} is not a directory")
+        baselines = [am.load_baseline_spec(p) for p in sorted(Path(args.baselines).glob("*.json"))]
     if not baselines:
         print("warning: no baseline specs found; comparing the architecture alone", file=sys.stderr)
 
@@ -204,6 +207,7 @@ def cmd_explore(args) -> int:
         "infeasible_count": result.infeasible_count,
         "diagnostics": result.diagnostics,
         "evaluated": len(result.ranked),
+        "best": None,
     }
     if result.best is not None:
         c = result.best.config
@@ -211,17 +215,8 @@ def cmd_explore(args) -> int:
             "config": {"v": c.v, "k": c.k, "b": c.b, "V": c.V, "K": c.K},
             "score": result.best.score,
             "max_power_w": result.best.max_power_w,
-            "per_model": {
-                name: {
-                    "epb_j_per_bit": s.epb_j_per_bit,
-                    "gops": s.gops,
-                    "gops_per_epb": s.gops_per_epb,
-                }
-                for name, s in result.best.per_model.items()
-            },
+            "per_model": {name: vars(s) for name, s in result.best.per_model.items()},
         }
-    else:
-        best_payload["best"] = None
     _write_json(out / "best.json", manifest, best_payload)
 
     if result.best is None:

@@ -16,22 +16,16 @@ aggregate score across workloads is the geometric mean of per-workload
 GOPS/EPB by default (scale-free across models of very different size).
 Ranking and tie-breaking are deterministic regardless of evaluation order.
 
-The search is separable, and each piece of work runs once per key it
-depends on rather than once per configuration. ``explore`` splits each model
-once into its maximal runs of same-kind layers (CONV runs then FC runs in the
-shipped models). It builds a run's converter plans once per (model, run, b),
-its ``LayerCost``s and laser verdict once per (model, run, width, b), where
-width is v for FC and k for CONV, and its per-layer latency terms
-(``arch_model.place_layer``) once per (model, run, width, b, unit count).
-Each unit spec and per-unit power is built once per call; peak power is V FC
-units plus K CONV units. A configuration then only looks up its runs: its
-unit counts and laser verdicts are checked in ``checked_layers``' order, its
-latency is one ``sum`` over the runs' terms chained in layer order, and its
-energy is one ``sum`` per (model, v, k, b). Partial sums per run are never
-added together (a compensated float ``sum``, as in Python 3.12, would round
-them differently), so every reported number is bit-identical to
-``arch_model.max_power`` plus ``simulate_inference`` run on each
-configuration.
+The search is separable and reuses ``arch_model``'s run costing. Each model
+splits once into runs of same-kind layers (``kind_runs``). A run's converter
+plans are built once per (model, run, b), its ``run_cost`` once per (model,
+run, width, b), with width v for FC and k for CONV, and its latency terms
+(``place_layer``) once per (model, run, width, b, unit count). A
+configuration passes its runs to ``check_runs``, sums its latency over their
+terms in layer order and reuses one energy sum per (model, v, k, b). Partial
+sums per run are never added together (a compensated float ``sum``, as in
+Python 3.12, would round them differently), so every result is bit-identical
+to ``max_power`` plus ``simulate_inference`` on each configuration.
 """
 
 from __future__ import annotations
@@ -129,11 +123,6 @@ def _rank_key(entry: EvaluatedConfig) -> tuple:
     return (-entry.score, entry.max_power_w, c.v, c.k, c.b, c.V, c.K)
 
 
-def _kind_runs(model: wir.WorkloadModel) -> list[tuple[str, tuple[wir.LayerSpec, ...]]]:
-    """The model's maximal runs of same-kind layers, in layer order, as (kind, layers)."""
-    return [(kind, tuple(run)) for kind, run in itertools.groupby(model.layers, key=lambda l: l.kind)]
-
-
 def explore(
     models: list[wir.WorkloadModel],
     space: SearchSpace,
@@ -142,15 +131,19 @@ def explore(
 ) -> SearchResult:
     """Evaluate every configuration on every model and rank by GOPS/EPB.
 
-    Equivalent to running ``am.max_power`` and then ``am.simulate_inference``
-    on each model for each configuration, with the same results and the
-    same errors in the same order: a configuration over the power cap is
-    rejected before any check, one whose laser budget fails for some model
-    is rejected at that model, and a ConfigError (V=0 or K=0 with layers
-    that need them) propagates.
+    Equivalent to ``am.max_power`` and then ``am.simulate_inference`` on
+    each model for each configuration, with the same results and the same
+    errors in the same order: a configuration over the power cap is rejected
+    before any check, one whose laser budget fails for some model is
+    rejected at that model, and a ConfigError (V=0 or K=0 with layers that
+    need them) propagates. Model names must differ: scores are keyed by name.
     """
     if not models:
         raise ValueError("explore needs at least one workload model")
+    names = [m.name for m in models]
+    for name in names:
+        if names.count(name) > 1:
+            raise ValueError(f"model name {name!r} is repeated; explore scores each model by its name")
     if aggregate not in AGGREGATES:
         raise SearchSpaceError(f"unknown aggregate {aggregate!r}; pick one of {AGGREGATES}")
     cons = space.constraints
@@ -159,42 +152,29 @@ def explore(
         raise SearchSpaceError("search space enumerates zero configurations")
 
     units = am.MvuCache(catalog)
-    model_runs = [_kind_runs(m) for m in models]
+    model_runs = [am.kind_runs(m) for m in models]
     plans: dict[tuple, tuple] = {}  # (model, run, b) -> converter plans
-    # (model, run, width, b) -> (kind, laser verdict, layer costs, unit count -> layer latencies)
+    # (model, run, width, b) -> (run cost, unit count -> layer latencies)
     run_costs: dict[tuple, tuple] = {}
 
-    def cost_run(mi: int, ri: int, cfg: am.ArchConfig) -> tuple:
-        """The ``run_costs`` entry of run ``ri`` of model ``mi`` at cfg's width and b."""
-        kind, layers = model_runs[mi][ri]
-        key = (mi, ri, am.unit_width(kind, cfg), cfg.b)
-        entry = run_costs.get(key)
-        if entry is None:
-            plan_key = (mi, ri, cfg.b)
-            cps = plans.get(plan_key)
-            if cps is None:
-                cps = plans[plan_key] = tuple(am.bitwave_plan(l, cfg.b) for l in layers)
-            specs = [am.layer_unit(kind, cfg, cp, units) for cp in cps]
-            feasible = not any(am.over_laser_ceiling(spec, cfg.laser_ceiling_dbm) for spec in specs)
-            costs = tuple(
-                am.layer_cost(l, cfg, catalog, cp, am.dbm_to_mw(spec.min_laser_dbm))
-                for l, cp, spec in zip(layers, cps, specs)
-            )
-            entry = run_costs[key] = (kind, feasible, costs, {})
-        return entry
-
     def prepare(mi: int, cfg: am.ArchConfig) -> tuple:
-        """Model ``mi`` at cfg's (v, k, b): its checks, its runs, and its energy, MACs and bits."""
-        runs = [cost_run(mi, ri, cfg) for ri in range(len(model_runs[mi]))]
-        feasible: dict[str, bool] = {}
-        for kind, ok, _, _ in runs:
-            feasible[kind] = feasible.get(kind, True) and ok
-        # checked_layers' order: FC units and laser, then CONV units and lasers
-        checks = tuple((kind, feasible[kind]) for kind in (wir.FC, wir.CONV) if kind in feasible)
-        costs = list(itertools.chain(*(c for _, _, c, _ in runs)))
+        """Model ``mi`` at cfg's (v, k, b): its runs and latency caches, and its energy, MACs and bits."""
+        entries = []
+        for ri, (kind, layers) in enumerate(model_runs[mi]):
+            key = (mi, ri, am.unit_width(kind, cfg), cfg.b)
+            entry = run_costs.get(key)
+            if entry is None:
+                plan_key = (mi, ri, cfg.b)
+                cps = plans.get(plan_key)
+                if cps is None:
+                    cps = plans[plan_key] = tuple(am.bitwave_plan(l, cfg.b) for l in layers)
+                entry = run_costs[key] = (am.run_cost(kind, layers, cps, cfg, units), {})
+            entries.append(entry)
+        runs = [run for run, _ in entries]
+        costs = list(itertools.chain(*(run.costs for run in runs)))
         return (
-            checks,
-            tuple((kind, c, latencies) for kind, _, c, latencies in runs),
+            runs,
+            entries,
             sum(c.energy_j for c in costs),
             sum(c.macs for c in costs),
             sum(c.processed_bits for c in costs),
@@ -206,18 +186,17 @@ def explore(
             entry = prepared.get(mi)
             if entry is None:
                 entry = prepared[mi] = prepare(mi, cfg)
-            checks, runs, energy, macs, bits = entry
-            n_units_of = {}
-            for kind, ok in checks:
-                n_units_of[kind] = am.require_units(kind, cfg)
-                if not ok:
-                    return None
+            runs, entries, energy, macs, bits = entry
+            try:
+                n_units_of = am.check_runs(runs, cfg)
+            except am.LaserInfeasibleError:
+                return None
             parts = []
-            for kind, costs, latencies in runs:
-                n_units = n_units_of[kind]
+            for run, latencies in entries:
+                n_units = n_units_of[run.kind]
                 part = latencies.get(n_units)
                 if part is None:
-                    part = latencies[n_units] = tuple(am.place_layer(c, n_units)[2] for c in costs)
+                    part = latencies[n_units] = tuple(am.place_layer(c, n_units)[2] for c in run.costs)
                 parts.append(part)
             # one sum over every layer in order, as simulate_inference adds them
             latency = sum(itertools.chain(*parts))

@@ -316,6 +316,34 @@ def test_laser_infeasible_config_raises():
         am.simulate_inference(wir.WorkloadModel(name="m", layers=(fc_layer(0, 10, 10),)), cfg)
 
 
+# CONV, CONV, FC: the FC layer comes last but is checked first. At 15 dBm the
+# FC unit fails its laser budget at v=64, and at k=128 both CONV units fail
+# theirs at b=1 (12 and 16 weight-slice rows).
+CONV_CONV_FC = wir.WorkloadModel(
+    name="conv_conv_fc",
+    layers=(
+        conv_layer(0, 4, 6, padding=1, wb=12, ab=2),
+        conv_layer(1, 6, 4, k=1, wb=16, ab=9),
+        fc_layer(2, 48, 20),
+    ),
+)
+
+
+@pytest.mark.parametrize("dims, error, message", [
+    (dict(v=64, V=0, K=0), am.ConfigError, "config has V=0"),
+    (dict(v=64, V=1, K=0), am.LaserInfeasibleError, "FC unit path"),
+    (dict(v=8, V=1, K=0), am.ConfigError, "config has K=0"),
+    (dict(v=8, V=1, K=1), am.LaserInfeasibleError, "CONV unit path (128 wavelengths, 12 rows,"),
+])
+def test_simulate_checks_fc_units_fc_laser_conv_units_then_conv_lasers(dims, error, message):
+    units = am.MvuCache(DEFAULT_CATALOG)
+    assert all(units.spec(wir.CONV, 128, rows).min_laser_dbm > 15.0 for rows in (12, 16))
+    cfg = am.ArchConfig(k=128, b=1, laser_ceiling_dbm=15.0, **dims)
+    with pytest.raises(error) as exc:
+        am.simulate_inference(CONV_CONV_FC, cfg)
+    assert message in str(exc.value)
+
+
 def test_laser_feasible_at_reference_scale():
     cfg = am.ArchConfig(v=50, k=20, b=4, V=200, K=100)
     rep = am.simulate_inference(SMALL_MODEL, cfg)

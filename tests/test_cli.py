@@ -114,6 +114,23 @@ def test_compare_without_baselines_warns(tmp_path, model_paths, reference_config
     assert len(rows) == 1
 
 
+@pytest.mark.parametrize("kind", ["missing", "file"])
+def test_compare_baselines_not_a_directory_exits_2(tmp_path, model_paths, reference_config_path, capsys,
+                                                   kind):
+    baselines = tmp_path / "baseliness"
+    if kind == "file":
+        baselines.write_text("{}")
+    out = tmp_path / "out"
+    rc = main([
+        "compare", str(model_paths["svhn_cnn"]),
+        "--config", str(reference_config_path),
+        "--baselines", str(baselines), "--out-dir", str(out),
+    ])
+    assert rc == 2
+    assert capsys.readouterr().err == f"error: --baselines {baselines} is not a directory\n"
+    assert not out.exists()
+
+
 def test_explore_writes_ranking_and_best(tmp_path, model_paths, space_path):
     out = tmp_path / "out"
     rc = main([
@@ -151,6 +168,22 @@ def test_explore_zero_config_space_exits_3(tmp_path, model_paths, capsys):
     ])
     assert rc == 3
     assert "zero configurations" in capsys.readouterr().err
+
+
+def test_explore_repeated_model_name_exits_3(tmp_path, model_paths, space_path, capsys):
+    # two model files without a name are both "unnamed"
+    paths = []
+    for stem in ("svhn_cnn", "resnet20"):
+        doc = json.loads(model_paths[stem].read_text())
+        del doc["name"]
+        paths.append(tmp_path / f"{stem}.json")
+        paths[-1].write_text(json.dumps(doc))
+    out = tmp_path / "out"
+    rc = main(["explore", *map(str, paths), "--space", str(space_path), "--out-dir", str(out)])
+    assert rc == 3
+    err = capsys.readouterr().err
+    assert err == "error: model name 'unnamed' is repeated; explore scores each model by its name\n"
+    assert not out.exists()
 
 
 def test_validate_passes_and_is_deterministic(tmp_path, capsys):

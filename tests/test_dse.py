@@ -277,13 +277,13 @@ def test_explore_builds_each_plan_cost_and_latency_term_once(monkeypatch):
         term_keys.append((*built[id(cost)], n_units))
         return place_layer(cost, n_units)
 
-    def no_checked_layers(*args):
-        raise AssertionError("explore walks checked_layers")
+    def no_simulate(*args):
+        raise AssertionError("explore simulates a configuration")
 
     monkeypatch.setattr(am, "bitwave_plan", counted_plan)
     monkeypatch.setattr(am, "layer_cost", counted_cost)
     monkeypatch.setattr(am, "place_layer", counted_place)
-    monkeypatch.setattr(am, "checked_layers", no_checked_layers)
+    monkeypatch.setattr(am, "_simulate", no_simulate)
     result = dse.explore(models, with_constraints(MIXED, laser_ceiling_dbm=LASER_CEILING_DBM))
     assert result.ranked and result.diagnostics["laser"] > 0
     for keys in (plan_keys, cost_keys, term_keys):
