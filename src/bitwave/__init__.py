@@ -2,90 +2,3 @@
 analytical energy/latency modeling, and configuration search."""
 
 __version__ = "0.1.0"
-
-from .arch_model import (
-    ArchConfig,
-    BaselineSpec,
-    LaserInfeasibleError,
-    SimReport,
-    calibrate_energy_scale,
-    conv_time_steps,
-    fc_time_steps,
-    max_power,
-    simulate_baseline,
-    simulate_inference,
-)
-from .bitslice_engine import (
-    SoaGainLadder,
-    StepTrace,
-    TdmSchedule,
-    build_schedule,
-    execute_dot,
-    reconstruct,
-    slice_value,
-    soa_gain_ladder,
-)
-from .device_catalog import (
-    DEFAULT_CATALOG,
-    DeviceCatalog,
-    aggregate_photoloss,
-    dbm_to_mw,
-    load_catalog,
-    min_laser_power,
-    mw_to_dbm,
-)
-from .dse import SearchSpace, enumerate_configs, explore, load_search_space
-from .workload_ir import (
-    LayerSpec,
-    WorkloadModel,
-    footprint_mb,
-    load_workload,
-    mac_count,
-    param_count,
-    processed_bits,
-    save_workload,
-    weight_footprint_bits,
-    with_bits,
-)
-
-__all__ = [
-    "ArchConfig",
-    "BaselineSpec",
-    "DEFAULT_CATALOG",
-    "DeviceCatalog",
-    "LaserInfeasibleError",
-    "LayerSpec",
-    "SearchSpace",
-    "SimReport",
-    "SoaGainLadder",
-    "StepTrace",
-    "TdmSchedule",
-    "WorkloadModel",
-    "aggregate_photoloss",
-    "build_schedule",
-    "calibrate_energy_scale",
-    "conv_time_steps",
-    "dbm_to_mw",
-    "enumerate_configs",
-    "execute_dot",
-    "explore",
-    "fc_time_steps",
-    "footprint_mb",
-    "load_catalog",
-    "load_search_space",
-    "load_workload",
-    "mac_count",
-    "max_power",
-    "min_laser_power",
-    "mw_to_dbm",
-    "param_count",
-    "processed_bits",
-    "reconstruct",
-    "save_workload",
-    "simulate_baseline",
-    "simulate_inference",
-    "slice_value",
-    "soa_gain_ladder",
-    "weight_footprint_bits",
-    "with_bits",
-]

@@ -231,13 +231,9 @@ class MvuCache:
         key = (kind, width, b)
         mw = self._unit_mw.get(key)
         if mw is None:
-            if kind == wir.FC:
-                n_rows, cp = width, _ConverterPlan(1, 1, b, b, b, False)
-            else:
-                n_rows = ceil_div(MAX_BITS, b)
-                cp = _ConverterPlan(1, n_rows, b, b, b, True)
+            n_rows = width if kind == wir.FC else ceil_div(MAX_BITS, b)
             spec = self.spec(kind, width, n_rows)
-            mw = self._unit_mw[key] = _unit_active_power_mw(spec, self.catalog, cp)
+            mw = self._unit_mw[key] = _unit_active_power_mw(spec, self.catalog, bitwave_plan(kind, b))
         return mw
 
 
@@ -290,10 +286,8 @@ class SimReport:
 
 @dataclass(frozen=True)
 class _ConverterPlan:
-    """Per-layer converter/slicing parameters (differs between architectures)."""
+    """The converters on one architecture's units of one kind; a layer's bitwidths set only its slice counts."""
 
-    n_a: int
-    n_w: int
     dac_bits_act: int
     dac_bits_w: int
     adc_bits: int
@@ -338,16 +332,14 @@ def _device_table(
     )
 
 
-def bitwave_plan(layer: wir.LayerSpec, b: int) -> _ConverterPlan:
-    """Slice counts and b-bit converters of the bit-sliced architecture."""
-    return _ConverterPlan(
-        n_a=ceil_div(layer.act_bits, b),
-        n_w=ceil_div(layer.weight_bits, b),
-        dac_bits_act=b,
-        dac_bits_w=b,
-        adc_bits=b,
-        use_soa=layer.kind == wir.CONV,
-    )
+def bitwave_plan(kind: str, b: int) -> _ConverterPlan:
+    """b-bit converters of the bit-sliced architecture; only its CONV units amplify."""
+    return _ConverterPlan(dac_bits_act=b, dac_bits_w=b, adc_bits=b, use_soa=kind == wir.CONV)
+
+
+def slice_counts(layer: wir.LayerSpec, cp: _ConverterPlan) -> tuple[int, int]:
+    """(activation, weight) slices of a layer's operands under ``cp``: ceil(p / DAC bits) each."""
+    return ceil_div(layer.act_bits, cp.dac_bits_act), ceil_div(layer.weight_bits, cp.dac_bits_w)
 
 
 @dataclass(frozen=True, slots=True)
@@ -378,6 +370,7 @@ def layer_cost(
 ) -> LayerCost:
     """Work and energy of one layer; reads neither ``cfg.V`` nor ``cfg.K``."""
     period = _step_period_ns(cfg, catalog, cp)
+    n_a, n_w = slice_counts(layer, cp)
 
     # action counts in _device_table's row order; the laser and trim burn for every busy slot
     if layer.kind == wir.FC:
@@ -385,11 +378,11 @@ def layer_cost(
         lane_chunks = ceil_div(n_i, cfg.v)
         row_chunks = ceil_div(n_o, cfg.v)
         work = lane_chunks * row_chunks
-        steps = cp.n_a * cp.n_w
+        steps = n_a * n_w
         lane_holds = row_chunks * n_i * steps  # one VCSEL pulse each
         row_events = lane_chunks * n_o * steps  # weight DAC hold, conversion, PD event per row
         # weight slices cycle every step; the activation slice holds still
-        imprints = n_i * n_o * (steps if cp.n_w > 1 else 1) + row_chunks * n_i * cp.n_a
+        imprints = n_i * n_o * (steps if n_w > 1 else 1) + row_chunks * n_i * n_a
         counts = (lane_holds, row_events, row_events, row_events, lane_holds, 0, imprints,
                   work * steps)
     else:
@@ -398,11 +391,11 @@ def layer_cost(
         oh, ow = wir.layer_out_hw(layer)
         positions = oh * ow * layer.out_channels
         work = positions * chunks
-        steps = cp.n_a
+        steps = n_a
         lane_holds = positions * length * steps  # one VCSEL pulse each
-        row_events = work * cp.n_w * steps  # weight DAC hold, PD event, SOA pass per weight-slice row
+        row_events = work * n_w * steps  # weight DAC hold, PD event, SOA pass per weight-slice row
         # activations re-imprint every step; kernel slices once per position
-        imprints = lane_holds + positions * length * cp.n_w
+        imprints = lane_holds + positions * length * n_w
         # current-summed rows: one conversion per unit of work per step
         counts = (lane_holds, row_events, work * steps, row_events, lane_holds,
                   row_events if cp.use_soa else 0, imprints, work * steps)
@@ -484,10 +477,10 @@ def kind_runs(model: wir.WorkloadModel) -> list[tuple[str, tuple[wir.LayerSpec, 
 
 @dataclass(frozen=True, slots=True)
 class RunCost:
-    """Per-layer plans, unit specs and costs of a run, and its first unit over the laser ceiling (or None)."""
+    """A run's converter plan, its layers' unit specs and costs, and its first unit over the laser ceiling."""
 
     kind: str
-    plans: tuple[_ConverterPlan, ...]
+    plan: _ConverterPlan
     specs: tuple[MvuSpec, ...]
     costs: tuple[LayerCost, ...]
     over_ceiling: MvuSpec | None
@@ -496,26 +489,26 @@ class RunCost:
 def run_cost(
     kind: str,
     layers: tuple[wir.LayerSpec, ...],
-    plans: tuple[_ConverterPlan, ...],
+    plan: _ConverterPlan,
     cfg: ArchConfig,
     units: MvuCache,
 ) -> RunCost:
-    """Cost a run of same-kind layers, given each layer's converter plan.
+    """Cost a run of same-kind layers on units with the converters of ``plan``.
 
     FC layers share one v x v unit; a CONV layer runs on a k-wide unit with
     one row per weight slice. Reads neither ``cfg.V`` nor ``cfg.K``.
     """
     if kind == wir.FC:
-        specs = (units.spec(wir.FC, cfg.v, cfg.v),) * len(plans)
+        specs = (units.spec(wir.FC, cfg.v, cfg.v),) * len(layers)
     else:
-        specs = tuple([units.spec(wir.CONV, cfg.k, cp.n_w) for cp in plans])
+        specs = tuple([units.spec(wir.CONV, cfg.k, slice_counts(l, plan)[1]) for l in layers])
     costs = tuple([
-        layer_cost(l, cfg, units.catalog, cp, dbm_to_mw(spec.min_laser_dbm))
-        for l, cp, spec in zip(layers, plans, specs)
+        layer_cost(l, cfg, units.catalog, plan, dbm_to_mw(spec.min_laser_dbm))
+        for l, spec in zip(layers, specs)
     ])
     # the laser law: a unit's link budget fails if its minimum laser power exceeds the ceiling
     over = next((spec for spec in specs if spec.min_laser_dbm > cfg.laser_ceiling_dbm), None)
-    return RunCost(kind, plans, specs, costs, over)
+    return RunCost(kind, plan, specs, costs, over)
 
 
 def check_runs(runs: list[RunCost], cfg: ArchConfig) -> dict[str, int]:
@@ -549,18 +542,16 @@ def _simulate(
     cfg: ArchConfig,
     catalog: DeviceCatalog,
     accelerator: str,
-    plan_for_layer,
+    plans: dict[str, _ConverterPlan],
 ) -> SimReport:
+    """Simulate ``model`` on units whose converters ``plans`` gives per layer kind."""
     units = MvuCache(catalog)
-    runs = [
-        run_cost(kind, layers, tuple([plan_for_layer(l) for l in layers]), cfg, units)
-        for kind, layers in kind_runs(model)
-    ]
+    runs = [run_cost(kind, layers, plans[kind], cfg, units) for kind, layers in kind_runs(model)]
     n_units_of = check_runs(runs, cfg)
     per_layer: list[LayerReport] = []
     peak_mw = 0.0
     for run in runs:
-        for cost, cp, spec in zip(run.costs, run.plans, run.specs):
+        for cost, spec in zip(run.costs, run.specs):
             _, seq_steps, latency_s, used = place_layer(cost, n_units_of[run.kind])
             per_layer.append(LayerReport(
                 index=cost.index,
@@ -573,7 +564,7 @@ def _simulate(
                 processed_bits=cost.processed_bits,
                 mvus_used=used,
             ))
-            peak_mw = max(peak_mw, used * _unit_active_power_mw(spec, catalog, cp))
+            peak_mw = max(peak_mw, used * _unit_active_power_mw(spec, catalog, run.plan))
 
     # float starts keep a layerless model's latency and energy floats (0.0)
     latency = sum((r.latency_s for r in per_layer), 0.0)
@@ -603,7 +594,8 @@ def simulate_inference(
     catalog: DeviceCatalog = DEFAULT_CATALOG,
 ) -> SimReport:
     """Run one inference of a quantized model on the bit-sliced architecture."""
-    return _simulate(model, cfg, catalog, ARCH_NAME, lambda layer: bitwave_plan(layer, cfg.b))
+    plans = {kind: bitwave_plan(kind, cfg.b) for kind in (wir.FC, wir.CONV)}
+    return _simulate(model, cfg, catalog, ARCH_NAME, plans)
 
 
 def simulate_baseline(
@@ -621,18 +613,13 @@ def simulate_baseline(
     """
     homogeneous = wir.with_bits(model, spec.weight_bits, spec.act_bits)
     cat = device_catalog.apply_device_overrides(catalog, spec.device_overrides)
-
-    def plan(layer: wir.LayerSpec) -> _ConverterPlan:
-        return _ConverterPlan(
-            n_a=1,
-            n_w=1,
-            dac_bits_act=spec.act_bits,
-            dac_bits_w=spec.weight_bits,
-            adc_bits=max(spec.act_bits, spec.weight_bits),
-            use_soa=False,
-        )
-
-    return _simulate(homogeneous, cfg, cat, spec.name, plan)
+    plan = _ConverterPlan(
+        dac_bits_act=spec.act_bits,
+        dac_bits_w=spec.weight_bits,
+        adc_bits=max(spec.act_bits, spec.weight_bits),
+        use_soa=False,
+    )
+    return _simulate(homogeneous, cfg, cat, spec.name, dict.fromkeys((wir.FC, wir.CONV), plan))
 
 
 # -- micro-workload calibration --------------------------------------------------

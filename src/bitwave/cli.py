@@ -71,7 +71,7 @@ def _manifest(args, command: str, inputs: list[str]) -> RunManifest:
         seed=getattr(args, "seed", None),
         out_dir=str(getattr(args, "out_dir", "runs")),
         aggregate=getattr(args, "aggregate", None),
-        pipelined=not getattr(args, "no_pipeline", False),
+        pipelined=True,  # simulate and compare record the loaded config's setting instead
         version=__version__,
     )
 
@@ -113,7 +113,7 @@ def _load_catalog_arg(args):
 
 def _load_config(args) -> am.ArchConfig:
     cfg = am.load_arch_config(args.config)
-    if getattr(args, "no_pipeline", False):
+    if args.no_pipeline:
         cfg = replace(cfg, pipelined=False)
     return cfg
 
@@ -134,7 +134,7 @@ def cmd_simulate(args) -> int:
     report = am.simulate_inference(model, cfg, catalog)
 
     out = _out_dir(args)
-    manifest = _manifest(args, "simulate", [args.model, args.config])
+    manifest = replace(_manifest(args, "simulate", [args.model, args.config]), pipelined=cfg.pipelined)
     _write_json(out / "report.json", manifest, {"report": as_dict(report)})
     header = [
         "index", "kind", "time_steps", "step_period_ns", "latency_s",
@@ -174,7 +174,7 @@ def cmd_compare(args) -> int:
             ])
 
     out = _out_dir(args)
-    manifest = _manifest(args, "compare", list(args.models) + [args.config])
+    manifest = replace(_manifest(args, "compare", list(args.models) + [args.config]), pipelined=cfg.pipelined)
     header = ["model", "accelerator", "epb_j_per_bit", "gops", "gops_per_epb", "energy_j", "latency_s"]
     _write_csv(out / "compare.csv", manifest, header, rows)
     print(f"wrote {len(rows)} rows to {out / 'compare.csv'}")
@@ -334,6 +334,8 @@ def build_parser() -> argparse.ArgumentParser:
     def common(p):
         p.add_argument("--catalog", help="device catalog override file (JSON)")
         p.add_argument("--out-dir", default="runs", help="output directory (default: runs)")
+
+    def no_pipeline(p):  # simulate and compare run a config; explore and validate do not
         p.add_argument("--no-pipeline", action="store_true",
                        help="sum the per-step device chain instead of taking its max")
 
@@ -341,6 +343,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("model", help="workload file (JSON)")
     p.add_argument("--config", required=True, help="architecture configuration file (JSON)")
     common(p)
+    no_pipeline(p)
     p.set_defaults(func=cmd_simulate)
 
     p = sub.add_parser("compare", help="compare against baseline accelerators")
@@ -348,6 +351,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--config", required=True, help="architecture configuration file (JSON)")
     p.add_argument("--baselines", help="directory of baseline spec files")
     common(p)
+    no_pipeline(p)
     p.set_defaults(func=cmd_compare)
 
     p = sub.add_parser("explore", help="grid-search configurations over workloads")

@@ -17,10 +17,10 @@ GOPS/EPB by default (scale-free across models of very different size).
 Ranking and tie-breaking are deterministic regardless of evaluation order.
 
 The search is separable and reuses ``arch_model``'s run costing. Each model
-splits once into runs of same-kind layers (``kind_runs``). A run's converter
-plans are built once per (model, run, b), its ``run_cost`` once per (model,
-run, width, b), with width v for FC and k for CONV, and its latency terms
-(``place_layer``) once per (model, run, width, b, unit count). A
+splits once into runs of same-kind layers (``kind_runs``). A run is costed
+(``run_cost``, on the converters of ``bitwave_plan(kind, b)``) once per
+(model, run, width, b), with width v for FC and k for CONV, and its latency
+terms (``place_layer``) once per (model, run, width, b, unit count). A
 configuration passes its runs to ``check_runs``, sums its latency over their
 terms in layer order and reuses one energy sum per (model, v, k, b). Partial
 sums per run are never added together (a compensated float ``sum``, as in
@@ -153,7 +153,6 @@ def explore(
 
     units = am.MvuCache(catalog)
     model_runs = [am.kind_runs(m) for m in models]
-    plans: dict[tuple, tuple] = {}  # (model, run, b) -> converter plans
     # (model, run, width, b) -> (run cost, unit count -> layer latencies)
     run_costs: dict[tuple, tuple] = {}
 
@@ -164,11 +163,8 @@ def explore(
             key = (mi, ri, am.unit_width(kind, cfg), cfg.b)
             entry = run_costs.get(key)
             if entry is None:
-                plan_key = (mi, ri, cfg.b)
-                cps = plans.get(plan_key)
-                if cps is None:
-                    cps = plans[plan_key] = tuple(am.bitwave_plan(l, cfg.b) for l in layers)
-                entry = run_costs[key] = (am.run_cost(kind, layers, cps, cfg, units), {})
+                run = am.run_cost(kind, layers, am.bitwave_plan(kind, cfg.b), cfg, units)
+                entry = run_costs[key] = (run, {})
             entries.append(entry)
         runs = [run for run, _ in entries]
         costs = list(itertools.chain(*(run.costs for run in runs)))

@@ -5,6 +5,7 @@ import json
 import pytest
 
 from bitwave import arch_model as am
+from bitwave import bitslice_engine as bse
 from bitwave import cli
 from bitwave import workload_ir as wir
 from bitwave.device_catalog import DEFAULT_CATALOG
@@ -64,6 +65,35 @@ def test_step_counts_reject_out_of_range_bits():
         am.conv_time_steps(8, 17)
 
 
+def test_layer_cost_steps_match_the_engine_schedule():
+    # the analytical model and the functional engine count the same steps per unit of work
+    cfg = am.ArchConfig(v=4, k=3, b=1, V=1, K=1)
+    for layer in (fc_layer(0, 5, 3), conv_layer(1, 2, 2, h=4, w=4)):
+        for b in range(1, 17):
+            cfg_b, cp = replace(cfg, b=b), am.bitwave_plan(layer.kind, b)
+            for p_a in range(1, 17):
+                for p_w in range(1, 17):
+                    sized = replace(layer, act_bits=p_a, weight_bits=p_w)
+                    cost = am.layer_cost(sized, cfg_b, DEFAULT_CATALOG, cp, laser_mw=0.0)
+                    assert cost.steps_per_unit == bse.build_schedule(p_a, p_w, b, layer.kind).n_steps
+
+
+@pytest.mark.parametrize("weight_bits, act_bits", [(16, 16), (4, 8), (8, 2)])
+def test_baseline_runs_every_layer_in_one_step(monkeypatch, weight_bits, act_bits):
+    costs = []
+    layer_cost = am.layer_cost
+
+    def kept_cost(*args, **kwargs):
+        costs.append(layer_cost(*args, **kwargs))
+        return costs[-1]
+
+    monkeypatch.setattr(am, "layer_cost", kept_cost)
+    spec = am.BaselineSpec(name="flat", weight_bits=weight_bits, act_bits=act_bits)
+    am.simulate_baseline(SMALL_MODEL, spec, CFG)
+    assert len(costs) == len(SMALL_MODEL.layers)
+    assert all(c.steps_per_unit == 1 for c in costs)
+
+
 # -- configuration validation -----------------------------------------------------
 
 
@@ -90,7 +120,7 @@ def test_config_from_dict_checks_fields():
 
 def map_layer(layer, cfg):
     """(cost, (passes, seq_steps, latency_s, mvus_used)) of one layer on ``cfg``."""
-    cost = am.layer_cost(layer, cfg, DEFAULT_CATALOG, am.bitwave_plan(layer, cfg.b), laser_mw=0.0)
+    cost = am.layer_cost(layer, cfg, DEFAULT_CATALOG, am.bitwave_plan(layer.kind, cfg.b), laser_mw=0.0)
     return cost, am.place_layer(cost, am.unit_count(layer.kind, cfg))
 
 

@@ -186,6 +186,39 @@ def test_explore_repeated_model_name_exits_3(tmp_path, model_paths, space_path, 
     assert not out.exists()
 
 
+def test_explore_rejects_no_pipeline(tmp_path, model_paths, space_path, capsys):
+    # explore runs no config file, so the flag would be parsed and then ignored
+    out = tmp_path / "out"
+    with pytest.raises(SystemExit) as exc:
+        main(["explore", str(model_paths["svhn_cnn"]), "--space", str(space_path),
+              "--no-pipeline", "--out-dir", str(out)])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --no-pipeline" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("config_pipelined, flags, recorded", [
+    (None, [], True),
+    (None, ["--no-pipeline"], False),
+    (False, [], False),
+    (True, ["--no-pipeline"], False),
+])
+def test_manifest_records_the_pipelining_that_ran(tmp_path, model_paths, baselines_dir,
+                                                  config_pipelined, flags, recorded):
+    overrides = {} if config_pipelined is None else {"pipelined": config_pipelined}
+    cfg = str(write_config(tmp_path, **overrides))
+    model = str(model_paths["svhn_cnn"])
+    out = tmp_path / "out"
+    assert main(["simulate", model, "--config", cfg, "--out-dir", str(out), *flags]) == 0
+    assert main(["compare", model, "--config", cfg, "--baselines", str(baselines_dir),
+                 "--out-dir", str(out), *flags]) == 0
+    report = json.loads((out / "report.json").read_text())
+    assert report["manifest"]["pipelined"] is recorded
+    for name in ("report_layers.csv", "compare.csv"):
+        comments, _, _ = read_csv(out / name)
+        assert json.loads(comments[0].removeprefix("# manifest: "))["pipelined"] is recorded
+
+
 def test_validate_passes_and_is_deterministic(tmp_path, capsys):
     rc = main(["validate", "--trials", "300", "--seed", "7"])
     assert rc == 0

@@ -258,12 +258,8 @@ def test_explore_builds_each_plan_cost_and_latency_term_once(monkeypatch):
     model_of = {id(l): m.name for m in models for l in m.layers}
     built = {}  # id(cost) -> (model, layer, width, b)
     keep = []  # every cost stays alive, so no id is reused
-    plan_keys, cost_keys, term_keys = [], [], []
-    bitwave_plan, layer_cost, place_layer = am.bitwave_plan, am.layer_cost, am.place_layer
-
-    def counted_plan(layer, b):
-        plan_keys.append((model_of[id(layer)], layer.index, b))
-        return bitwave_plan(layer, b)
+    cost_keys, term_keys = [], []
+    layer_cost, place_layer = am.layer_cost, am.place_layer
 
     def counted_cost(layer, cfg, *args):
         cost = layer_cost(layer, cfg, *args)
@@ -280,13 +276,12 @@ def test_explore_builds_each_plan_cost_and_latency_term_once(monkeypatch):
     def no_simulate(*args):
         raise AssertionError("explore simulates a configuration")
 
-    monkeypatch.setattr(am, "bitwave_plan", counted_plan)
     monkeypatch.setattr(am, "layer_cost", counted_cost)
     monkeypatch.setattr(am, "place_layer", counted_place)
     monkeypatch.setattr(am, "_simulate", no_simulate)
     result = dse.explore(models, with_constraints(MIXED, laser_ceiling_dbm=LASER_CEILING_DBM))
     assert result.ranked and result.diagnostics["laser"] > 0
-    for keys in (plan_keys, cost_keys, term_keys):
+    for keys in (cost_keys, term_keys):
         assert keys and len(keys) == len(set(keys))
 
 
