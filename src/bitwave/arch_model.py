@@ -30,7 +30,8 @@ device count x power over the same rows.
 * ADC conversions, photodetector and source events, and amplifier passes are
   charged at their own device latency, once per activation.
 * Resonance-shift (tuning transition) energy is charged per imprint event;
-  operands that stay put between steps are not re-imprinted.
+  operands that stay put between steps are not re-imprinted. Steps and
+  imprints per unit of work are counted on ``bitslice_engine.build_schedule``.
 * Laser power (smallest feasible for the unit's path, from the link budget)
   and thermal trimming (duty-cycled, per MR bank) are charged over the time
   units actually spend occupied.
@@ -371,6 +372,10 @@ def layer_cost(
     """Work and energy of one layer; reads neither ``cfg.V`` nor ``cfg.K``."""
     period = _step_period_ns(cfg, catalog, cp)
     n_a, n_w = slice_counts(layer, cp)
+    # the step order depends only on the slice counts: one bit per slice covers every plan
+    schedule = bse.build_schedule(n_a, n_w, 1, layer.kind)
+    steps = schedule.n_steps
+    a_imprints, w_imprints = schedule.imprints
 
     # action counts in _device_table's row order; the laser and trim burn for every busy slot
     if layer.kind == wir.FC:
@@ -378,11 +383,10 @@ def layer_cost(
         lane_chunks = ceil_div(n_i, cfg.v)
         row_chunks = ceil_div(n_o, cfg.v)
         work = lane_chunks * row_chunks
-        steps = n_a * n_w
         lane_holds = row_chunks * n_i * steps  # one VCSEL pulse each
         row_events = lane_chunks * n_o * steps  # weight DAC hold, conversion, PD event per row
-        # weight slices cycle every step; the activation slice holds still
-        imprints = n_i * n_o * (steps if n_w > 1 else 1) + row_chunks * n_i * n_a
+        # each weight per tile, each activation per row chunk
+        imprints = n_i * n_o * w_imprints + row_chunks * n_i * a_imprints
         counts = (lane_holds, row_events, row_events, row_events, lane_holds, 0, imprints,
                   work * steps)
     else:
@@ -391,11 +395,10 @@ def layer_cost(
         oh, ow = wir.layer_out_hw(layer)
         positions = oh * ow * layer.out_channels
         work = positions * chunks
-        steps = n_a
         lane_holds = positions * length * steps  # one VCSEL pulse each
         row_events = work * n_w * steps  # weight DAC hold, PD event, SOA pass per weight-slice row
-        # activations re-imprint every step; kernel slices once per position
-        imprints = lane_holds + positions * length * n_w
+        # each activation per position; each kernel slice row per position
+        imprints = positions * length * a_imprints + positions * length * n_w * w_imprints
         # current-summed rows: one conversion per unit of work per step
         counts = (lane_holds, row_events, work * steps, row_events, lane_holds,
                   row_events if cp.use_soa else 0, imprints, work * steps)

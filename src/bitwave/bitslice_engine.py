@@ -15,7 +15,8 @@ Two step layouts are supported:
 * ``CONV`` all weight slices sit in parallel lanes simultaneously and
   only the activation slices advance with time; the per-lane sums are
   combined through a gain ladder (one amplifier per weight-slice lane,
-  gain 2^(b*i)) before a single conversion.
+  gain 2^(b*k)) before a single conversion. :func:`execute_dot` models
+  the ladder exactly as the lane shift ``<< (b * k)``.
 
 An operand vector is sliced once, per slice index rather than per element:
 :func:`slice_vector` returns ``digits[i][j]``, slice ``i`` of element ``j``,
@@ -30,7 +31,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from operator import mul
+from operator import mul, ne
 from typing import NamedTuple, Sequence
 
 from .workload_ir import CONV, FC, ceil_div, check_bits
@@ -38,10 +39,6 @@ from .workload_ir import CONV, FC, ceil_div, check_bits
 
 class OperandRangeError(ValueError):
     """An operand does not fit its declared bitwidth."""
-
-
-class LadderSizeError(ValueError):
-    """A gain ladder is too short for the trace it must reconstruct."""
 
 
 def _check_mode(mode: str) -> None:
@@ -67,17 +64,6 @@ def slice_vector(values: Sequence[int], p: int, b: int) -> list[list[int]]:
     return [[(x >> s) & mask for x in values] for s in shifts]
 
 
-def slice_value(value: int, p: int, b: int) -> list[int]:
-    """Decompose ``value`` into ceil(p/b) base-2^b digits, LSB first."""
-    return [digits[0] for digits in slice_vector([value], p, b)]
-
-
-def recompose(slices: Sequence[int], b: int) -> int:
-    """Inverse of :func:`slice_value`."""
-    check_bits("b", b, ValueError)
-    return sum(s << (b * i) for i, s in enumerate(slices))
-
-
 @dataclass(frozen=True)
 class TdmSchedule:
     """Ordered time steps of one sliced dot product.
@@ -90,10 +76,16 @@ class TdmSchedule:
 
     mode: str
     steps: tuple[tuple[int, int | None, int], ...]
+    imprints: tuple[int, int]  # (activation, weight) imprint events, see _imprints
 
     @property
     def n_steps(self) -> int:
         return len(self.steps)
+
+
+def _imprints(indices: tuple) -> int:
+    """One imprint at each step whose slice index differs from the step before, counting the first."""
+    return 1 + sum(map(ne, indices, indices[1:]))
 
 
 @lru_cache(maxsize=None, typed=True)
@@ -101,7 +93,8 @@ def build_schedule(p_a: int, p_w: int, b: int, mode: str = FC) -> TdmSchedule:
     """Step schedule for a (p_a, p_w)-bit dot product with b-bit slices.
 
     FC ordering keeps the activation slice stationary across consecutive
-    weight slices: (0,0), (0,1), ..., (1,0), (1,1), ...
+    weight slices: (0,0), (0,1), ..., (1,0), (1,1), ... The order depends
+    on the slice counts ceil(p_a/b) and ceil(p_w/b) only.
 
     The schedule is cached per argument tuple. Only valid arguments reach
     the cache (an exception is never cached, and ``typed`` keeps ``True``
@@ -119,7 +112,8 @@ def build_schedule(p_a: int, p_w: int, b: int, mode: str = FC) -> TdmSchedule:
         )
     else:
         steps = tuple((ai, None, b * ai) for ai in range(na))
-    return TdmSchedule(mode=mode, steps=steps)
+    a_index, w_index, _ = zip(*steps)
+    return TdmSchedule(mode=mode, steps=steps, imprints=(_imprints(a_index), _imprints(w_index)))
 
 
 class StepTrace(NamedTuple):
@@ -137,21 +131,6 @@ class StepTrace(NamedTuple):
     lane_partials: tuple[int, ...]
     step_sum: int
     shift_bits: int
-
-
-@dataclass(frozen=True)
-class SoaGainLadder:
-    """Amplifier gains realizing analog shift-and-add: gains[i] == 2^(b*i)."""
-
-    b: int
-    gains: tuple[float, ...]
-
-
-def soa_gain_ladder(b: int, count: int) -> SoaGainLadder:
-    check_bits("b", b, ValueError)
-    if count < 1:
-        raise ValueError(f"ladder needs at least one gain, got {count}")
-    return SoaGainLadder(b=b, gains=tuple(float(1 << (b * i)) for i in range(count)))
 
 
 def execute_dot(
@@ -173,15 +152,13 @@ def execute_dot(
         build_schedule(p_a, p_w, b, mode)
     ad = slice_vector(a, p_a, b)  # ad[i][j] = slice i of element j
     wd = slice_vector(w, p_w, b)
-    schedule = build_schedule(p_a, p_w, b, mode)
-    steps = schedule.steps
-    nw = len(wd)
+    steps = build_schedule(p_a, p_w, b, mode).steps
     if mode == FC:
         step_lanes = [tuple(map(mul, ad[ai], wd[wi])) for ai, wi, _ in steps]
     else:
         # one lane per weight slice: photodetector sum times ladder gain
         step_lanes = [
-            tuple(sum(map(mul, ad[ai], wd[k])) << (b * k) for k in range(nw))
+            tuple(sum(map(mul, ad[ai], wk)) << (b * k) for k, wk in enumerate(wd))
             for ai, _, _ in steps
         ]
 
@@ -194,21 +171,6 @@ def execute_dot(
     return result, trace
 
 
-def reconstruct(trace: Sequence[StepTrace], ladder: SoaGainLadder | None = None) -> int:
-    """Recombine a step trace into the dot-product value.
-
-    With no ladder the digital path is used: sum(step_sum << shift_bits).
-    With a ladder the analog path multiplies each step sum by the gain at
-    index shift_bits // b and rounds; for exact power-of-two gains the two
-    paths agree exactly.
-    """
-    if not trace:
-        return 0
-    if ladder is None:
-        return sum(st.step_sum << st.shift_bits for st in trace)
-    need = max(st.shift_bits // ladder.b for st in trace)
-    if need >= len(ladder.gains):
-        raise LadderSizeError(
-            f"ladder has {len(ladder.gains)} gains but the trace needs index {need}"
-        )
-    return round(sum(st.step_sum * ladder.gains[st.shift_bits // ladder.b] for st in trace))
+def reconstruct(trace: Sequence[StepTrace]) -> int:
+    """Recombine a step trace into the dot-product value: sum(step_sum << shift_bits)."""
+    return sum(st.step_sum << st.shift_bits for st in trace)

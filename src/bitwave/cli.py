@@ -295,6 +295,8 @@ def cmd_validate(args) -> int:
             manifest,
             {
                 "trials": args.trials,
+                "p_bits": p_bits,
+                "b_bits": b_bits,
                 "failures": failures,
                 "digest": digest.hexdigest()[:16],
             },

@@ -156,13 +156,6 @@ def dbm_to_mw(x_dbm: float) -> float:
     return 10.0 ** (x_dbm / 10.0)
 
 
-def mw_to_dbm(x_mw: float) -> float:
-    """Convert mW to dBm; non-positive powers have no dB representation."""
-    if x_mw <= 0:
-        raise CatalogError(f"cannot express non-positive power {x_mw} mW in dBm")
-    return 10.0 * math.log10(x_mw)
-
-
 def min_laser_power(p_photoloss_db: float, n_lambda: int, s_detector_dbm: float) -> float:
     """Smallest laser power (dBm) that closes the link budget.
 
@@ -175,8 +168,8 @@ def min_laser_power(p_photoloss_db: float, n_lambda: int, s_detector_dbm: float)
     return s_detector_dbm + p_photoloss_db + 10.0 * math.log10(n_lambda)
 
 
-#: path element kinds accepted by :func:`aggregate_photoloss`; values are
-#: (LossModel field, per-unit) where quantity multiplies the field.
+#: path element kinds accepted by :func:`aggregate_photoloss`; each value names
+#: the LossModel field (dB per unit) that the element's quantity multiplies.
 _PATH_ELEMENTS = {
     "waveguide_cm": "waveguide_db_per_cm",
     "splitter": "splitter_db",

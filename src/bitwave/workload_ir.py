@@ -357,24 +357,6 @@ def workload_from_dict(doc: dict) -> WorkloadModel:
     )
 
 
-def workload_to_dict(model: WorkloadModel) -> dict:
-    """Canonical document form; bitwidths are written per layer."""
-    layers = [
-        {f.name: getattr(l, f.name) for f in fields(_ConvDoc if l.kind == CONV else _FcDoc)}
-        for l in model.layers
-    ]
-    doc: dict = {"name": model.name, "footprint_scale": model.footprint_scale, "layers": layers}
-    if model.declared_param_count is not None:
-        doc["declared_param_count"] = model.declared_param_count
-    return doc
-
-
 def load_workload(path: str | Path) -> WorkloadModel:
     with open(path, "r", encoding="utf-8") as fh:
         return workload_from_dict(json.load(fh))
-
-
-def save_workload(model: WorkloadModel, path: str | Path) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(workload_to_dict(model), fh, indent=2, sort_keys=True)
-        fh.write("\n")

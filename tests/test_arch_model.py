@@ -1,5 +1,6 @@
 from dataclasses import replace
 
+import itertools
 import json
 
 import pytest
@@ -76,6 +77,19 @@ def test_layer_cost_steps_match_the_engine_schedule():
                     sized = replace(layer, act_bits=p_a, weight_bits=p_w)
                     cost = am.layer_cost(sized, cfg_b, DEFAULT_CATALOG, cp, laser_mw=0.0)
                     assert cost.steps_per_unit == bse.build_schedule(p_a, p_w, b, layer.kind).n_steps
+
+
+def test_schedule_read_by_layer_cost_depends_on_slice_counts_only():
+    # layer_cost reads steps and imprints from the one-bit-per-slice schedule of the slice counts
+    for p_a, p_w, b in itertools.product(range(1, 17), repeat=3):
+        n_a, n_w = -(-p_a // b), -(-p_w // b)
+        for kind in (wir.FC, wir.CONV):
+            sched = bse.build_schedule(p_a, p_w, b, kind)
+            unit = bse.build_schedule(n_a, n_w, 1, kind)
+            assert [s[:2] for s in sched.steps] == [s[:2] for s in unit.steps]
+            # FC: the weight slice changes every step unless there is one; CONV: weights imprint once
+            want = (n_a, n_a * n_w if n_w > 1 else 1) if kind == wir.FC else (n_a, 1)
+            assert sched.imprints == unit.imprints == want
 
 
 @pytest.mark.parametrize("weight_bits, act_bits", [(16, 16), (4, 8), (8, 2)])

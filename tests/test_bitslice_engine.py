@@ -1,4 +1,6 @@
 import random
+from collections import Counter
+from itertools import product
 
 import pytest
 from hypothesis import example, given, settings
@@ -11,6 +13,11 @@ GOLD_A = [0x31, 0x0D]
 GOLD_W = [0x34, 0x14]
 
 
+def slices_of(x, p, b):
+    """The ceil(p/b) base-2^b digits of one value, LSB first, as :func:`bse.slice_vector` gives them."""
+    return [digits[0] for digits in bse.slice_vector([x], p, b)]
+
+
 def reference_execute_dot(a, w, p_a, p_w, b, mode=bse.FC):
     """The per-element traced dot product: slice each element on its own, then walk the schedule.
 
@@ -19,8 +26,8 @@ def reference_execute_dot(a, w, p_a, p_w, b, mode=bse.FC):
     """
     if len(a) != len(w):
         raise ValueError(f"vector lengths differ: {len(a)} vs {len(w)}")
-    a_sl = [bse.slice_value(x, p_a, b) for x in a]  # a_sl[j][i] = slice i of element j
-    w_sl = [bse.slice_value(x, p_w, b) for x in w]
+    a_sl = [slices_of(x, p_a, b) for x in a]  # a_sl[j][i] = slice i of element j
+    w_sl = [slices_of(x, p_w, b) for x in w]
     schedule = bse.build_schedule(p_a, p_w, b, mode)
     n = len(a)
     nw = -(-p_w // b)
@@ -51,37 +58,37 @@ def reference_execute_dot(a, w, p_a, p_w, b, mode=bse.FC):
 
 
 def test_slice_golden_nibbles():
-    assert bse.slice_value(0x31, 8, 4) == [0x1, 0x3]
-    assert bse.slice_value(0x0D, 8, 4) == [0xD, 0x0]
+    assert slices_of(0x31, 8, 4) == [0x1, 0x3]
+    assert slices_of(0x0D, 8, 4) == [0xD, 0x0]
 
 
 def test_slice_zero_pads_to_slice_count():
-    assert bse.slice_value(0, 10, 4) == [0, 0, 0]
-    assert bse.slice_value(0, 8, 8) == [0]
+    assert slices_of(0, 10, 4) == [0, 0, 0]
+    assert slices_of(0, 8, 8) == [0]
 
 
 def test_slice_mask_and_shift_oracle():
-    assert bse.slice_value(0x3FF, 10, 4) == [0xF, 0xF, 0x3]
+    assert slices_of(0x3FF, 10, 4) == [0xF, 0xF, 0x3]
     rng = random.Random(7)
     for _ in range(200):
         p = rng.randint(1, 16)
         b = rng.randint(1, 16)
         x = rng.randrange(1 << p)
         expect = [(x >> (b * i)) & ((1 << b) - 1) for i in range(-(-p // b))]
-        assert bse.slice_value(x, p, b) == expect
+        assert slices_of(x, p, b) == expect
 
 
 def test_slice_range_and_bit_errors():
     with pytest.raises(bse.OperandRangeError):
-        bse.slice_value(256, 8, 4)
+        slices_of(256, 8, 4)
     with pytest.raises(bse.OperandRangeError):
-        bse.slice_value(-1, 8, 4)
+        slices_of(-1, 8, 4)
     with pytest.raises(ValueError):
-        bse.slice_value(1, 0, 4)
+        slices_of(1, 0, 4)
     with pytest.raises(ValueError):
-        bse.slice_value(1, 17, 4)
+        slices_of(1, 17, 4)
     with pytest.raises(ValueError):
-        bse.slice_value(1, 8, 0)
+        slices_of(1, 8, 0)
 
 
 def test_slice_vector_is_per_element_slicing_transposed():
@@ -93,7 +100,7 @@ def test_slice_vector_is_per_element_slicing_transposed():
         p = rng.randint(1, 16)
         b = rng.randint(1, 16)
         values = [rng.randrange(1 << p) for _ in range(rng.randint(1, 8))]
-        per_element = [bse.slice_value(x, p, b) for x in values]
+        per_element = [slices_of(x, p, b) for x in values]
         assert bse.slice_vector(values, p, b) == [list(col) for col in zip(*per_element)]
 
 
@@ -106,11 +113,18 @@ def test_slice_vector_reports_first_bad_element():
         bse.slice_vector([1 << 17], 17, 4)
 
 
-def test_recompose_round_trip_exhaustive_small():
-    for p in range(1, 9):
-        for b in (1, 2, 3, 4, 8):
-            for x in range(1 << p):
-                assert bse.recompose(bse.slice_value(x, p, b), b) == x
+def test_slice_round_trip_exhaustive():
+    # every value below 2^p splits into ceil(p/b) b-bit digits that weigh back to it
+    for p in range(1, 17):
+        values = range(1 << p)
+        for b in range(1, 17):
+            digits = bse.slice_vector(values, p, b)
+            assert len(digits) == -(-p // b)
+            rebuilt = [0] * len(values)
+            for i, column in enumerate(digits):
+                assert 0 <= min(column) and max(column) < 1 << b
+                rebuilt = [r + (d << (b * i)) for r, d in zip(rebuilt, column)]
+            assert rebuilt == list(values)
 
 
 def test_schedule_golden_order_and_shifts():
@@ -150,6 +164,17 @@ def test_schedule_conv_lanes_marked_parallel():
     sched = bse.build_schedule(8, 8, 4, bse.CONV)
     assert all(w is None for _, w, _ in sched.steps)
     assert [s[2] for s in sched.steps] == [0, 4]
+
+
+def test_schedule_coverage_exhaustive():
+    # with the round trip above, this proves execute_dot exact for every operand vector,
+    # because the dot product is bilinear in the slices (CONV's weight shift b*k is the lane's)
+    for p_a, p_w, b in product(range(1, 17), repeat=3):
+        n_a, n_w = -(-p_a // b), -(-p_w // b)
+        fc = bse.build_schedule(p_a, p_w, b, bse.FC).steps
+        assert Counter(fc) == Counter((i, k, b * (i + k)) for i in range(n_a) for k in range(n_w))
+        conv = bse.build_schedule(p_a, p_w, b, bse.CONV).steps
+        assert Counter(conv) == Counter((i, None, b * i) for i in range(n_a))
 
 
 def test_schedule_rejects_bad_mode():
@@ -295,34 +320,3 @@ def test_execute_dot_parameter_errors_match_reference(a, w, p_a, p_w, b, mode):
 
 def test_reconstruct_empty_trace():
     assert bse.reconstruct([]) == 0
-
-
-def test_gain_ladder_values():
-    lad = bse.soa_gain_ladder(1, 3)
-    assert lad.gains == (1.0, 2.0, 4.0)
-    lad4 = bse.soa_gain_ladder(4, 3)
-    assert lad4.gains == (1.0, 16.0, 256.0)
-    assert lad4.gains[0] == 1.0
-    for lo, hi in zip(lad4.gains, lad4.gains[1:]):
-        assert hi / lo == 2.0**4
-
-
-def test_reconstruct_ladder_matches_digital():
-    rng = random.Random(11)
-    for _ in range(100):
-        n = rng.randint(1, 8)
-        p = rng.choice((4, 8, 10, 16))
-        b = rng.choice((1, 2, 4))
-        a = [rng.randrange(1 << p) for _ in range(n)]
-        w = [rng.randrange(1 << p) for _ in range(n)]
-        mode = rng.choice((bse.FC, bse.CONV))
-        result, trace = bse.execute_dot(a, w, p, p, b, mode)
-        count = max(t.shift_bits // b for t in trace) + 1
-        lad = bse.soa_gain_ladder(b, count)
-        assert bse.reconstruct(trace, lad) == bse.reconstruct(trace) == result
-
-
-def test_reconstruct_short_ladder_rejected():
-    _, trace = bse.execute_dot(GOLD_A, GOLD_W, 8, 8, 4)
-    with pytest.raises(bse.LadderSizeError):
-        bse.reconstruct(trace, bse.soa_gain_ladder(4, 2))

@@ -242,6 +242,16 @@ def test_validate_writes_summary(tmp_path, capsys):
     assert doc["manifest"]["seed"] == 1
 
 
+def test_validate_summary_records_the_bit_sets_that_ran(tmp_path, capsys):
+    # two runs that draw from different bit sets must not write the same summary
+    main(["validate", "--trials", "5", "--out-dir", str(tmp_path / "default")])
+    main(["validate", "--trials", "5", "--p-bits", "4", "--b-bits", "1,3", "--out-dir", str(tmp_path / "p4")])
+    default = json.loads((tmp_path / "default" / "validate.json").read_text())
+    p4 = json.loads((tmp_path / "p4" / "validate.json").read_text())
+    assert (default["p_bits"], default["b_bits"]) == ([1, 2, 4, 6, 8, 10, 16], [1, 2, 4, 8])
+    assert (p4["p_bits"], p4["b_bits"]) == ([4], [1, 3])
+
+
 def test_validate_zero_trials_is_usage_error(capsys):
     rc = main(["validate", "--trials", "0"])
     assert rc == 2
@@ -262,7 +272,7 @@ def test_validate_digest_pinned(tmp_path, monkeypatch, capsys):
     assert rc == 0
     assert capsys.readouterr().out == "2000/2000 ok\ntrial digest: 596c7aa8637453fd\n"
     summary = (tmp_path / "v" / "validate.json").read_bytes()
-    assert hashlib.sha256(summary).hexdigest()[:16] == "4767267899d55bbc"
+    assert hashlib.sha256(summary).hexdigest()[:16] == "fe5fc8d84ae31850"
 
 
 def test_validate_out_of_range_p_bits_exits_3(capsys):

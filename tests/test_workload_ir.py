@@ -91,18 +91,6 @@ def test_counts_permutation_invariant_and_additive():
     assert wir.mac_count(m) == wir.mac_count(head) + wir.mac_count(tail)
 
 
-def test_round_trip_through_file(tmp_path):
-    m = wir.WorkloadModel(
-        name="rt",
-        layers=(conv_layer(0, 3, 16, h=32, w=32, padding=1, wb=6, ab=5), fc_layer(1, 64, 10, wb=2, ab=3)),
-        declared_param_count=3 * 16 * 9 + 640,
-        footprint_scale=1.5,
-    )
-    path = tmp_path / "m.json"
-    wir.save_workload(m, path)
-    assert wir.load_workload(path) == m
-
-
 def test_bit_list_length_mismatch_is_an_error(tmp_path):
     doc = {
         "name": "bad",
