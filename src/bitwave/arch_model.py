@@ -19,9 +19,12 @@ layers into (output positions x kernel chunks); work units round-robin over
 the V or K available units, which divides latency but leaves energy alone.
 
 Energy accounting follows one device table (``_device_table``): each device
-has a power and an active time per action. A layer's energy sums action
-count x power x active time over the table, and a unit's peak power sums
-device count x power over the same rows.
+has a power and an active time per action. ``layer_actions`` counts a layer's
+actions per row and ``unit_actions`` a unit's devices per row; a layer's
+energy sums action count x power x active time over the table, and a unit's
+peak power sums device count x power over the same rows. A run of layers
+takes its step period once and each unit's table once per (unit, plan,
+period), from ``MvuCache``.
 
 * DACs hold analog values for the whole step: one per active wavelength lane
   (input bank) plus one per active output row/waveguide (weight side,
@@ -205,7 +208,7 @@ def _mvu_spec(kind: str, n_lambda: int, n_rows: int, catalog: DeviceCatalog) -> 
 
 
 class MvuCache:
-    """Unit specs and per-unit peak powers under one catalog, each computed once.
+    """Unit specs, device tables and per-unit peak powers under one catalog, each computed once.
 
     One simulation builds its own; a search builds one per call and shares
     it across every configuration it evaluates.
@@ -214,6 +217,8 @@ class MvuCache:
     def __init__(self, catalog: DeviceCatalog):
         self.catalog = catalog
         self._specs: dict[tuple[str, int, int], MvuSpec] = {}
+        self._tables: dict[tuple, tuple[tuple[float, float], ...]] = {}
+        self._active_mw: dict[tuple, float] = {}
         self._unit_mw: dict[tuple[str, int, int], float] = {}
 
     def spec(self, kind: str, n_lambda: int, n_rows: int) -> MvuSpec:
@@ -222,6 +227,30 @@ class MvuCache:
         if spec is None:
             spec = self._specs[key] = _mvu_spec(kind, n_lambda, n_rows, self.catalog)
         return spec
+
+    def table(self, spec: MvuSpec, cp: _ConverterPlan, period_ns: float) -> tuple[tuple[float, float], ...]:
+        """``_device_table`` of a ``spec`` unit with the converters of ``cp`` that steps every ``period_ns``."""
+        key = (spec, cp, period_ns)
+        table = self._tables.get(key)
+        if table is None:
+            laser_mw = dbm_to_mw(spec.min_laser_dbm)
+            table = self._tables[key] = _device_table(self.catalog, cp, period_ns, laser_mw)
+        return table
+
+    def active_power_mw(self, spec: MvuSpec, cp: _ConverterPlan, period_ns: float) -> float:
+        """Worst-case power of one fully occupied unit: ``unit_actions`` x power over its table.
+
+        Keyed by (spec, plan): power reads no active time, so the table of
+        any step period gives it.
+        """
+        key = (spec, cp)
+        mw = self._active_mw.get(key)
+        if mw is None:
+            mw = 0.0
+            for n, (p_mw, _) in zip(unit_actions(spec, cp), self.table(spec, cp, period_ns)):
+                mw += n * p_mw
+            self._active_mw[key] = mw
+        return mw
 
     def unit_power_mw(self, kind: str, width: int, b: int) -> float:
         """Worst-case power of one fully active unit of ``kind`` and ``width`` at slice width b.
@@ -232,9 +261,9 @@ class MvuCache:
         key = (kind, width, b)
         mw = self._unit_mw.get(key)
         if mw is None:
-            n_rows = width if kind == wir.FC else ceil_div(MAX_BITS, b)
-            spec = self.spec(kind, width, n_rows)
-            mw = self._unit_mw[key] = _unit_active_power_mw(spec, self.catalog, bitwave_plan(kind, b))
+            spec = self.spec(kind, width, width if kind == wir.FC else ceil_div(MAX_BITS, b))
+            # power reads no active time, so the table's step period is moot here
+            mw = self._unit_mw[key] = self.active_power_mw(spec, bitwave_plan(kind, b), 0.0)
         return mw
 
 
@@ -362,22 +391,18 @@ class LayerCost:
     processed_bits: int
 
 
-def layer_cost(
-    layer: wir.LayerSpec,
-    cfg: ArchConfig,
-    catalog: DeviceCatalog,
-    cp: _ConverterPlan,
-    laser_mw: float,
-) -> LayerCost:
-    """Work and energy of one layer; reads neither ``cfg.V`` nor ``cfg.K``."""
-    period = _step_period_ns(cfg, catalog, cp)
+def layer_actions(layer: wir.LayerSpec, cfg: ArchConfig, cp: _ConverterPlan) -> tuple[int, int, tuple[int, ...]]:
+    """(units of work, steps per unit, action counts in ``_device_table`` row order) of one layer.
+
+    Reads neither ``cfg.V`` nor ``cfg.K``.
+    """
     n_a, n_w = slice_counts(layer, cp)
     # the step order depends only on the slice counts: one bit per slice covers every plan
     schedule = bse.build_schedule(n_a, n_w, 1, layer.kind)
     steps = schedule.n_steps
     a_imprints, w_imprints = schedule.imprints
 
-    # action counts in _device_table's row order; the laser and trim burn for every busy slot
+    # the laser and trim burn for every busy slot
     if layer.kind == wir.FC:
         n_i, n_o = layer.in_features, layer.out_features
         lane_chunks = ceil_div(n_i, cfg.v)
@@ -402,17 +427,38 @@ def layer_cost(
         # current-summed rows: one conversion per unit of work per step
         counts = (lane_holds, row_events, work * steps, row_events, lane_holds,
                   row_events if cp.use_soa else 0, imprints, work * steps)
+    return work, steps, counts
 
+
+def unit_actions(spec: MvuSpec, cp: _ConverterPlan) -> tuple[int, ...]:
+    """How many of each ``_device_table`` row's devices one unit holds, in row order."""
+    lanes, rows = spec.n_wavelengths, spec.n_rows
+    adcs = rows if spec.kind == wir.FC else 1  # CONV rows are current-summed into one ADC
+    return (lanes, rows, adcs, rows, lanes, rows if cp.use_soa else 0, spec.n_mr, 1)
+
+
+def layer_cost(
+    layer: wir.LayerSpec,
+    cfg: ArchConfig,
+    cp: _ConverterPlan,
+    period_ns: float,
+    table: tuple[tuple[float, float], ...],
+) -> LayerCost:
+    """Work and energy of one layer on units that step every ``period_ns`` and draw ``table``.
+
+    Reads neither ``cfg.V`` nor ``cfg.K``.
+    """
+    work, steps, counts = layer_actions(layer, cfg, cp)
     # a loop, not sum(): it adds the terms in table order on every Python version
     energy_pj = 0.0
-    for n, (p_mw, ns) in zip(counts, _device_table(catalog, cp, period, laser_mw)):
+    for n, (p_mw, ns) in zip(counts, table):
         energy_pj += n * p_mw * ns
     return LayerCost(
         index=layer.index,
         kind=layer.kind,
         n_units_of_work=work,
         steps_per_unit=steps,
-        step_period_ns=period,
+        step_period_ns=period_ns,
         energy_j=energy_pj * 1e-12 * cfg.energy_scale,
         macs=wir.layer_mac_count(layer),
         processed_bits=wir.layer_processed_bits(layer),
@@ -434,19 +480,6 @@ def efficiency(latency_s: float, energy_j: float, macs: int, bits: int) -> tuple
     epb_val = energy_j / bits if bits else 0.0
     gops = 2.0 * macs / latency_s / 1e9 if latency_s > 0 else 0.0
     return epb_val, gops, gops / epb_val if epb_val > 0 else 0.0
-
-
-def _unit_active_power_mw(spec: MvuSpec, catalog: DeviceCatalog, cp: _ConverterPlan) -> float:
-    """Worst-case power of one fully occupied unit (all devices active)."""
-    lanes, rows = spec.n_wavelengths, spec.n_rows
-    adcs = rows if spec.kind == wir.FC else 1  # CONV rows are current-summed into one ADC
-    counts = (lanes, rows, adcs, rows, lanes, rows if cp.use_soa else 0, spec.n_mr, 1)
-    # power reads no active time, so the table's step period is moot here
-    table = _device_table(catalog, cp, 0.0, dbm_to_mw(spec.min_laser_dbm))
-    p = 0.0
-    for n, (p_mw, _) in zip(counts, table):
-        p += n * p_mw
-    return p
 
 
 def max_power(cfg: ArchConfig, catalog: DeviceCatalog = DEFAULT_CATALOG) -> float:
@@ -499,15 +532,16 @@ def run_cost(
     """Cost a run of same-kind layers on units with the converters of ``plan``.
 
     FC layers share one v x v unit; a CONV layer runs on a k-wide unit with
-    one row per weight slice. Reads neither ``cfg.V`` nor ``cfg.K``.
+    one row per weight slice. The run takes its step period once and each
+    unit's device table from ``units``. Reads neither ``cfg.V`` nor ``cfg.K``.
     """
     if kind == wir.FC:
         specs = (units.spec(wir.FC, cfg.v, cfg.v),) * len(layers)
     else:
         specs = tuple([units.spec(wir.CONV, cfg.k, slice_counts(l, plan)[1]) for l in layers])
+    period = _step_period_ns(cfg, units.catalog, plan)
     costs = tuple([
-        layer_cost(l, cfg, units.catalog, plan, dbm_to_mw(spec.min_laser_dbm))
-        for l, spec in zip(layers, specs)
+        layer_cost(l, cfg, plan, period, units.table(spec, plan, period)) for l, spec in zip(layers, specs)
     ])
     # the laser law: a unit's link budget fails if its minimum laser power exceeds the ceiling
     over = next((spec for spec in specs if spec.min_laser_dbm > cfg.laser_ceiling_dbm), None)
@@ -567,7 +601,7 @@ def _simulate(
                 processed_bits=cost.processed_bits,
                 mvus_used=used,
             ))
-            peak_mw = max(peak_mw, used * _unit_active_power_mw(spec, catalog, run.plan))
+            peak_mw = max(peak_mw, used * units.active_power_mw(spec, run.plan, cost.step_period_ns))
 
     # float starts keep a layerless model's latency and energy floats (0.0)
     latency = sum((r.latency_s for r in per_layer), 0.0)

@@ -17,15 +17,18 @@ GOPS/EPB by default (scale-free across models of very different size).
 Ranking and tie-breaking are deterministic regardless of evaluation order.
 
 The search is separable and reuses ``arch_model``'s run costing. Each model
-splits once into runs of same-kind layers (``kind_runs``). A run is costed
-(``run_cost``, on the converters of ``bitwave_plan(kind, b)``) once per
-(model, run, width, b), with width v for FC and k for CONV, and its latency
-terms (``place_layer``) once per (model, run, width, b, unit count). A
-configuration passes its runs to ``check_runs``, sums its latency over their
-terms in layer order and reuses one energy sum per (model, v, k, b). Partial
-sums per run are never added together (a compensated float ``sum``, as in
-Python 3.12, would round them differently), so every result is bit-identical
-to ``max_power`` plus ``simulate_inference`` on each configuration.
+splits once into runs of same-kind layers (``kind_runs``), and its MAC and
+processed-bit totals are taken once. A run is costed (``run_cost``, on the
+converters of ``bitwave_plan(kind, b)``) once per (model, run, width, b),
+with width v for FC and k for CONV; one unit cache serves the whole search,
+so each unit's device table is built once per (unit, plan, step period).
+A run's latency terms (``place_layer``) are built once per (model, run,
+width, b, unit count). A configuration passes its runs to ``check_runs``,
+sums one list of its latency terms in layer order and reuses one energy sum
+per (model, v, k, b). Partial sums per run are never added together (a
+compensated float ``sum``, as in Python 3.12, would round them
+differently), so every result is bit-identical to ``max_power`` plus
+``simulate_inference`` on each configuration.
 """
 
 from __future__ import annotations
@@ -108,9 +111,12 @@ class SearchResult:
 
 def _aggregate(values: list[float], how: str) -> float:
     if how == "geomean":
-        if any(x <= 0 for x in values):
-            return 0.0
-        return math.exp(sum(math.log(x) for x in values) / len(values))
+        logs = []
+        for x in values:
+            if x <= 0:
+                return 0.0
+            logs.append(math.log(x))
+        return math.exp(sum(logs) / len(values))
     if how == "mean":
         return sum(values) / len(values)
     if how == "min":
@@ -153,11 +159,13 @@ def explore(
 
     units = am.MvuCache(catalog)
     model_runs = [am.kind_runs(m) for m in models]
+    # no configuration changes a model's MACs or processed bits
+    totals = [(wir.mac_count(m), wir.processed_bits(m)) for m in models]
     # (model, run, width, b) -> (run cost, unit count -> layer latencies)
     run_costs: dict[tuple, tuple] = {}
 
     def prepare(mi: int, cfg: am.ArchConfig) -> tuple:
-        """Model ``mi`` at cfg's (v, k, b): its runs and latency caches, and its energy, MACs and bits."""
+        """Model ``mi`` at cfg's (v, k, b): its runs and latency caches, and its energy."""
         entries = []
         for ri, (kind, layers) in enumerate(model_runs[mi]):
             key = (mi, ri, am.unit_width(kind, cfg), cfg.b)
@@ -167,14 +175,7 @@ def explore(
                 entry = run_costs[key] = (run, {})
             entries.append(entry)
         runs = [run for run, _ in entries]
-        costs = list(itertools.chain(*(run.costs for run in runs)))
-        return (
-            runs,
-            entries,
-            sum(c.energy_j for c in costs),
-            sum(c.macs for c in costs),
-            sum(c.processed_bits for c in costs),
-        )
+        return runs, entries, sum([c.energy_j for run in runs for c in run.costs])
 
     def score_models(cfg: am.ArchConfig, prepared: dict) -> dict | None:
         per_model = {}
@@ -182,21 +183,20 @@ def explore(
             entry = prepared.get(mi)
             if entry is None:
                 entry = prepared[mi] = prepare(mi, cfg)
-            runs, entries, energy, macs, bits = entry
+            runs, entries, energy = entry
             try:
                 n_units_of = am.check_runs(runs, cfg)
             except am.LaserInfeasibleError:
                 return None
-            parts = []
+            terms: list[float] = []
             for run, latencies in entries:
                 n_units = n_units_of[run.kind]
                 part = latencies.get(n_units)
                 if part is None:
-                    part = latencies[n_units] = tuple(am.place_layer(c, n_units)[2] for c in run.costs)
-                parts.append(part)
+                    part = latencies[n_units] = [am.place_layer(c, n_units)[2] for c in run.costs]
+                terms += part
             # one sum over every layer in order, as simulate_inference adds them
-            latency = sum(itertools.chain(*parts))
-            per_model[model.name] = ModelScore(*am.efficiency(latency, energy, macs, bits))
+            per_model[model.name] = ModelScore(*am.efficiency(sum(terms), energy, *totals[mi]))
         return per_model
 
     evaluated: list[EvaluatedConfig] = []

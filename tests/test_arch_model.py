@@ -36,6 +36,13 @@ SMALL_MODEL = wir.WorkloadModel(
 CFG = am.ArchConfig(v=16, k=9, b=4, V=8, K=8)
 
 
+def cost_of(layer, cfg):
+    """``layer_cost`` of one layer on cfg's bit-sliced units, with the laser off."""
+    cp = am.bitwave_plan(layer.kind, cfg.b)
+    period = am._step_period_ns(cfg, DEFAULT_CATALOG, cp)
+    return am.layer_cost(layer, cfg, cp, period, am._device_table(DEFAULT_CATALOG, cp, period, 0.0))
+
+
 # -- step-count laws ------------------------------------------------------------
 
 
@@ -71,11 +78,10 @@ def test_layer_cost_steps_match_the_engine_schedule():
     cfg = am.ArchConfig(v=4, k=3, b=1, V=1, K=1)
     for layer in (fc_layer(0, 5, 3), conv_layer(1, 2, 2, h=4, w=4)):
         for b in range(1, 17):
-            cfg_b, cp = replace(cfg, b=b), am.bitwave_plan(layer.kind, b)
+            cfg_b = replace(cfg, b=b)
             for p_a in range(1, 17):
                 for p_w in range(1, 17):
-                    sized = replace(layer, act_bits=p_a, weight_bits=p_w)
-                    cost = am.layer_cost(sized, cfg_b, DEFAULT_CATALOG, cp, laser_mw=0.0)
+                    cost = cost_of(replace(layer, act_bits=p_a, weight_bits=p_w), cfg_b)
                     assert cost.steps_per_unit == bse.build_schedule(p_a, p_w, b, layer.kind).n_steps
 
 
@@ -90,6 +96,21 @@ def test_schedule_read_by_layer_cost_depends_on_slice_counts_only():
             # FC: the weight slice changes every step unless there is one; CONV: weights imprint once
             want = (n_a, n_a * n_w if n_w > 1 else 1) if kind == wir.FC else (n_a, 1)
             assert sched.imprints == unit.imprints == want
+
+
+def test_layer_cost_reads_bitwidths_only_through_slice_counts():
+    # padding a bitwidth up to a slice boundary leaves a layer's actions, energy and steps alone
+    units = am.MvuCache(DEFAULT_CATALOG)
+    for layer in (fc_layer(0, 37, 21), conv_layer(1, 3, 5, h=6, w=6, padding=1)):
+        for b in range(1, 17):
+            cfg, cp = replace(CFG, b=b), am.bitwave_plan(layer.kind, b)
+            first = {}  # (n_a, n_w) -> what the first bitwidths with those slice counts cost
+            for p_a, p_w in itertools.product(range(1, 17), repeat=2):
+                sized = replace(layer, act_bits=p_a, weight_bits=p_w)
+                cost = am.run_cost(layer.kind, (sized,), cp, cfg, units).costs[0]
+                got = (cost.energy_j, cost.steps_per_unit, am.layer_actions(sized, cfg, cp))
+                assert first.setdefault(am.slice_counts(sized, cp), got) == got
+            assert len(first) == (-(-16 // b)) ** 2
 
 
 @pytest.mark.parametrize("weight_bits, act_bits", [(16, 16), (4, 8), (8, 2)])
@@ -134,7 +155,7 @@ def test_config_from_dict_checks_fields():
 
 def map_layer(layer, cfg):
     """(cost, (passes, seq_steps, latency_s, mvus_used)) of one layer on ``cfg``."""
-    cost = am.layer_cost(layer, cfg, DEFAULT_CATALOG, am.bitwave_plan(layer.kind, cfg.b), laser_mw=0.0)
+    cost = cost_of(layer, cfg)
     return cost, am.place_layer(cost, am.unit_count(layer.kind, cfg))
 
 

@@ -285,6 +285,41 @@ def test_explore_builds_each_plan_cost_and_latency_term_once(monkeypatch):
         assert keys and len(keys) == len(set(keys))
 
 
+def test_each_device_table_and_step_period_is_built_once(monkeypatch, repo_root, reference_config_path):
+    device_table, step_period, run_cost = am._device_table, am._step_period_ns, am.run_cost
+    tables = []  # (plan, step period, laser mW) of each table built; the laser stands for the unit spec
+    periods = []  # step periods computed during each run_cost call
+
+    def counted_table(catalog, cp, period_ns, laser_mw):
+        tables.append((cp, period_ns, laser_mw))
+        return device_table(catalog, cp, period_ns, laser_mw)
+
+    def counted_period(*args):
+        periods[-1] += 1
+        return step_period(*args)
+
+    def counted_run(*args):
+        periods.append(0)
+        return run_cost(*args)
+
+    def check_and_clear():
+        assert tables and len(tables) == len(set(tables))
+        assert periods and all(n <= 1 for n in periods)
+        tables.clear()
+        periods.clear()
+
+    monkeypatch.setattr(am, "_device_table", counted_table)
+    monkeypatch.setattr(am, "_step_period_ns", counted_period)
+    monkeypatch.setattr(am, "run_cost", counted_run)
+    dse.explore([MODEL, HETERO, CONV_ONLY, FC_FIRST], with_constraints(MIXED, laser_ceiling_dbm=LASER_CEILING_DBM))
+    check_and_clear()
+    # each simulation has its own unit cache
+    cfg = am.load_arch_config(reference_config_path)
+    for path in sorted((repo_root / "models").glob("*.json")):
+        am.simulate_inference(wir.load_workload(path), cfg)
+        check_and_clear()
+
+
 def test_explore_equals_rescan_with_a_model_without_layers():
     empty = wir.WorkloadModel(name="empty", layers=())
     for aggregate in ("mean", "min"):
