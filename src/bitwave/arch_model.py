@@ -19,12 +19,14 @@ layers into (output positions x kernel chunks); work units round-robin over
 the V or K available units, which divides latency but leaves energy alone.
 
 Energy accounting follows one device table (``_device_table``): each device
-has a power and an active time per action. ``layer_actions`` counts a layer's
-actions per row and ``unit_actions`` a unit's devices per row; a layer's
-energy sums action count x power x active time over the table, and a unit's
-peak power sums device count x power over the same rows. A run of layers
-takes its step period once and each unit's table once per (unit, plan,
-period), from ``MvuCache``.
+has a power (``_device_powers``) and an active time per action.
+``layer_actions`` counts a layer's actions per row and ``unit_actions`` a
+unit's devices per row; a layer's energy sums action count x power x active
+time over the table, and a unit's peak power sums device count x power over
+the same rows. A run of layers (``RunCost``) takes its step period once and
+each unit's table once per (unit, plan, period), from ``MvuCache``; a
+layer's cost (``LayerCost``) holds only its work, steps and energy. Float
+totals add left to right (``float_sum``) on every Python.
 
 * DACs hold analog values for the whole step: one per active wavelength lane
   (input bank) plus one per active output row/waveguide (weight side,
@@ -39,9 +41,10 @@ period), from ``MvuCache``.
   and thermal trimming (duty-cycled, per MR bank) are charged over the time
   units actually spend occupied.
 
-The step period is the slowest element of the per-step device chain
-(pipelined; ``pipelined=False`` sums the chain instead). All reported
-energies scale by the configuration's ``energy_scale`` calibration constant.
+The step period always comes from the per-step device chain: its slowest
+element (pipelined; ``pipelined=False`` sums the chain instead). All
+reported energies scale by the configuration's ``energy_scale`` calibration
+constant.
 
 Everything here is a pure function of (model, config, catalog); reports are
 immutable values and safe to share across threads.
@@ -68,7 +71,7 @@ from .device_catalog import (
     dbm_to_mw,
     min_laser_power,
 )
-from .workload_ir import MAX_BITS, ceil_div, check_bits
+from .workload_ir import MAX_BITS, ceil_div, check_bits, float_sum
 
 #: name used for this architecture in reports and comparison tables
 ARCH_NAME = "bitwave"
@@ -98,7 +101,6 @@ class ArchConfig:
     laser_ceiling_dbm: float = 30.0
     energy_scale: float = 1.0
     pipelined: bool = True
-    step_period_ns: float | None = None  # None: derive from the device chain
 
     def __post_init__(self) -> None:
         for name in ("v", "k"):
@@ -110,8 +112,6 @@ class ArchConfig:
                 raise ConfigError(f"{name} must be >= 0, got {getattr(self, name)}")
         if self.energy_scale <= 0:
             raise ConfigError(f"energy_scale must be positive, got {self.energy_scale}")
-        if self.step_period_ns is not None and self.step_period_ns <= 0:
-            raise ConfigError(f"step_period_ns must be positive, got {self.step_period_ns}")
 
 
 def arch_config_from_dict(doc: dict) -> ArchConfig:
@@ -237,19 +237,13 @@ class MvuCache:
             table = self._tables[key] = _device_table(self.catalog, cp, period_ns, laser_mw)
         return table
 
-    def active_power_mw(self, spec: MvuSpec, cp: _ConverterPlan, period_ns: float) -> float:
-        """Worst-case power of one fully occupied unit: ``unit_actions`` x power over its table.
-
-        Keyed by (spec, plan): power reads no active time, so the table of
-        any step period gives it.
-        """
+    def active_power_mw(self, spec: MvuSpec, cp: _ConverterPlan) -> float:
+        """Worst-case power of one fully occupied unit: ``unit_actions`` x ``_device_powers``."""
         key = (spec, cp)
         mw = self._active_mw.get(key)
         if mw is None:
-            mw = 0.0
-            for n, (p_mw, _) in zip(unit_actions(spec, cp), self.table(spec, cp, period_ns)):
-                mw += n * p_mw
-            self._active_mw[key] = mw
+            powers = _device_powers(self.catalog, cp, dbm_to_mw(spec.min_laser_dbm))
+            mw = self._active_mw[key] = float_sum(n * p_mw for n, p_mw in zip(unit_actions(spec, cp), powers))
         return mw
 
     def unit_power_mw(self, kind: str, width: int, b: int) -> float:
@@ -262,8 +256,7 @@ class MvuCache:
         mw = self._unit_mw.get(key)
         if mw is None:
             spec = self.spec(kind, width, width if kind == wir.FC else ceil_div(MAX_BITS, b))
-            # power reads no active time, so the table's step period is moot here
-            mw = self._unit_mw[key] = self.active_power_mw(spec, bitwave_plan(kind, b), 0.0)
+            mw = self._unit_mw[key] = self.active_power_mw(spec, bitwave_plan(kind, b))
         return mw
 
 
@@ -325,8 +318,6 @@ class _ConverterPlan:
 
 
 def _step_period_ns(cfg: ArchConfig, catalog: DeviceCatalog, cp: _ConverterPlan) -> float:
-    if cfg.step_period_ns is not None:
-        return cfg.step_period_ns
     d = catalog.devices
     chain = [
         d.eo_tuning_latency_ns,  # operand imprint settles within the step
@@ -337,29 +328,41 @@ def _step_period_ns(cfg: ArchConfig, catalog: DeviceCatalog, cp: _ConverterPlan)
     ]
     if cp.use_soa:
         chain.append(d.soa_latency_ns)
-    return max(chain) if cfg.pipelined else sum(chain)
+    return max(chain) if cfg.pipelined else float_sum(chain)
+
+
+def _device_powers(catalog: DeviceCatalog, cp: _ConverterPlan, laser_mw: float) -> tuple[float, ...]:
+    """Power (mW) of each device, in summation order.
+
+    Rows: activation DAC, weight DAC, ADC, photodetector, VCSEL, SOA, EO tuning,
+    and the laser plus thermal trim of the unit's two MR banks.
+    """
+    d = catalog.devices
+    return (
+        catalog.dac_power(cp.dac_bits_act),
+        catalog.dac_power(cp.dac_bits_w),
+        catalog.adc_power(cp.adc_bits),
+        d.photodetector_power_mw,
+        d.vcsel_power_mw,
+        d.soa_power_mw,
+        d.eo_tuning_power_mw_per_nm * catalog.eo_shift_nm,
+        laser_mw + d.to_tuning_power_mw_per_fsr * catalog.to_duty_cycle * 2,
+    )
 
 
 def _device_table(
     catalog: DeviceCatalog, cp: _ConverterPlan, period_ns: float, laser_mw: float
 ) -> tuple[tuple[float, float], ...]:
-    """(power mW, active ns per action) of each device, in summation order.
+    """(power mW, active ns per action) of each ``_device_powers`` row.
 
-    Rows: activation DAC, weight DAC, ADC, photodetector, VCSEL, SOA, EO tuning,
-    and the laser plus thermal trim of the unit's two MR banks. DACs and laser
-    plus trim hold for the whole step period; the rest for their own latency.
+    DACs and laser plus trim hold for the whole step period; the rest for
+    their own latency.
     """
     d = catalog.devices
-    return (
-        (catalog.dac_power(cp.dac_bits_act), period_ns),
-        (catalog.dac_power(cp.dac_bits_w), period_ns),
-        (catalog.adc_power(cp.adc_bits), catalog.adc_latency(cp.adc_bits)),
-        (d.photodetector_power_mw, d.photodetector_latency_ns),
-        (d.vcsel_power_mw, d.vcsel_latency_ns),
-        (d.soa_power_mw, d.soa_latency_ns),
-        (d.eo_tuning_power_mw_per_nm * catalog.eo_shift_nm, d.eo_tuning_latency_ns),
-        (laser_mw + d.to_tuning_power_mw_per_fsr * catalog.to_duty_cycle * 2, period_ns),
-    )
+    active_ns = (period_ns, period_ns, catalog.adc_latency(cp.adc_bits), d.photodetector_latency_ns,
+                 d.vcsel_latency_ns, d.soa_latency_ns, d.eo_tuning_latency_ns, period_ns)
+    # from a list, as the run tuples below are: tuple(zip) resizes its tuple as it grows
+    return tuple([*zip(_device_powers(catalog, cp, laser_mw), active_ns)])
 
 
 def bitwave_plan(kind: str, b: int) -> _ConverterPlan:
@@ -374,21 +377,16 @@ def slice_counts(layer: wir.LayerSpec, cp: _ConverterPlan) -> tuple[int, int]:
 
 @dataclass(frozen=True, slots=True)
 class LayerCost:
-    """What a layer costs on one unit width, whatever the unit counts (V, K).
+    """A layer's work, steps and energy on one unit width, whatever the unit counts (V, K).
 
     An FC layer's cost depends on (v, b) only and a CONV layer's on (k, b)
     only: the unit count divides latency (``place_layer``) but leaves energy
-    alone.
+    alone. What the layer is stays on its ``LayerSpec``, the step period on its ``RunCost``.
     """
 
-    index: int
-    kind: str
     n_units_of_work: int  # FC: weight tiles; CONV: output positions x chunks
     steps_per_unit: int
-    step_period_ns: float
     energy_j: float
-    macs: int
-    processed_bits: int
 
 
 def layer_actions(layer: wir.LayerSpec, cfg: ArchConfig, cp: _ConverterPlan) -> tuple[int, int, tuple[int, ...]]:
@@ -441,38 +439,25 @@ def layer_cost(
     layer: wir.LayerSpec,
     cfg: ArchConfig,
     cp: _ConverterPlan,
-    period_ns: float,
     table: tuple[tuple[float, float], ...],
 ) -> LayerCost:
-    """Work and energy of one layer on units that step every ``period_ns`` and draw ``table``.
+    """Work, steps and energy of one layer on units that draw ``table``.
 
     Reads neither ``cfg.V`` nor ``cfg.K``.
     """
     work, steps, counts = layer_actions(layer, cfg, cp)
-    # a loop, not sum(): it adds the terms in table order on every Python version
-    energy_pj = 0.0
-    for n, (p_mw, ns) in zip(counts, table):
-        energy_pj += n * p_mw * ns
-    return LayerCost(
-        index=layer.index,
-        kind=layer.kind,
-        n_units_of_work=work,
-        steps_per_unit=steps,
-        step_period_ns=period_ns,
-        energy_j=energy_pj * 1e-12 * cfg.energy_scale,
-        macs=wir.layer_mac_count(layer),
-        processed_bits=wir.layer_processed_bits(layer),
-    )
+    energy_pj = float_sum(n * p_mw * ns for n, (p_mw, ns) in zip(counts, table))
+    return LayerCost(work, steps, energy_pj * 1e-12 * cfg.energy_scale)
 
 
-def place_layer(cost: LayerCost, n_units: int) -> tuple[int, int, float, int]:
-    """Round-robin a layer's work over ``n_units`` units.
+def place_layer(cost: LayerCost, n_units: int, period_ns: float) -> tuple[int, int, float, int]:
+    """Round-robin a layer's work over ``n_units`` units that step every ``period_ns``.
 
     Returns (passes, seq_steps, latency_s, mvus_used).
     """
     passes = ceil_div(cost.n_units_of_work, n_units)
     seq_steps = passes * cost.steps_per_unit
-    return passes, seq_steps, seq_steps * cost.step_period_ns * 1e-9, min(n_units, cost.n_units_of_work)
+    return passes, seq_steps, seq_steps * period_ns * 1e-9, min(n_units, cost.n_units_of_work)
 
 
 def efficiency(latency_s: float, energy_j: float, macs: int, bits: int) -> tuple[float, float, float]:
@@ -513,10 +498,12 @@ def kind_runs(model: wir.WorkloadModel) -> list[tuple[str, tuple[wir.LayerSpec, 
 
 @dataclass(frozen=True, slots=True)
 class RunCost:
-    """A run's converter plan, its layers' unit specs and costs, and its first unit over the laser ceiling."""
+    """A run's layers, plan and step period, their specs and costs, and its first unit over the laser ceiling."""
 
     kind: str
+    layers: tuple[wir.LayerSpec, ...]
     plan: _ConverterPlan
+    period_ns: float
     specs: tuple[MvuSpec, ...]
     costs: tuple[LayerCost, ...]
     over_ceiling: MvuSpec | None
@@ -540,12 +527,10 @@ def run_cost(
     else:
         specs = tuple([units.spec(wir.CONV, cfg.k, slice_counts(l, plan)[1]) for l in layers])
     period = _step_period_ns(cfg, units.catalog, plan)
-    costs = tuple([
-        layer_cost(l, cfg, plan, period, units.table(spec, plan, period)) for l, spec in zip(layers, specs)
-    ])
+    costs = tuple([layer_cost(l, cfg, plan, units.table(spec, plan, period)) for l, spec in zip(layers, specs)])
     # the laser law: a unit's link budget fails if its minimum laser power exceeds the ceiling
     over = next((spec for spec in specs if spec.min_laser_dbm > cfg.laser_ceiling_dbm), None)
-    return RunCost(kind, plan, specs, costs, over)
+    return RunCost(kind, layers, plan, period, specs, costs, over)
 
 
 def check_runs(runs: list[RunCost], cfg: ArchConfig) -> dict[str, int]:
@@ -588,24 +573,23 @@ def _simulate(
     per_layer: list[LayerReport] = []
     peak_mw = 0.0
     for run in runs:
-        for cost, spec in zip(run.costs, run.specs):
-            _, seq_steps, latency_s, used = place_layer(cost, n_units_of[run.kind])
+        for layer, cost, spec in zip(run.layers, run.costs, run.specs):
+            _, seq_steps, latency_s, used = place_layer(cost, n_units_of[run.kind], run.period_ns)
             per_layer.append(LayerReport(
-                index=cost.index,
-                kind=cost.kind,
+                index=layer.index,
+                kind=layer.kind,
                 time_steps=seq_steps,
-                step_period_ns=cost.step_period_ns,
+                step_period_ns=run.period_ns,
                 latency_s=latency_s,
                 energy_j=cost.energy_j,
-                macs=cost.macs,
-                processed_bits=cost.processed_bits,
+                macs=wir.layer_mac_count(layer),
+                processed_bits=wir.layer_processed_bits(layer),
                 mvus_used=used,
             ))
-            peak_mw = max(peak_mw, used * units.active_power_mw(spec, run.plan, cost.step_period_ns))
+            peak_mw = max(peak_mw, used * units.active_power_mw(spec, run.plan))
 
-    # float starts keep a layerless model's latency and energy floats (0.0)
-    latency = sum((r.latency_s for r in per_layer), 0.0)
-    energy = sum((r.energy_j for r in per_layer), 0.0)
+    latency = float_sum(r.latency_s for r in per_layer)
+    energy = float_sum(r.energy_j for r in per_layer)
     macs = sum(r.macs for r in per_layer)
     bits = sum(r.processed_bits for r in per_layer)
     epb_val, gops, gops_per_epb_val = efficiency(latency, energy, macs, bits)

@@ -74,7 +74,6 @@ class TdmSchedule:
     the shift appears here.
     """
 
-    mode: str
     steps: tuple[tuple[int, int | None, int], ...]
     imprints: tuple[int, int]  # (activation, weight) imprint events, see _imprints
 
@@ -113,7 +112,7 @@ def build_schedule(p_a: int, p_w: int, b: int, mode: str = FC) -> TdmSchedule:
     else:
         steps = tuple((ai, None, b * ai) for ai in range(na))
     a_index, w_index, _ = zip(*steps)
-    return TdmSchedule(mode=mode, steps=steps, imprints=(_imprints(a_index), _imprints(w_index)))
+    return TdmSchedule(steps=steps, imprints=(_imprints(a_index), _imprints(w_index)))
 
 
 class StepTrace(NamedTuple):

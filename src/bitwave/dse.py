@@ -25,10 +25,11 @@ so each unit's device table is built once per (unit, plan, step period).
 A run's latency terms (``place_layer``) are built once per (model, run,
 width, b, unit count). A configuration passes its runs to ``check_runs``,
 sums one list of its latency terms in layer order and reuses one energy sum
-per (model, v, k, b). Partial sums per run are never added together (a
-compensated float ``sum``, as in Python 3.12, would round them
-differently), so every result is bit-identical to ``max_power`` plus
-``simulate_inference`` on each configuration.
+per (model, v, k, b). Every float total is added left to right
+(``wir.float_sum``) and partial sums per run are never added together
+(floats added in another order can round differently), so every result is
+bit-identical to ``max_power`` plus ``simulate_inference`` on each
+configuration.
 """
 
 from __future__ import annotations
@@ -116,9 +117,9 @@ def _aggregate(values: list[float], how: str) -> float:
             if x <= 0:
                 return 0.0
             logs.append(math.log(x))
-        return math.exp(sum(logs) / len(values))
+        return math.exp(wir.float_sum(logs) / len(values))
     if how == "mean":
-        return sum(values) / len(values)
+        return wir.float_sum(values) / len(values)
     if how == "min":
         return min(values)
     raise SearchSpaceError(f"unknown aggregate {how!r}; pick one of {AGGREGATES}")
@@ -175,7 +176,7 @@ def explore(
                 entry = run_costs[key] = (run, {})
             entries.append(entry)
         runs = [run for run, _ in entries]
-        return runs, entries, sum([c.energy_j for run in runs for c in run.costs])
+        return runs, entries, wir.float_sum(c.energy_j for run in runs for c in run.costs)
 
     def score_models(cfg: am.ArchConfig, prepared: dict) -> dict | None:
         per_model = {}
@@ -193,10 +194,10 @@ def explore(
                 n_units = n_units_of[run.kind]
                 part = latencies.get(n_units)
                 if part is None:
-                    part = latencies[n_units] = [am.place_layer(c, n_units)[2] for c in run.costs]
+                    part = latencies[n_units] = [am.place_layer(c, n_units, run.period_ns)[2] for c in run.costs]
                 terms += part
             # one sum over every layer in order, as simulate_inference adds them
-            per_model[model.name] = ModelScore(*am.efficiency(sum(terms), energy, *totals[mi]))
+            per_model[model.name] = ModelScore(*am.efficiency(wir.float_sum(terms), energy, *totals[mi]))
         return per_model
 
     evaluated: list[EvaluatedConfig] = []

@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import functools
 import json
+import operator
 import sys
 from dataclasses import MISSING, dataclass, fields, is_dataclass, replace
 from pathlib import Path
@@ -44,6 +45,15 @@ class WorkloadError(ValueError):
 def ceil_div(a: int, b: int) -> int:
     """ceil(a / b) for positive b: the slice count ceil(p/b) and every tiling count."""
     return -(-a // b)
+
+
+def float_sum(xs) -> float:
+    """The floats of ``xs`` added left to right from 0.0.
+
+    Every float total goes through here, so it rounds the same on every
+    Python: builtin ``sum`` compensates its rounding from Python 3.12 on.
+    """
+    return functools.reduce(operator.add, xs, 0.0)
 
 
 def check_bits(name: str, bits: int, error: type[Exception]) -> None:
@@ -246,7 +256,7 @@ class WorkloadModel:
         if self.footprint_scale <= 0:
             raise WorkloadError(f"footprint_scale must be positive, got {self.footprint_scale}")
         if self.declared_param_count is not None:
-            actual = sum(layer_param_count(l) for l in self.layers)
+            actual = param_count(self)
             if actual != self.declared_param_count:
                 raise WorkloadError(
                     f"model {self.name!r}: declared_param_count "

@@ -36,11 +36,15 @@ SMALL_MODEL = wir.WorkloadModel(
 CFG = am.ArchConfig(v=16, k=9, b=4, V=8, K=8)
 
 
+def period_of(layer, cfg):
+    """Step period of cfg's bit-sliced units of the layer's kind."""
+    return am._step_period_ns(cfg, DEFAULT_CATALOG, am.bitwave_plan(layer.kind, cfg.b))
+
+
 def cost_of(layer, cfg):
     """``layer_cost`` of one layer on cfg's bit-sliced units, with the laser off."""
     cp = am.bitwave_plan(layer.kind, cfg.b)
-    period = am._step_period_ns(cfg, DEFAULT_CATALOG, cp)
-    return am.layer_cost(layer, cfg, cp, period, am._device_table(DEFAULT_CATALOG, cp, period, 0.0))
+    return am.layer_cost(layer, cfg, cp, am._device_table(DEFAULT_CATALOG, cp, period_of(layer, cfg), 0.0))
 
 
 # -- step-count laws ------------------------------------------------------------
@@ -156,7 +160,7 @@ def test_config_from_dict_checks_fields():
 def map_layer(layer, cfg):
     """(cost, (passes, seq_steps, latency_s, mvus_used)) of one layer on ``cfg``."""
     cost = cost_of(layer, cfg)
-    return cost, am.place_layer(cost, am.unit_count(layer.kind, cfg))
+    return cost, am.place_layer(cost, am.unit_count(layer.kind, cfg), period_of(layer, cfg))
 
 
 def test_map_layer_fc_exact_fit():
@@ -175,11 +179,11 @@ def test_map_layer_fc_tiling():
 
 
 def test_map_layer_fc_round_robin_passes():
-    cost, (passes, seq_steps, latency_s, _) = map_layer(
-        fc_layer(0, 100, 100), am.ArchConfig(v=50, k=20, b=4, V=3, K=4))
+    layer, cfg = fc_layer(0, 100, 100), am.ArchConfig(v=50, k=20, b=4, V=3, K=4)
+    cost, (passes, seq_steps, latency_s, _) = map_layer(layer, cfg)
     assert passes == 2
     assert seq_steps == 2 * cost.steps_per_unit
-    assert latency_s == seq_steps * cost.step_period_ns * 1e-9
+    assert latency_s == seq_steps * period_of(layer, cfg) * 1e-9
 
 
 def test_map_layer_conv_chunking():
@@ -346,11 +350,6 @@ def test_pipeline_switch_slows_steps():
     nop = am.simulate_inference(SMALL_MODEL, replace(CFG, pipelined=False))
     assert nop.latency_s > rep.latency_s
     assert nop.total_time_steps == rep.total_time_steps
-
-
-def test_explicit_step_period_override():
-    rep = am.simulate_inference(SMALL_MODEL, replace(CFG, step_period_ns=100.0))
-    assert all(l.step_period_ns == 100.0 for l in rep.per_layer)
 
 
 # -- laser budget --------------------------------------------------------------------

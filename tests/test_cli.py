@@ -416,6 +416,7 @@ def test_non_numeric_device_value_exits_3(tmp_path, model_paths, reference_confi
     ("config", "laser_ceiling_dbm", "30"),
     ("config", "laser_ceiling_dbm", math.nan),
     ("config", "energy_scale", math.nan),
+    ("config", "step_period_ns", 100.0),
     pytest.param("config", "v", 10**400, id="config-v-int-beyond-float"),
     ("fc layer", "in_features", 3.5),
     ("fc layer", "in_features", "9"),
@@ -469,14 +470,16 @@ def test_non_finite_result_exits_3_writing_nothing(tmp_path, model_paths, baseli
         doc["layers"][-1].update(in_features=10**200, out_features=10**200)
         model = tmp_path / "model.json"
         model.write_text(json.dumps(doc))
-        cfg = write_config(tmp_path)
+        extra = []
         expect = "error: the inputs overflow the float range (int too large to convert to float)\n"
     else:
-        # every input is finite, but a 1e308 ns step makes the energy overflow to infinity
-        cfg = write_config(tmp_path, step_period_ns=1e308)
+        # every input is finite, but a 1e308 ns EO settling time sets a step period whose energy overflows
+        catalog = tmp_path / "catalog.json"
+        catalog.write_text('{"devices": {"eo_tuning_latency_ns": 1e308}}')
+        extra = ["--catalog", str(catalog)]
         expect = f"error: {artifact} would hold a non-finite number; the inputs overflow the float range\n"
     out = tmp_path / "out"
-    argv = [command, str(model), "--config", str(cfg), "--out-dir", str(out)]
+    argv = [command, str(model), "--config", str(write_config(tmp_path)), "--out-dir", str(out), *extra]
     if command == "compare":
         argv += ["--baselines", str(baselines_dir)]
     rc = main(argv)

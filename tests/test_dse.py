@@ -269,9 +269,9 @@ def test_explore_builds_each_plan_cost_and_latency_term_once(monkeypatch):
         keep.append(cost)
         return cost
 
-    def counted_place(cost, n_units):
+    def counted_place(cost, n_units, period_ns):
         term_keys.append((*built[id(cost)], n_units))
-        return place_layer(cost, n_units)
+        return place_layer(cost, n_units, period_ns)
 
     def no_simulate(*args):
         raise AssertionError("explore simulates a configuration")
@@ -283,6 +283,22 @@ def test_explore_builds_each_plan_cost_and_latency_term_once(monkeypatch):
     assert result.ranked and result.diagnostics["laser"] > 0
     for keys in (cost_keys, term_keys):
         assert keys and len(keys) == len(set(keys))
+
+
+def test_explore_counts_each_layers_macs_only_for_the_model_totals(monkeypatch):
+    models = [MODEL, HETERO, CONV_ONLY, FC_FIRST]
+    calls = {id(l): 0 for m in models for l in m.layers}
+    layer_mac_count = wir.layer_mac_count
+
+    def counted_macs(layer):
+        calls[id(layer)] += 1
+        return layer_mac_count(layer)
+
+    monkeypatch.setattr(wir, "layer_mac_count", counted_macs)
+    result = dse.explore(models, with_constraints(MIXED, laser_ceiling_dbm=LASER_CEILING_DBM))
+    assert result.ranked
+    # once for wir.mac_count and once for wir.processed_bits, whatever the grid
+    assert all(0 < n <= 2 for n in calls.values())
 
 
 def test_each_device_table_and_step_period_is_built_once(monkeypatch, repo_root, reference_config_path):

@@ -91,6 +91,12 @@ def test_counts_permutation_invariant_and_additive():
     assert wir.mac_count(m) == wir.mac_count(head) + wir.mac_count(tail)
 
 
+def test_float_sum_adds_left_to_right():
+    # a compensated sum (builtin sum on Python 3.12+) gives 2.0; plain addition loses both 1.0s
+    assert wir.float_sum([1.0, 1e100, 1.0, -1e100]) == 0.0
+    assert wir.float_sum(iter([0.1, 0.2, 0.3])) == (0.1 + 0.2) + 0.3
+
+
 def test_bit_list_length_mismatch_is_an_error(tmp_path):
     doc = {
         "name": "bad",
