@@ -53,7 +53,6 @@ immutable values and safe to share across threads.
 from __future__ import annotations
 
 import itertools
-import json
 import math
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -119,8 +118,7 @@ def arch_config_from_dict(doc: dict) -> ArchConfig:
 
 
 def load_arch_config(path: str | Path) -> ArchConfig:
-    with open(path, "r", encoding="utf-8") as fh:
-        return arch_config_from_dict(json.load(fh))
+    return arch_config_from_dict(wir.read_json(path))
 
 
 @dataclass(frozen=True)
@@ -139,8 +137,7 @@ class BaselineSpec:
 
 def load_baseline_spec(path: str | Path) -> BaselineSpec:
     """Read a baseline file; a bad ``device_overrides`` value is reported with the file's path."""
-    with open(path, "r", encoding="utf-8") as fh:
-        spec = BaselineSpec(**wir.read_fields(json.load(fh), BaselineSpec, "baseline", ConfigError))
+    spec = BaselineSpec(**wir.read_fields(wir.read_json(path), BaselineSpec, "baseline", ConfigError))
     wir.read_fields(spec.device_overrides, device_catalog.DeviceParams, f"{path}: device_overrides", ConfigError)
     return spec
 

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import hashlib
 import io
 import json
@@ -325,7 +326,13 @@ def _int_list(text: str) -> tuple[int, ...]:
     return values
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The ``bitwave`` argument parser, built once per process.
+
+    Every ``main`` call shares the returned parser: parsing does not change
+    it, and callers must not change it either.
+    """
     parser = argparse.ArgumentParser(
         prog="bitwave",
         description="Bit-sliced TDM/WDM photonic CNN accelerator simulator",
@@ -378,14 +385,13 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
         return args.func(args)
     except am.LaserInfeasibleError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_LASER
-    except (json.JSONDecodeError, OSError) as exc:
+    except (wir.InputFileError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except (wir.WorkloadError, am.ConfigError, CatalogError, dse.SearchSpaceError, ValueError) as exc:

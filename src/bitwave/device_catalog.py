@@ -14,13 +14,12 @@ everything unspecified keeps its default.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass, field, fields, replace
 from pathlib import Path
 from typing import Iterable
 
-from .workload_ir import check_bits, read_fields
+from .workload_ir import check_bits, read_fields, read_json
 
 
 class CatalogError(ValueError):
@@ -206,8 +205,7 @@ def catalog_from_dict(doc: dict) -> DeviceCatalog:
 
 def load_catalog(path: str | Path) -> DeviceCatalog:
     """Load a catalog override file (JSON)."""
-    with open(path, "r", encoding="utf-8") as fh:
-        return catalog_from_dict(json.load(fh))
+    return catalog_from_dict(read_json(path))
 
 
 def apply_device_overrides(catalog: DeviceCatalog, overrides: dict) -> DeviceCatalog:

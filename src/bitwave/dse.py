@@ -35,7 +35,6 @@ configuration.
 from __future__ import annotations
 
 import itertools
-import json
 import math
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -72,8 +71,7 @@ def search_space_from_dict(doc: dict) -> SearchSpace:
 
 
 def load_search_space(path: str | Path) -> SearchSpace:
-    with open(path, "r", encoding="utf-8") as fh:
-        return search_space_from_dict(json.load(fh))
+    return search_space_from_dict(wir.read_json(path))
 
 
 def enumerate_configs(space: SearchSpace) -> list[am.ArchConfig]:

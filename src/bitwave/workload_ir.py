@@ -10,8 +10,9 @@ over the top-level ``weight_bits``/``act_bits``; a scalar top-level value
 broadcasts to every layer, and a list must have exactly one entry per layer.
 Bias parameters are not counted anywhere.
 
-``read_fields`` checks every input document of the package (workload,
-config, baseline, catalog, search space) against the dataclass it fills.
+``read_json`` reads every input file of the package (workload, config,
+baseline, catalog, search space), and ``read_fields`` checks each document
+against the dataclass it fills.
 """
 
 from __future__ import annotations
@@ -40,6 +41,10 @@ _SHAPE_FIELDS = {
 
 class WorkloadError(ValueError):
     """Validation failure in a workload description."""
+
+
+class InputFileError(Exception):
+    """An input file that is not UTF-8 JSON text, or nests too deeply to decode."""
 
 
 def ceil_div(a: int, b: int) -> int:
@@ -131,6 +136,24 @@ def _field_table(cls) -> tuple[dict, list[str]]:
         table[f.name] = (frozenset(exact), rules, " or ".join(descriptions))
     required = [f.name for f in fields(cls) if f.default is MISSING and f.default_factory is MISSING]
     return table, required
+
+
+def read_json(path: str | Path):
+    """The JSON document in file ``path``.
+
+    A file that is not UTF-8, is not JSON or nests too deeply for the decoder
+    raises ``InputFileError`` naming the file. Only the decode is guarded: a
+    recursion fault anywhere else is not a file error.
+    """
+    data = Path(path).read_bytes()
+    try:
+        return json.loads(data.decode("utf-8"))
+    except UnicodeDecodeError as exc:
+        raise InputFileError(f"{path}: not UTF-8 text ({exc.reason} at byte {exc.start})") from None
+    except json.JSONDecodeError as exc:
+        raise InputFileError(f"{path}: {exc}") from None
+    except RecursionError:
+        raise InputFileError(f"{path}: JSON nested too deeply to decode") from None
 
 
 def read_fields(doc, cls, what: str, error: type[Exception]) -> dict:
@@ -368,5 +391,4 @@ def workload_from_dict(doc: dict) -> WorkloadModel:
 
 
 def load_workload(path: str | Path) -> WorkloadModel:
-    with open(path, "r", encoding="utf-8") as fh:
-        return workload_from_dict(json.load(fh))
+    return workload_from_dict(read_json(path))

@@ -1,3 +1,4 @@
+import argparse
 import csv
 import hashlib
 import json
@@ -7,6 +8,7 @@ from pathlib import Path
 
 import pytest
 
+from bitwave import __version__
 from bitwave.cli import _draw_operands, main
 
 
@@ -58,6 +60,39 @@ def test_simulate_malformed_json_exits_2(tmp_path, capsys):
     cfg = write_config(tmp_path)
     rc = main(["simulate", str(bad), "--config", str(cfg)])
     assert rc == 2
+
+
+# file contents that cannot be decoded as JSON: each is a parse error
+UNREADABLE = {
+    "not-utf8": (b"\xff\xfe{}", "not UTF-8 text"),
+    # every supported Python's decoder gives up well before this depth
+    "nested-100000": (b"[" * 100_000 + b"]" * 100_000, "JSON nested too deeply to decode"),
+    "malformed": (b"{not json", "Expecting property name"),
+}
+
+
+@pytest.mark.parametrize("fault", sorted(UNREADABLE))
+@pytest.mark.parametrize("kind", ["model", "config", "catalog", "space", "baseline"])
+def test_unreadable_input_file_exits_2_naming_it(tmp_path, model_paths, reference_config_path,
+                                                 space_path, capsys, kind, fault):
+    data, reason = UNREADABLE[fault]
+    bad = tmp_path / "baselines" / "bad.json" if kind == "baseline" else tmp_path / "bad.json"
+    bad.parent.mkdir(exist_ok=True)
+    bad.write_bytes(data)
+    model, config = str(model_paths["svhn_cnn"]), str(reference_config_path)
+    out = tmp_path / "out"
+    argv = {
+        "model": ["simulate", str(bad), "--config", config],
+        "config": ["simulate", model, "--config", str(bad)],
+        "catalog": ["simulate", model, "--config", config, "--catalog", str(bad)],
+        "space": ["explore", model, "--space", str(bad)],
+        "baseline": ["compare", model, "--config", config, "--baselines", str(bad.parent)],
+    }[kind]
+    rc = main([*argv, "--out-dir", str(out)])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {bad}: {reason}") and err.count("\n") == 1
+    assert not out.exists()
 
 
 def test_simulate_invalid_config_exits_3_naming_field(tmp_path, model_paths, capsys):
@@ -195,6 +230,55 @@ def test_explore_rejects_no_pipeline(tmp_path, model_paths, space_path, capsys):
     assert exc.value.code == 2
     assert "unrecognized arguments: --no-pipeline" in capsys.readouterr().err
     assert not out.exists()
+
+
+def test_main_reuses_one_parser(tmp_path, model_paths, reference_config_path, space_path,
+                                monkeypatch, capsys):
+    main(["validate", "--trials", "1"])  # builds the parser, if no earlier test has
+    built = []
+    init = argparse.ArgumentParser.__init__
+
+    def counted_init(self, *args, **kwargs):
+        built.append(kwargs.get("prog"))
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counted_init)
+    model, config, out = str(model_paths["svhn_cnn"]), str(reference_config_path), str(tmp_path / "out")
+    assert main(["simulate", model, "--config", config, "--out-dir", out]) == 0
+    assert main(["compare", model, "--config", config, "--out-dir", out]) == 0
+    assert main(["explore", model, "--space", str(space_path), "--out-dir", out]) == 0
+    assert main(["validate", "--trials", "1"]) == 0
+    assert built == []
+
+
+def test_shared_parser_keeps_no_state_between_calls(tmp_path, model_paths, reference_config_path,
+                                                    space_path, capsys):
+    model, config = str(model_paths["svhn_cnn"]), str(reference_config_path)
+    runs = {"no_pipeline": ["--no-pipeline"], "pipelined": []}
+
+    def simulate(name):
+        out = tmp_path / name
+        assert main(["simulate", model, "--config", config, "--out-dir", str(out), *runs[name]]) == 0
+        return {p.name: p.read_bytes() for p in sorted(out.iterdir())}
+
+    first = {name: simulate(name) for name in runs}
+    with pytest.raises(SystemExit) as exc:  # a flag that only simulate and compare take
+        main(["explore", model, "--space", str(space_path), "--no-pipeline"])
+    assert exc.value.code == 2
+    again = {name: simulate(name) for name in runs}
+    assert again == first
+    pipelined = [json.loads(again[name]["report.json"])["manifest"]["pipelined"] for name in runs]
+    assert pipelined == [False, True]
+
+
+def test_version_prints_the_same_line_each_call(capsys):
+    lines = []
+    for _ in range(2):
+        with pytest.raises(SystemExit) as exc:
+            main(["--version"])
+        assert exc.value.code == 0
+        lines.append(capsys.readouterr().out)
+    assert lines == [f"bitwave {__version__}\n"] * 2
 
 
 @pytest.mark.parametrize("config_pipelined, flags, recorded", [
