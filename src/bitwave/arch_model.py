@@ -104,11 +104,11 @@ class ArchConfig:
     def __post_init__(self) -> None:
         for name in ("v", "k"):
             if getattr(self, name) < 1:
-                raise ConfigError(f"{name} must be >= 1, got {getattr(self, name)}")
+                raise ConfigError(f"{name} must be >= 1, got {wir.brief(getattr(self, name))}")
         check_bits("b", self.b, ConfigError)
         for name in ("V", "K"):
             if getattr(self, name) < 0:
-                raise ConfigError(f"{name} must be >= 0, got {getattr(self, name)}")
+                raise ConfigError(f"{name} must be >= 0, got {wir.brief(getattr(self, name))}")
         if self.energy_scale <= 0:
             raise ConfigError(f"energy_scale must be positive, got {self.energy_scale}")
 
@@ -131,8 +131,8 @@ class BaselineSpec:
     device_overrides: dict = field(default_factory=dict)
 
     def __post_init__(self) -> None:
-        check_bits(f"baseline {self.name!r}: weight_bits", self.weight_bits, ConfigError)
-        check_bits(f"baseline {self.name!r}: act_bits", self.act_bits, ConfigError)
+        check_bits(f"baseline {wir.brief(self.name)}: weight_bits", self.weight_bits, ConfigError)
+        check_bits(f"baseline {wir.brief(self.name)}: act_bits", self.act_bits, ConfigError)
 
 
 def load_baseline_spec(path: str | Path) -> BaselineSpec:

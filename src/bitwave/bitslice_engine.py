@@ -22,16 +22,23 @@ An operand vector is sliced once, per slice index rather than per element:
 :func:`slice_vector` returns ``digits[i][j]``, slice ``i`` of element ``j``,
 so the lanes of one step are the elementwise product of two digit lists.
 
+A dot product's trace (:class:`DotTrace`) is its cached schedule plus one
+photodetector sum per step; the lane values are summed as they are made and
+not kept. :func:`reconstruct` adds each step sum shifted by the schedule's
+``shifts`` column. A per-step :class:`StepTrace` record is built only when a
+caller iterates or indexes the trace.
+
 Everything here is exact unsigned integer arithmetic; signed operands
-are a caller-side mapping concern. All functions are pure and every
-container immutable, so values can be shared freely across threads.
+are a caller-side mapping concern. All functions are pure: none changes a
+value it was given or has returned, so values can be shared freely across
+threads.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from operator import mul, ne
+from operator import lshift, mul, ne
 from typing import NamedTuple, Sequence
 
 from .workload_ir import CONV, FC, ceil_div, check_bits
@@ -75,6 +82,7 @@ class TdmSchedule:
     """
 
     steps: tuple[tuple[int, int | None, int], ...]
+    shifts: tuple[int, ...]  # the shift_bits column of steps
     imprints: tuple[int, int]  # (activation, weight) imprint events, see _imprints
 
     @property
@@ -111,25 +119,45 @@ def build_schedule(p_a: int, p_w: int, b: int, mode: str = FC) -> TdmSchedule:
         )
     else:
         steps = tuple((ai, None, b * ai) for ai in range(na))
-    a_index, w_index, _ = zip(*steps)
-    return TdmSchedule(steps=steps, imprints=(_imprints(a_index), _imprints(w_index)))
+    a_index, w_index, shifts = zip(*steps)
+    return TdmSchedule(steps=steps, shifts=shifts, imprints=(_imprints(a_index), _imprints(w_index)))
 
 
 class StepTrace(NamedTuple):
-    """What one time step produced.
+    """One time step of a :class:`DotTrace`, built when the trace is iterated or indexed.
 
-    ``lane_partials`` are the per-lane contributions whose sum is
-    ``step_sum``: per-wavelength products in FC mode, per-weight-slice
-    lane sums (after the lane's power-of-two gain) in CONV mode.
-    ``step_sum`` is the summed value before the step shift is applied.
+    ``step_sum`` is the step's photodetector sum before the step shift
+    ``shift_bits`` is applied: in CONV mode it already holds every weight
+    slice's lane sum times its ladder gain.
     """
 
     step_index: int
     a_slice_index: int
     w_slice_index: int | None
-    lane_partials: tuple[int, ...]
     step_sum: int
     shift_bits: int
+
+
+class DotTrace:
+    """What one sliced dot product produced: its schedule and one sum per step.
+
+    ``step_sums[i]`` is the sum of step ``schedule.steps[i]``. The trace is
+    also a sequence of :class:`StepTrace` records, built only when it is
+    iterated or indexed; :func:`reconstruct` reads the sums and shifts directly.
+    """
+
+    __slots__ = ("schedule", "step_sums")
+
+    def __init__(self, schedule: TdmSchedule, step_sums: tuple[int, ...]):
+        self.schedule = schedule
+        self.step_sums = step_sums
+
+    def __len__(self) -> int:
+        return len(self.step_sums)
+
+    def __getitem__(self, i: int) -> StepTrace:
+        ai, wi, shift = self.schedule.steps[i]  # iteration stops at its IndexError
+        return StepTrace(i % len(self.step_sums), ai, wi, self.step_sums[i], shift)
 
 
 def execute_dot(
@@ -139,11 +167,11 @@ def execute_dot(
     p_w: int,
     b: int,
     mode: str = FC,
-) -> tuple[int, list[StepTrace]]:
-    """Run one sliced dot product and return (result, per-step trace).
+) -> tuple[int, DotTrace]:
+    """Run one sliced dot product and return (result, trace).
 
     The result is the exact integer dot product a dot w; the trace
-    reconstructs it as sum(step_sum << shift_bits).
+    reconstructs it as sum(step_sum << shift) over the schedule's steps.
     """
     if len(a) != len(w):
         raise ValueError(f"vector lengths differ: {len(a)} vs {len(w)}")
@@ -151,25 +179,20 @@ def execute_dot(
         build_schedule(p_a, p_w, b, mode)
     ad = slice_vector(a, p_a, b)  # ad[i][j] = slice i of element j
     wd = slice_vector(w, p_w, b)
-    steps = build_schedule(p_a, p_w, b, mode).steps
+    schedule = build_schedule(p_a, p_w, b, mode)
     if mode == FC:
-        step_lanes = [tuple(map(mul, ad[ai], wd[wi])) for ai, wi, _ in steps]
+        # one wavelength lane per element pair; the photodetector sums the lanes
+        step_sums = tuple([sum(map(mul, ad[ai], wd[wi])) for ai, wi, _ in schedule.steps])
     else:
-        # one lane per weight slice: photodetector sum times ladder gain
-        step_lanes = [
-            tuple(sum(map(mul, ad[ai], wk)) << (b * k) for k, wk in enumerate(wd))
-            for ai, _, _ in steps
-        ]
-
-    trace: list[StepTrace] = []
-    result = 0
-    for idx, ((ai, wi, shift), lanes) in enumerate(zip(steps, step_lanes)):
-        step_sum = sum(lanes)
-        trace.append(StepTrace(idx, ai, wi, lanes, step_sum, shift))
-        result += step_sum << shift
-    return result, trace
+        # one lane per weight slice, each lane's sum times its ladder gain 2^(b*k)
+        gains = range(0, b * len(wd), b)
+        step_sums = tuple([
+            sum([sum(map(mul, ad[ai], wk)) << g for wk, g in zip(wd, gains)])
+            for ai, _, _ in schedule.steps
+        ])
+    return sum(map(lshift, step_sums, schedule.shifts)), DotTrace(schedule, step_sums)
 
 
-def reconstruct(trace: Sequence[StepTrace]) -> int:
-    """Recombine a step trace into the dot-product value: sum(step_sum << shift_bits)."""
-    return sum(st.step_sum << st.shift_bits for st in trace)
+def reconstruct(trace: DotTrace) -> int:
+    """Recombine a trace into the dot-product value: the sum of each step's sum shifted by its shift."""
+    return sum(map(lshift, trace.step_sums, trace.schedule.shifts))

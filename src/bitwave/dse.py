@@ -148,7 +148,7 @@ def explore(
     names = [m.name for m in models]
     for name in names:
         if names.count(name) > 1:
-            raise ValueError(f"model name {name!r} is repeated; explore scores each model by its name")
+            raise ValueError(f"model name {wir.brief(name)} is repeated; explore scores each model by its name")
     if aggregate not in AGGREGATES:
         raise SearchSpaceError(f"unknown aggregate {aggregate!r}; pick one of {AGGREGATES}")
     cons = space.constraints

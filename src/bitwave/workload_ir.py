@@ -61,10 +61,26 @@ def float_sum(xs) -> float:
     return functools.reduce(operator.add, xs, 0.0)
 
 
+#: how many characters of a value's repr an error message quotes
+_BRIEF_CHARS = 60
+
+
+def brief(value) -> str:
+    """``repr(value)`` for an error message, cut to its first 60 characters and its length if longer.
+
+    Every message that quotes a value read from an input goes through here,
+    so one enormous field cannot make an enormous error line.
+    """
+    text = repr(value)
+    if len(text) <= _BRIEF_CHARS:
+        return text
+    return f"{text[:_BRIEF_CHARS]}... ({len(text):,} characters)"
+
+
 def check_bits(name: str, bits: int, error: type[Exception]) -> None:
     """Raise ``error`` unless ``bits`` is an int (not a bool) in [1, MAX_BITS]."""
     if isinstance(bits, bool) or not isinstance(bits, int) or not 1 <= bits <= MAX_BITS:
-        raise error(f"{name} must be an int in [1, {MAX_BITS}], got {bits!r}")
+        raise error(f"{name} must be an int in [1, {MAX_BITS}], got {brief(bits)}")
 
 
 #: the largest finite float; every number an input document holds lies within it
@@ -141,9 +157,10 @@ def _field_table(cls) -> tuple[dict, list[str]]:
 def read_json(path: str | Path):
     """The JSON document in file ``path``.
 
-    A file that is not UTF-8, is not JSON or nests too deeply for the decoder
-    raises ``InputFileError`` naming the file. Only the decode is guarded: a
-    recursion fault anywhere else is not a file error.
+    A file that is not UTF-8, is not JSON, holds an integer longer than the
+    interpreter converts (``sys.get_int_max_str_digits``) or nests too deeply
+    for the decoder raises ``InputFileError`` naming the file. Only the decode
+    is guarded: a recursion fault anywhere else is not a file error.
     """
     data = Path(path).read_bytes()
     try:
@@ -151,6 +168,8 @@ def read_json(path: str | Path):
     except UnicodeDecodeError as exc:
         raise InputFileError(f"{path}: not UTF-8 text ({exc.reason} at byte {exc.start})") from None
     except json.JSONDecodeError as exc:
+        raise InputFileError(f"{path}: {exc}") from None
+    except ValueError as exc:  # the decoder's int() of a number with too many digits
         raise InputFileError(f"{path}: {exc}") from None
     except RecursionError:
         raise InputFileError(f"{path}: JSON nested too deeply to decode") from None
@@ -171,7 +190,7 @@ def read_fields(doc, cls, what: str, error: type[Exception]) -> dict:
     if not isinstance(doc, dict):
         raise error(f"{what} document must be a JSON object")
     if not doc.keys() <= table.keys():
-        raise error(f"unknown {what} fields: {sorted(doc.keys() - table.keys())}")
+        raise error(f"unknown {what} fields: {brief(sorted(doc.keys() - table.keys()))}")
     for name in required:
         if name not in doc:
             raise error(f"{what} is missing field {name!r}")
@@ -186,7 +205,7 @@ def read_fields(doc, cls, what: str, error: type[Exception]) -> dict:
             if test(value):
                 break
         else:
-            raise error(f"{what} field {name!r} must be {description}, got {value!r}")
+            raise error(f"{what} field {name!r} must be {description}, got {brief(value)}")
         if build is tuple:
             kwargs[name] = tuple(value)
         elif build is not None:
@@ -216,7 +235,7 @@ class LayerSpec:
     def __post_init__(self) -> None:
         where = f"layer {self.index}"
         if self.kind not in (CONV, FC):
-            raise WorkloadError(f"{where}: kind must be CONV or FC, got {self.kind!r}")
+            raise WorkloadError(f"{where}: kind must be CONV or FC, got {brief(self.kind)}")
         check_bits(f"{where}: weight_bits", self.weight_bits, WorkloadError)
         check_bits(f"{where}: act_bits", self.act_bits, WorkloadError)
         own, other = (CONV, FC) if self.kind == CONV else (FC, CONV)
@@ -228,12 +247,12 @@ class LayerSpec:
             raise WorkloadError(f"{where}: {own} layer must not set {other} fields {extra}")
         for f in _SHAPE_FIELDS[own]:
             if getattr(self, f) <= 0:
-                raise WorkloadError(f"{where}: {f} must be positive, got {getattr(self, f)}")
+                raise WorkloadError(f"{where}: {f} must be positive, got {brief(getattr(self, f))}")
         if self.kind == CONV:
             if self.stride < 1:
-                raise WorkloadError(f"{where}: stride must be positive, got {self.stride}")
+                raise WorkloadError(f"{where}: stride must be positive, got {brief(self.stride)}")
             if self.padding < 0:
-                raise WorkloadError(f"{where}: padding must be non-negative, got {self.padding}")
+                raise WorkloadError(f"{where}: padding must be non-negative, got {brief(self.padding)}")
             oh, ow = layer_out_hw(self)
             if oh < 1 or ow < 1:
                 raise WorkloadError(f"{where}: kernel/stride/padding yield empty {oh}x{ow} output")
@@ -282,8 +301,8 @@ class WorkloadModel:
             actual = param_count(self)
             if actual != self.declared_param_count:
                 raise WorkloadError(
-                    f"model {self.name!r}: declared_param_count "
-                    f"{self.declared_param_count} != layer-shape total {actual}"
+                    f"model {brief(self.name)}: declared_param_count "
+                    f"{brief(self.declared_param_count)} != layer-shape total {actual}"
                 )
 
 

@@ -19,10 +19,13 @@ def slices_of(x, p, b):
 
 
 def reference_execute_dot(a, w, p_a, p_w, b, mode=bse.FC):
-    """The per-element traced dot product: slice each element on its own, then walk the schedule.
+    """The per-element dot product: slice each element on its own, then walk the schedule.
 
     This is the straightforward form of :func:`bse.execute_dot`, kept as its
-    oracle; the two must agree on the result and on every trace field.
+    oracle. It returns (result, lanes): ``lanes[i]`` holds step ``i``'s lane
+    values, one product per element pair in FC mode and one lane sum per
+    weight slice, after its ladder gain, in CONV mode. A step's sum is the
+    sum of its lanes, and the result adds each step's sum shifted by its shift.
     """
     if len(a) != len(w):
         raise ValueError(f"vector lengths differ: {len(a)} vs {len(w)}")
@@ -32,9 +35,9 @@ def reference_execute_dot(a, w, p_a, p_w, b, mode=bse.FC):
     n = len(a)
     nw = -(-p_w // b)
 
-    trace = []
+    step_lanes = []
     result = 0
-    for idx, (ai, wi, shift) in enumerate(schedule.steps):
+    for ai, wi, shift in schedule.steps:
         if mode == bse.FC:
             lanes = tuple(a_sl[j][ai] * w_sl[j][wi] for j in range(n))
         else:
@@ -42,19 +45,19 @@ def reference_execute_dot(a, w, p_a, p_w, b, mode=bse.FC):
                 sum(a_sl[j][ai] * w_sl[j][k] for j in range(n)) << (b * k)
                 for k in range(nw)
             )
-        step_sum = sum(lanes)
-        trace.append(
-            bse.StepTrace(
-                step_index=idx,
-                a_slice_index=ai,
-                w_slice_index=wi,
-                lane_partials=lanes,
-                step_sum=step_sum,
-                shift_bits=shift,
-            )
-        )
-        result += step_sum << shift
-    return result, trace
+        step_lanes.append(lanes)
+        result += sum(lanes) << shift
+    return result, step_lanes
+
+
+def assert_matches_reference(a, w, p_a, p_w, b, mode):
+    """``execute_dot`` equals the reference in its result, each step's sum and its schedule."""
+    result, trace = bse.execute_dot(a, w, p_a, p_w, b, mode)
+    want, lanes = reference_execute_dot(a, w, p_a, p_w, b, mode)
+    assert result == want == sum(x * y for x, y in zip(a, w))
+    assert trace.step_sums == tuple(map(sum, lanes))
+    assert trace.schedule is bse.build_schedule(p_a, p_w, b, mode)
+    assert bse.reconstruct(trace) == result
 
 
 def test_slice_golden_nibbles():
@@ -171,10 +174,12 @@ def test_schedule_coverage_exhaustive():
     # because the dot product is bilinear in the slices (CONV's weight shift b*k is the lane's)
     for p_a, p_w, b in product(range(1, 17), repeat=3):
         n_a, n_w = -(-p_a // b), -(-p_w // b)
-        fc = bse.build_schedule(p_a, p_w, b, bse.FC).steps
-        assert Counter(fc) == Counter((i, k, b * (i + k)) for i in range(n_a) for k in range(n_w))
-        conv = bse.build_schedule(p_a, p_w, b, bse.CONV).steps
-        assert Counter(conv) == Counter((i, None, b * i) for i in range(n_a))
+        fc = bse.build_schedule(p_a, p_w, b, bse.FC)
+        assert Counter(fc.steps) == Counter((i, k, b * (i + k)) for i in range(n_a) for k in range(n_w))
+        conv = bse.build_schedule(p_a, p_w, b, bse.CONV)
+        assert Counter(conv.steps) == Counter((i, None, b * i) for i in range(n_a))
+        for sched in (fc, conv):  # reconstruct reads the shifts from their own column
+            assert sched.shifts == tuple(shift for _, _, shift in sched.steps)
 
 
 def test_schedule_rejects_bad_mode():
@@ -208,18 +213,23 @@ def test_step_trace_is_immutable():
 def test_execute_dot_golden_trace():
     result, trace = bse.execute_dot(GOLD_A, GOLD_W, 8, 8, 4, bse.FC)
     assert result == 2808
+    assert trace.step_sums == (56, 16, 12, 9)
+    assert trace.schedule.shifts == (0, 4, 4, 8)
     assert [t.step_sum for t in trace] == [56, 16, 12, 9]
     assert [t.shift_bits for t in trace] == [0, 4, 4, 8]
-    for t in trace:
-        assert sum(t.lane_partials) == t.step_sum
+    _, lanes = reference_execute_dot(GOLD_A, GOLD_W, 8, 8, 4, bse.FC)
+    assert lanes == [(1 * 4, 13 * 4), (1 * 3, 13 * 1), (3 * 4, 0 * 4), (3 * 3, 0 * 1)]
+    assert [sum(step) for step in lanes] == list(trace.step_sums)
     assert sum(t.step_sum << t.shift_bits for t in trace) == 2808
 
 
 def test_execute_dot_zero_weights_annihilate():
-    result, trace = bse.execute_dot([3, 200, 17], [0, 0, 0], 8, 8, 4)
-    assert result == 0
-    assert all(t.step_sum == 0 for t in trace)
-    assert all(all(x == 0 for x in t.lane_partials) for t in trace)
+    for mode in (bse.FC, bse.CONV):
+        result, trace = bse.execute_dot([3, 200, 17], [0, 0, 0], 8, 8, 4, mode)
+        assert result == 0
+        assert all(t.step_sum == 0 for t in trace)
+        _, lanes = reference_execute_dot([3, 200, 17], [0, 0, 0], 8, 8, 4, mode)
+        assert all(all(x == 0 for x in step) for step in lanes)
 
 
 def test_execute_dot_conv_mode_matches_oracle():
@@ -281,9 +291,15 @@ def test_execute_dot_equals_reference(data, p_a, p_w, b, n, mode):
     else:
         a = data.draw(st.lists(st.integers(0, (1 << p_a) - 1), min_size=n, max_size=n))
         w = data.draw(st.lists(st.integers(0, (1 << p_w) - 1), min_size=n, max_size=n))
-    got = bse.execute_dot(a, w, p_a, p_w, b, mode)
-    assert got == reference_execute_dot(a, w, p_a, p_w, b, mode)
-    assert got[0] == sum(x * y for x, y in zip(a, w))
+    assert_matches_reference(a, w, p_a, p_w, b, mode)
+
+
+def test_execute_dot_all_ones_on_every_schedule():
+    # the largest operands of every (p_a, p_w, b, mode): each slice is all ones
+    for p_a, p_w, b in product(range(1, 17), repeat=3):
+        a, w = [(1 << p_a) - 1] * 2, [(1 << p_w) - 1] * 2
+        for mode in (bse.FC, bse.CONV):
+            assert_matches_reference(a, w, p_a, p_w, b, mode)
 
 
 @pytest.mark.parametrize("a, w, error, message", [
@@ -319,4 +335,20 @@ def test_execute_dot_parameter_errors_match_reference(a, w, p_a, p_w, b, mode):
 
 
 def test_reconstruct_empty_trace():
-    assert bse.reconstruct([]) == 0
+    # an empty dot product still runs its schedule, every step summing to 0
+    for mode in (bse.FC, bse.CONV):
+        result, trace = bse.execute_dot([], [], 8, 8, 4, mode)
+        assert trace.step_sums == (0,) * trace.schedule.n_steps
+        assert bse.reconstruct(trace) == result == 0
+
+
+def test_dot_trace_is_a_view_of_its_steps():
+    _, trace = bse.execute_dot(GOLD_A, GOLD_W, 8, 8, 4, bse.FC)
+    steps = [(0, 0, 0, 0, 56), (1, 0, 1, 4, 16), (2, 1, 0, 4, 12), (3, 1, 1, 8, 9)]
+    want = [bse.StepTrace(i, ai, wi, s, shift) for i, ai, wi, shift, s in steps]
+    assert len(trace) == 4
+    assert list(trace) == want
+    assert [trace[i] for i in range(-4, 4)] == want + want
+    with pytest.raises(IndexError):
+        trace[4]
+    assert bse.reconstruct(bse.DotTrace(trace.schedule, (1, 0, 0, 1))) == 1 + (1 << 8)

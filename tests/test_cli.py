@@ -4,6 +4,7 @@ import hashlib
 import json
 import math
 import random
+import sys
 from pathlib import Path
 
 import pytest
@@ -92,6 +93,29 @@ def test_unreadable_input_file_exits_2_naming_it(tmp_path, model_paths, referenc
     assert rc == 2
     err = capsys.readouterr().err
     assert err.startswith(f"error: {bad}: {reason}") and err.count("\n") == 1
+    assert not out.exists()
+
+
+# more digits than Python's default limit (4,300) on converting a decimal string to an int
+LONG_INT_DIGITS = 5_000
+
+
+@pytest.mark.skipif(not 0 < getattr(sys, "get_int_max_str_digits", lambda: 0)() < LONG_INT_DIGITS,
+                    reason="this interpreter converts integers of 5,000 digits")
+@pytest.mark.parametrize("kind, field", [("model", "declared_param_count"), ("config", "v")])
+def test_integer_too_long_to_decode_exits_2_naming_the_file(tmp_path, model_paths, reference_config_path,
+                                                            capsys, kind, field):
+    model, config = model_paths["svhn_cnn"], reference_config_path
+    doc = json.loads({"model": model, "config": config}[kind].read_text())
+    doc[field] = "LONG"
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(doc).replace('"LONG"', "9" * LONG_INT_DIGITS))
+    model, config = (bad, config) if kind == "model" else (model, bad)
+    out = tmp_path / "out"
+    rc = main(["simulate", str(model), "--config", str(config), "--out-dir", str(out)])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {bad}: ") and err.count("\n") == 1
     assert not out.exists()
 
 
@@ -491,6 +515,29 @@ def test_non_numeric_device_value_exits_3(tmp_path, model_paths, reference_confi
     assert not (tmp_path / "cmp" / "compare.csv").exists()
 
 
+def compare_with_field(tmp_path, repo_root, target, field, value) -> tuple[int, Path]:
+    """Run ``compare`` of svhn_cnn against one baseline with ``field`` of ``target`` set to ``value``.
+
+    Returns the exit code and the output directory.
+    """
+    config = json.loads((repo_root / "configs" / "reference.json").read_text())
+    model = json.loads((repo_root / "models" / "svhn_cnn.json").read_text())
+    baseline = json.loads((repo_root / "baselines" / "crosslight.json").read_text())
+    assert model["layers"][0]["kind"] == "CONV" and model["layers"][-1]["kind"] == "FC"
+    docs = {"config": config, "model": model, "baseline": baseline,
+            "conv layer": model["layers"][0], "fc layer": model["layers"][-1]}
+    docs[target][field] = value
+    bdir = tmp_path / "baselines"
+    bdir.mkdir()
+    (bdir / "b.json").write_text(json.dumps(baseline))  # NaN is written as the bare JSON token
+    (tmp_path / "config.json").write_text(json.dumps(config))
+    (tmp_path / "model.json").write_text(json.dumps(model))
+    out = tmp_path / "out"
+    rc = main(["compare", str(tmp_path / "model.json"), "--config", str(tmp_path / "config.json"),
+               "--baselines", str(bdir), "--out-dir", str(out)])
+    return rc, out
+
+
 @pytest.mark.parametrize("target, field, value", [
     ("config", "v", "50"),
     ("config", "v", 2.5),
@@ -517,25 +564,24 @@ def test_non_numeric_device_value_exits_3(tmp_path, model_paths, reference_confi
     ("baseline", "weight_bits", True),
 ])
 def test_malformed_input_field_exits_3(tmp_path, repo_root, capsys, target, field, value):
-    config = json.loads((repo_root / "configs" / "reference.json").read_text())
-    model = json.loads((repo_root / "models" / "svhn_cnn.json").read_text())
-    baseline = json.loads((repo_root / "baselines" / "crosslight.json").read_text())
-    assert model["layers"][0]["kind"] == "CONV" and model["layers"][-1]["kind"] == "FC"
-    docs = {"config": config, "model": model, "baseline": baseline,
-            "conv layer": model["layers"][0], "fc layer": model["layers"][-1]}
-    docs[target][field] = value
-    bdir = tmp_path / "baselines"
-    bdir.mkdir()
-    (bdir / "b.json").write_text(json.dumps(baseline))  # NaN is written as the bare JSON token
-    (tmp_path / "config.json").write_text(json.dumps(config))
-    (tmp_path / "model.json").write_text(json.dumps(model))
-    out = tmp_path / "out"
-    rc = main(["compare", str(tmp_path / "model.json"), "--config", str(tmp_path / "config.json"),
-               "--baselines", str(bdir), "--out-dir", str(out)])
+    rc, out = compare_with_field(tmp_path, repo_root, target, field, value)
     assert rc == 3
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1
     assert f"'{field}'" in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("target, field, value", [
+    pytest.param("config", "v", list(range(100_000)), id="config-v-100000-ints"),
+    pytest.param("fc layer", "kind", "F" * 200_000, id="fc-layer-kind-200000-characters"),
+])
+def test_enormous_bad_value_makes_a_short_error_line(tmp_path, repo_root, capsys, target, field, value):
+    rc, out = compare_with_field(tmp_path, repo_root, target, field, value)
+    assert rc == 3
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert len(err.encode()) < 200 and field in err
     assert not out.exists()
 
 
