@@ -142,24 +142,6 @@ def load_baseline_spec(path: str | Path) -> BaselineSpec:
     return spec
 
 
-# -- step-count laws ----------------------------------------------------------
-
-
-def fc_time_steps(p_a: int, p_w: int, b: int) -> int:
-    """Steps per FC tile: every (activation, weight) slice pair once."""
-    check_bits("p_a", p_a, ConfigError)
-    check_bits("p_w", p_w, ConfigError)
-    check_bits("b", b, ConfigError)
-    return bse.build_schedule(p_a, p_w, b, wir.FC).n_steps
-
-
-def conv_time_steps(p_a: int, b: int) -> int:
-    """Steps per CONV output element and kernel chunk: one per activation slice."""
-    check_bits("p_a", p_a, ConfigError)
-    check_bits("b", b, ConfigError)
-    return bse.build_schedule(p_a, p_a, b, wir.CONV).n_steps
-
-
 # -- MVU geometry and the link budget -----------------------------------------
 
 

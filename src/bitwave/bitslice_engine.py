@@ -25,8 +25,7 @@ so the lanes of one step are the elementwise product of two digit lists.
 A dot product's trace (:class:`DotTrace`) is its cached schedule plus one
 photodetector sum per step; the lane values are summed as they are made and
 not kept. :func:`reconstruct` adds each step sum shifted by the schedule's
-``shifts`` column. A per-step :class:`StepTrace` record is built only when a
-caller iterates or indexes the trace.
+shift for that step.
 
 Everything here is exact unsigned integer arithmetic; signed operands
 are a caller-side mapping concern. All functions are pure: none changes a
@@ -39,7 +38,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 from operator import lshift, mul, ne
-from typing import NamedTuple, Sequence
+from typing import Sequence
 
 from .workload_ir import CONV, FC, ceil_div, check_bits
 
@@ -75,14 +74,15 @@ def slice_vector(values: Sequence[int], p: int, b: int) -> list[list[int]]:
 class TdmSchedule:
     """Ordered time steps of one sliced dot product.
 
-    Each step is (activation_slice_index, weight_slice_index, shift_bits).
-    In CONV mode the weight index is None: every weight slice is present
-    in a parallel lane within the step, and only the activation part of
-    the shift appears here.
+    Each step is (activation_slice_index, weight_slice_index), and
+    ``shifts[i]`` is the bit shift applied to step ``i``'s sum. In CONV mode
+    the weight index is None: every weight slice is present in a parallel
+    lane within the step, and only the activation part of the shift
+    appears in ``shifts``.
     """
 
-    steps: tuple[tuple[int, int | None, int], ...]
-    shifts: tuple[int, ...]  # the shift_bits column of steps
+    steps: tuple[tuple[int, int | None], ...]
+    shifts: tuple[int, ...]
     imprints: tuple[int, int]  # (activation, weight) imprint events, see _imprints
 
     @property
@@ -114,36 +114,21 @@ def build_schedule(p_a: int, p_w: int, b: int, mode: str = FC) -> TdmSchedule:
     _check_mode(mode)
     na, nw = ceil_div(p_a, b), ceil_div(p_w, b)
     if mode == FC:
-        steps = tuple(
-            (ai, wi, b * (ai + wi)) for ai in range(na) for wi in range(nw)
-        )
+        steps = tuple((ai, wi) for ai in range(na) for wi in range(nw))
+        shifts = tuple(b * (ai + wi) for ai, wi in steps)
     else:
-        steps = tuple((ai, None, b * ai) for ai in range(na))
-    a_index, w_index, shifts = zip(*steps)
+        steps = tuple((ai, None) for ai in range(na))
+        shifts = tuple(b * ai for ai, _ in steps)
+    a_index, w_index = zip(*steps)
     return TdmSchedule(steps=steps, shifts=shifts, imprints=(_imprints(a_index), _imprints(w_index)))
-
-
-class StepTrace(NamedTuple):
-    """One time step of a :class:`DotTrace`, built when the trace is iterated or indexed.
-
-    ``step_sum`` is the step's photodetector sum before the step shift
-    ``shift_bits`` is applied: in CONV mode it already holds every weight
-    slice's lane sum times its ladder gain.
-    """
-
-    step_index: int
-    a_slice_index: int
-    w_slice_index: int | None
-    step_sum: int
-    shift_bits: int
 
 
 class DotTrace:
     """What one sliced dot product produced: its schedule and one sum per step.
 
-    ``step_sums[i]`` is the sum of step ``schedule.steps[i]``. The trace is
-    also a sequence of :class:`StepTrace` records, built only when it is
-    iterated or indexed; :func:`reconstruct` reads the sums and shifts directly.
+    ``step_sums[i]`` is the sum of step ``schedule.steps[i]``, before the
+    step's shift ``schedule.shifts[i]``: in CONV mode it already holds every
+    weight slice's lane sum times its ladder gain.
     """
 
     __slots__ = ("schedule", "step_sums")
@@ -151,13 +136,6 @@ class DotTrace:
     def __init__(self, schedule: TdmSchedule, step_sums: tuple[int, ...]):
         self.schedule = schedule
         self.step_sums = step_sums
-
-    def __len__(self) -> int:
-        return len(self.step_sums)
-
-    def __getitem__(self, i: int) -> StepTrace:
-        ai, wi, shift = self.schedule.steps[i]  # iteration stops at its IndexError
-        return StepTrace(i % len(self.step_sums), ai, wi, self.step_sums[i], shift)
 
 
 def execute_dot(
@@ -171,7 +149,7 @@ def execute_dot(
     """Run one sliced dot product and return (result, trace).
 
     The result is the exact integer dot product a dot w; the trace
-    reconstructs it as sum(step_sum << shift) over the schedule's steps.
+    reconstructs it as the sum of each step's sum shifted by its shift.
     """
     if len(a) != len(w):
         raise ValueError(f"vector lengths differ: {len(a)} vs {len(w)}")
@@ -182,13 +160,13 @@ def execute_dot(
     schedule = build_schedule(p_a, p_w, b, mode)
     if mode == FC:
         # one wavelength lane per element pair; the photodetector sums the lanes
-        step_sums = tuple([sum(map(mul, ad[ai], wd[wi])) for ai, wi, _ in schedule.steps])
+        step_sums = tuple([sum(map(mul, ad[ai], wd[wi])) for ai, wi in schedule.steps])
     else:
         # one lane per weight slice, each lane's sum times its ladder gain 2^(b*k)
         gains = range(0, b * len(wd), b)
         step_sums = tuple([
             sum([sum(map(mul, ad[ai], wk)) << g for wk, g in zip(wd, gains)])
-            for ai, _, _ in schedule.steps
+            for ai, _ in schedule.steps
         ])
     return sum(map(lshift, step_sums, schedule.shifts)), DotTrace(schedule, step_sums)
 

@@ -276,12 +276,10 @@ def cmd_validate(args) -> int:
         n = rng.randint(1, 64)
         a = _draw_operands(rng, p_a, n)
         w = _draw_operands(rng, p_w, n)
-        result, trace = bse.execute_dot(a, w, p_a, p_w, b, mode)
+        result, _ = bse.execute_dot(a, w, p_a, p_w, b, mode)
         expected = sum(map(mul, a, w))
-        rebuilt = bse.reconstruct(trace)
-        ok = result == expected and rebuilt == expected
         digest.update(repr((trial, p_a, p_w, b, mode, a, w, result)).encode())
-        if not ok:
+        if result != expected:
             failures += 1
             if first_failure is None:
                 first_failure = (trial, p_a, p_w, b, mode, a, w, result, expected)
@@ -316,13 +314,21 @@ def cmd_validate(args) -> int:
 # -- argument parsing ------------------------------------------------------------
 
 
+def _int(text: str) -> int:
+    """``int(text)``, whose usage error quotes a bad value through ``wir.brief`` rather than whole."""
+    try:
+        return int(text)
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(f"invalid int value: {wir.brief(text)}") from exc
+
+
 def _int_list(text: str) -> tuple[int, ...]:
     try:
         values = tuple(int(x) for x in text.split(",") if x.strip())
     except ValueError as exc:
-        raise argparse.ArgumentTypeError(f"expected comma-separated ints, got {text!r}") from exc
+        raise argparse.ArgumentTypeError(f"expected comma-separated ints, got {wir.brief(text)}") from exc
     if not values:
-        raise argparse.ArgumentTypeError(f"expected at least one int, got {text!r}")
+        raise argparse.ArgumentTypeError(f"expected at least one int, got {wir.brief(text)}")
     return values
 
 
@@ -372,8 +378,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_explore)
 
     p = sub.add_parser("validate", help="fuzz the bit-slice engine against exact arithmetic")
-    p.add_argument("--trials", type=int, default=1000)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--trials", type=_int, default=1000)
+    p.add_argument("--seed", type=_int, default=0)
     p.add_argument("--p-bits", type=_int_list, default=DEFAULT_P_BITS,
                    help="operand bitwidths to draw from (comma-separated)")
     p.add_argument("--b-bits", type=_int_list, default=DEFAULT_B_BITS,

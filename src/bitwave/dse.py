@@ -118,9 +118,7 @@ def _aggregate(values: list[float], how: str) -> float:
         return math.exp(wir.float_sum(logs) / len(values))
     if how == "mean":
         return wir.float_sum(values) / len(values)
-    if how == "min":
-        return min(values)
-    raise SearchSpaceError(f"unknown aggregate {how!r}; pick one of {AGGREGATES}")
+    return min(values)  # explore has checked that ``how`` is one of AGGREGATES
 
 
 def _rank_key(entry: EvaluatedConfig) -> tuple:

@@ -292,11 +292,8 @@ class WorkloadModel:
     name: str
     layers: tuple[LayerSpec, ...]
     declared_param_count: int | None = None
-    footprint_scale: float = 1.0
 
     def __post_init__(self) -> None:
-        if self.footprint_scale <= 0:
-            raise WorkloadError(f"footprint_scale must be positive, got {self.footprint_scale}")
         if self.declared_param_count is not None:
             actual = param_count(self)
             if actual != self.declared_param_count:
@@ -316,11 +313,6 @@ def mac_count(model: WorkloadModel) -> int:
 
 def weight_footprint_bits(model: WorkloadModel) -> int:
     return sum(layer_param_count(l) * l.weight_bits for l in model.layers)
-
-
-def footprint_mb(model: WorkloadModel) -> float:
-    """Weight storage in MB (2^20 bytes), scaled by the model's calibration."""
-    return weight_footprint_bits(model) / 8 / 2**20 * model.footprint_scale
 
 
 def processed_bits(model: WorkloadModel) -> int:
@@ -346,7 +338,6 @@ class _ModelDoc:
     layers: list
     name: str = "unnamed"
     declared_param_count: int | None = None
-    footprint_scale: float = WorkloadModel.footprint_scale
     weight_bits: int | list[int] | None = None
     act_bits: int | list[int] | None = None
 
@@ -405,7 +396,6 @@ def workload_from_dict(doc: dict) -> WorkloadModel:
         name=top.name,
         layers=tuple(layers),
         declared_param_count=top.declared_param_count,
-        footprint_scale=top.footprint_scale,
     )
 
 

@@ -49,11 +49,11 @@ def test_c1_bitslice_oracle_equivalence():
 def test_c2_two_element_golden_dot():
     """The worked 2-element example: steps, order, sums, result, all exact."""
     result, trace = bse.execute_dot([0x31, 0x0D], [0x34, 0x14], 8, 8, 4, bse.FC)
-    order = [(t.a_slice_index, t.w_slice_index) for t in trace]
-    sums = [t.step_sum for t in trace]
-    shifts = [t.shift_bits for t in trace]
+    order = list(trace.schedule.steps)
+    sums = list(trace.step_sums)
+    shifts = list(trace.schedule.shifts)
     ok = (
-        len(trace) == 4
+        len(sums) == 4
         and order == [(0, 0), (0, 1), (1, 0), (1, 1)]
         and result == 2808
         and sums == [56, 16, 12, 9]
@@ -72,9 +72,9 @@ def test_c3_step_count_laws():
     for p in range(1, 17):
         for b in range(1, 17):
             want = -(-p // b)
-            if am.fc_time_steps(p, p, b) != want * want:
+            if bse.build_schedule(p, p, b, bse.FC).n_steps != want * want:
                 bad.append(("fc", p, b))
-            if am.conv_time_steps(p, b) != want:
+            if bse.build_schedule(p, p, b, bse.CONV).n_steps != want:
                 bad.append(("conv", p, b))
     _report(
         "criterion 3: step-count laws over 256 (p, b) pairs",

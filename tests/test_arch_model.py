@@ -47,36 +47,6 @@ def cost_of(layer, cfg):
     return am.layer_cost(layer, cfg, cp, am._device_table(DEFAULT_CATALOG, cp, period_of(layer, cfg), 0.0))
 
 
-# -- step-count laws ------------------------------------------------------------
-
-
-def test_fc_time_steps_examples():
-    assert am.fc_time_steps(8, 8, 4) == 4
-    assert am.fc_time_steps(5, 5, 5) == 1
-    assert am.fc_time_steps(10, 2, 4) == 3
-
-
-def test_conv_time_steps_examples():
-    assert am.conv_time_steps(4, 4) == 1
-    assert am.conv_time_steps(8, 4) == 2
-    assert am.conv_time_steps(10, 4) == 3
-
-
-def test_step_count_laws_exhaustive():
-    for p in range(1, 17):
-        for b in range(1, 17):
-            expect = -(-p // b)
-            assert am.fc_time_steps(p, p, b) == expect * expect
-            assert am.conv_time_steps(p, b) == expect
-
-
-def test_step_counts_reject_out_of_range_bits():
-    with pytest.raises(am.ConfigError):
-        am.fc_time_steps(0, 8, 4)
-    with pytest.raises(am.ConfigError):
-        am.conv_time_steps(8, 17)
-
-
 def test_layer_cost_steps_match_the_engine_schedule():
     # the analytical model and the functional engine count the same steps per unit of work
     cfg = am.ArchConfig(v=4, k=3, b=1, V=1, K=1)
@@ -96,7 +66,7 @@ def test_schedule_read_by_layer_cost_depends_on_slice_counts_only():
         for kind in (wir.FC, wir.CONV):
             sched = bse.build_schedule(p_a, p_w, b, kind)
             unit = bse.build_schedule(n_a, n_w, 1, kind)
-            assert [s[:2] for s in sched.steps] == [s[:2] for s in unit.steps]
+            assert sched.steps == unit.steps
             # FC: the weight slice changes every step unless there is one; CONV: weights imprint once
             want = (n_a, n_a * n_w if n_w > 1 else 1) if kind == wir.FC else (n_a, 1)
             assert sched.imprints == unit.imprints == want
@@ -168,7 +138,7 @@ def test_map_layer_fc_exact_fit():
     assert cost.n_units_of_work == 1
     assert passes == 1
     assert used == 1
-    assert seq_steps == cost.steps_per_unit == am.fc_time_steps(8, 8, 4)
+    assert seq_steps == cost.steps_per_unit == bse.build_schedule(8, 8, 4, wir.FC).n_steps
 
 
 def test_map_layer_fc_tiling():

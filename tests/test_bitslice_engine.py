@@ -37,7 +37,7 @@ def reference_execute_dot(a, w, p_a, p_w, b, mode=bse.FC):
 
     step_lanes = []
     result = 0
-    for ai, wi, shift in schedule.steps:
+    for (ai, wi), shift in zip(schedule.steps, schedule.shifts):
         if mode == bse.FC:
             lanes = tuple(a_sl[j][ai] * w_sl[j][wi] for j in range(n))
         else:
@@ -133,14 +133,14 @@ def test_slice_round_trip_exhaustive():
 def test_schedule_golden_order_and_shifts():
     sched = bse.build_schedule(8, 8, 4, bse.FC)
     assert sched.n_steps == 4
-    assert [s[:2] for s in sched.steps] == [(0, 0), (0, 1), (1, 0), (1, 1)]
-    assert [s[2] for s in sched.steps] == [0, 4, 4, 8]
+    assert list(sched.steps) == [(0, 0), (0, 1), (1, 0), (1, 1)]
+    assert list(sched.shifts) == [0, 4, 4, 8]
 
 
 def test_schedule_degenerate_single_step():
     for p in (1, 4, 8, 16):
         sched = bse.build_schedule(p, p, p, bse.FC)
-        assert sched.steps == ((0, 0, 0),)
+        assert (sched.steps, sched.shifts) == (((0, 0),), (0,))
 
 
 def test_schedule_mixed_widths():
@@ -158,15 +158,15 @@ def test_schedule_step_count_law():
 
 def test_schedule_every_pair_once_with_shift_law():
     sched = bse.build_schedule(10, 6, 4, bse.FC)
-    pairs = [(a, w) for a, w, _ in sched.steps]
+    pairs = list(sched.steps)
     assert len(pairs) == len(set(pairs)) == 3 * 2
-    assert all(shift == 4 * (a + w) for a, w, shift in sched.steps)
+    assert all(shift == 4 * (a + w) for (a, w), shift in zip(sched.steps, sched.shifts))
 
 
 def test_schedule_conv_lanes_marked_parallel():
     sched = bse.build_schedule(8, 8, 4, bse.CONV)
-    assert all(w is None for _, w, _ in sched.steps)
-    assert [s[2] for s in sched.steps] == [0, 4]
+    assert all(w is None for _, w in sched.steps)
+    assert list(sched.shifts) == [0, 4]
 
 
 def test_schedule_coverage_exhaustive():
@@ -175,11 +175,13 @@ def test_schedule_coverage_exhaustive():
     for p_a, p_w, b in product(range(1, 17), repeat=3):
         n_a, n_w = -(-p_a // b), -(-p_w // b)
         fc = bse.build_schedule(p_a, p_w, b, bse.FC)
-        assert Counter(fc.steps) == Counter((i, k, b * (i + k)) for i in range(n_a) for k in range(n_w))
+        assert Counter(zip(fc.steps, fc.shifts)) == Counter(
+            ((i, k), b * (i + k)) for i in range(n_a) for k in range(n_w)
+        )
         conv = bse.build_schedule(p_a, p_w, b, bse.CONV)
-        assert Counter(conv.steps) == Counter((i, None, b * i) for i in range(n_a))
-        for sched in (fc, conv):  # reconstruct reads the shifts from their own column
-            assert sched.shifts == tuple(shift for _, _, shift in sched.steps)
+        assert Counter(zip(conv.steps, conv.shifts)) == Counter(((i, None), b * i) for i in range(n_a))
+        for sched in (fc, conv):  # one shift per step
+            assert len(sched.shifts) == sched.n_steps
 
 
 def test_schedule_rejects_bad_mode():
@@ -203,31 +205,22 @@ def test_schedule_bad_arguments_raise_on_every_call(args):
             bse.build_schedule(*args)
 
 
-def test_step_trace_is_immutable():
-    _, trace = bse.execute_dot(GOLD_A, GOLD_W, 8, 8, 4, bse.FC)
-    with pytest.raises(AttributeError):
-        trace[0].step_sum = 0
-    assert trace[0].step_sum == 56
-
-
 def test_execute_dot_golden_trace():
     result, trace = bse.execute_dot(GOLD_A, GOLD_W, 8, 8, 4, bse.FC)
     assert result == 2808
     assert trace.step_sums == (56, 16, 12, 9)
     assert trace.schedule.shifts == (0, 4, 4, 8)
-    assert [t.step_sum for t in trace] == [56, 16, 12, 9]
-    assert [t.shift_bits for t in trace] == [0, 4, 4, 8]
     _, lanes = reference_execute_dot(GOLD_A, GOLD_W, 8, 8, 4, bse.FC)
     assert lanes == [(1 * 4, 13 * 4), (1 * 3, 13 * 1), (3 * 4, 0 * 4), (3 * 3, 0 * 1)]
     assert [sum(step) for step in lanes] == list(trace.step_sums)
-    assert sum(t.step_sum << t.shift_bits for t in trace) == 2808
+    assert sum(s << shift for s, shift in zip(trace.step_sums, trace.schedule.shifts)) == 2808
 
 
 def test_execute_dot_zero_weights_annihilate():
     for mode in (bse.FC, bse.CONV):
         result, trace = bse.execute_dot([3, 200, 17], [0, 0, 0], 8, 8, 4, mode)
         assert result == 0
-        assert all(t.step_sum == 0 for t in trace)
+        assert trace.step_sums == (0,) * trace.schedule.n_steps
         _, lanes = reference_execute_dot([3, 200, 17], [0, 0, 0], 8, 8, 4, mode)
         assert all(all(x == 0 for x in step) for step in lanes)
 
@@ -235,7 +228,7 @@ def test_execute_dot_zero_weights_annihilate():
 def test_execute_dot_conv_mode_matches_oracle():
     result, trace = bse.execute_dot(GOLD_A, GOLD_W, 8, 8, 4, bse.CONV)
     assert result == 2808
-    assert len(trace) == 2  # one step per activation slice
+    assert len(trace.step_sums) == trace.schedule.n_steps == 2  # one step per activation slice
     assert bse.reconstruct(trace) == 2808
 
 
@@ -342,13 +335,6 @@ def test_reconstruct_empty_trace():
         assert bse.reconstruct(trace) == result == 0
 
 
-def test_dot_trace_is_a_view_of_its_steps():
+def test_reconstruct_shifts_each_step_sum_by_its_step():
     _, trace = bse.execute_dot(GOLD_A, GOLD_W, 8, 8, 4, bse.FC)
-    steps = [(0, 0, 0, 0, 56), (1, 0, 1, 4, 16), (2, 1, 0, 4, 12), (3, 1, 1, 8, 9)]
-    want = [bse.StepTrace(i, ai, wi, s, shift) for i, ai, wi, shift, s in steps]
-    assert len(trace) == 4
-    assert list(trace) == want
-    assert [trace[i] for i in range(-4, 4)] == want + want
-    with pytest.raises(IndexError):
-        trace[4]
     assert bse.reconstruct(bse.DotTrace(trace.schedule, (1, 0, 0, 1))) == 1 + (1 << 8)

@@ -10,6 +10,7 @@ from pathlib import Path
 import pytest
 
 from bitwave import __version__
+from bitwave import bitslice_engine as bse
 from bitwave.cli import _draw_operands, main
 
 
@@ -424,6 +425,38 @@ def test_validate_empty_bit_list_is_usage_error(capsys, flag, value):
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize("flag, value", [
+    pytest.param("--trials", "1" * 100_000, id="trials-100000-digits"),
+    pytest.param("--seed", "1" * 100_000, id="seed-100000-digits"),
+    pytest.param("--p-bits", "1" * 5_000, id="p-bits-5000-digits"),
+])
+def test_enormous_flag_value_makes_a_short_usage_error(capsys, flag, value):
+    with pytest.raises(SystemExit) as exc:
+        main(["validate", flag, value])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert len(err.encode()) < 1024
+    assert f"argument {flag}: " in err and "characters)" in err
+
+
+def test_validate_mismatch_exits_1(tmp_path, monkeypatch, capsys):
+    execute_dot = bse.execute_dot
+
+    def off_by_one(*args):
+        result, trace = execute_dot(*args)
+        return result + 1, trace
+
+    monkeypatch.setattr(bse, "execute_dot", off_by_one)
+    out = tmp_path / "v"
+    rc = main(["validate", "--trials", "5", "--out-dir", str(out)])
+    assert rc == 1
+    captured = capsys.readouterr()
+    assert captured.out.splitlines()[0] == "0/5 ok"
+    assert captured.err.count("\n") == 1
+    assert captured.err.startswith("first mismatch at trial 0: ")
+    assert json.loads((out / "validate.json").read_text())["failures"] == 5
+
+
 @pytest.mark.parametrize("field, value", [
     ("b", [True]),
     ("max_power_w", "100"),
@@ -557,8 +590,6 @@ def compare_with_field(tmp_path, repo_root, target, field, value) -> tuple[int, 
     ("fc layer", "stride", 7),
     ("fc layer", "padding", 3),
     ("model", "name", 5),
-    ("model", "footprint_scale", "2"),
-    ("model", "footprint_scale", math.nan),
     ("model", "declared_param_count", 552362.0),
     ("model", "weight_bits", True),
     ("baseline", "weight_bits", True),
@@ -569,6 +600,14 @@ def test_malformed_input_field_exits_3(tmp_path, repo_root, capsys, target, fiel
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1
     assert f"'{field}'" in err
+    assert not out.exists()
+
+
+def test_model_setting_footprint_scale_exits_3(tmp_path, repo_root, capsys):
+    # footprint_scale is no longer a workload field, so a file that sets it is told so
+    rc, out = compare_with_field(tmp_path, repo_root, "model", "footprint_scale", 1.0)
+    assert rc == 3
+    assert capsys.readouterr().err == "error: unknown workload fields: ['footprint_scale']\n"
     assert not out.exists()
 
 

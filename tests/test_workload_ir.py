@@ -69,13 +69,6 @@ def test_footprint_ratio_matches_bitwidths_exactly():
         assert b1 * q2 == b2 * q1  # exact integer identity
 
 
-def test_footprint_mb_uses_scale():
-    m = wir.WorkloadModel(
-        name="m", layers=(fc_layer(0, 1024, 1024, wb=8),), footprint_scale=2.0
-    )
-    assert wir.footprint_mb(m) == pytest.approx(2.0 * 1024 * 1024 * 8 / 8 / 2**20)
-
-
 def test_counts_permutation_invariant_and_additive():
     a = [conv_layer(0, 4, 8), fc_layer(1, 64, 32), conv_layer(2, 8, 8, k=5, h=16, w=16)]
     m = wir.WorkloadModel(name="m", layers=tuple(a))
@@ -234,7 +227,6 @@ def test_bit_range_check_raises_each_callers_error():
         (wir.WorkloadError, lambda bits: fc_layer(0, 2, 2, wb=bits)),
         (am.ConfigError, lambda bits: am.ArchConfig(v=2, k=2, b=bits, V=1, K=1)),
         (am.ConfigError, lambda bits: am.BaselineSpec(name="x", weight_bits=4, act_bits=bits)),
-        (am.ConfigError, lambda bits: am.fc_time_steps(8, 8, bits)),
         (CatalogError, lambda bits: DEFAULT_CATALOG.adc_power(bits)),
         (ValueError, lambda bits: bse.build_schedule(8, 8, bits)),
     ]

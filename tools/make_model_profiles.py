@@ -159,7 +159,6 @@ MODELS = {
 def emit(name, layers, declared, weight_bits, act_bits):
     doc = {
         "name": name,
-        "footprint_scale": 1.0,
         "declared_param_count": declared,
         "weight_bits": weight_bits,
         "act_bits": act_bits,
