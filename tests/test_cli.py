@@ -590,6 +590,9 @@ def compare_with_field(tmp_path, repo_root, target, field, value) -> tuple[int, 
     ("fc layer", "stride", 7),
     ("fc layer", "padding", 3),
     ("model", "name", 5),
+    # footprint_scale is no longer a workload field: these now hit the unknown-field error
+    ("model", "footprint_scale", "2"),
+    ("model", "footprint_scale", math.nan),
     ("model", "declared_param_count", 552362.0),
     ("model", "weight_bits", True),
     ("baseline", "weight_bits", True),
