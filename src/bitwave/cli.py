@@ -20,7 +20,7 @@ import math
 import os
 import random
 import sys
-from dataclasses import dataclass, replace
+from dataclasses import fields, replace
 from operator import mul
 from pathlib import Path
 
@@ -29,7 +29,7 @@ from . import arch_model as am
 from . import bitslice_engine as bse
 from . import dse
 from . import workload_ir as wir
-from .device_catalog import DEFAULT_CATALOG, CatalogError, load_catalog
+from .device_catalog import DEFAULT_CATALOG, load_catalog
 
 EXIT_OK = 0
 EXIT_MISMATCH = 1
@@ -41,40 +41,27 @@ DEFAULT_P_BITS = (1, 2, 4, 6, 8, 10, 16)
 DEFAULT_B_BITS = (1, 2, 4, 8)
 
 
-@dataclass(frozen=True)
-class RunManifest:
-    command: str
-    inputs: tuple[str, ...]
-    catalog: str | None
-    seed: int | None
-    out_dir: str
-    aggregate: str | None
-    pipelined: bool
-    version: str
-
-
-def as_dict(value) -> dict:
-    """The fields of a manifest or report as a JSON-ready dict; per-layer reports become dicts too.
+def as_dict(report: am.SimReport) -> dict:
+    """A report's fields as a JSON-ready dict; its per-layer reports become dicts too.
 
     Tuples stay tuples, which ``json`` writes as lists.
     """
-    doc = dict(vars(value))
-    if "per_layer" in doc:
-        doc["per_layer"] = [vars(l) for l in doc["per_layer"]]
-    return doc
+    return {**vars(report), "per_layer": [vars(l) for l in report.per_layer]}
 
 
-def _manifest(args, command: str, inputs: list[str]) -> RunManifest:
-    return RunManifest(
-        command=command,
-        inputs=tuple(inputs),
-        catalog=getattr(args, "catalog", None),
-        seed=getattr(args, "seed", None),
-        out_dir=str(getattr(args, "out_dir", "runs")),
-        aggregate=getattr(args, "aggregate", None),
-        pipelined=True,  # simulate and compare record the loaded config's setting instead
-        version=__version__,
-    )
+def _manifest(args, command: str, inputs: list[str], pipelined: bool) -> dict:
+    """The run manifest every artifact embeds; a command without ``--catalog``, ``--seed`` or
+    ``--aggregate`` records null for it."""
+    return {
+        "command": command,
+        "inputs": inputs,
+        "catalog": getattr(args, "catalog", None),
+        "seed": getattr(args, "seed", None),
+        "out_dir": args.out_dir,
+        "aggregate": getattr(args, "aggregate", None),
+        "pipelined": pipelined,
+        "version": __version__,
+    }
 
 
 def _atomic_write(path: Path, data: str) -> None:
@@ -86,8 +73,8 @@ def _atomic_write(path: Path, data: str) -> None:
 _NON_FINITE = "{} would hold a non-finite number; the inputs overflow the float range"
 
 
-def _write_json(path: Path, manifest: RunManifest, payload: dict) -> None:
-    doc = {"manifest": as_dict(manifest), **payload}
+def _write_json(path: Path, manifest: dict, payload: dict) -> None:
+    doc = {"manifest": manifest, **payload}
     try:
         text = json.dumps(doc, indent=2, sort_keys=True, allow_nan=False)
     except ValueError:
@@ -95,11 +82,11 @@ def _write_json(path: Path, manifest: RunManifest, payload: dict) -> None:
     _atomic_write(path, text + "\n")
 
 
-def _write_csv(path: Path, manifest: RunManifest, header: list[str], rows: list[list]) -> None:
+def _write_csv(path: Path, manifest: dict, header: list[str], rows: list[list]) -> None:
     if not all(math.isfinite(x) for row in rows for x in row if isinstance(x, float)):
         raise ValueError(_NON_FINITE.format(path.name))
     buf = io.StringIO()
-    buf.write("# manifest: " + json.dumps(as_dict(manifest), sort_keys=True) + "\n")
+    buf.write("# manifest: " + json.dumps(manifest, sort_keys=True) + "\n")
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(header)
     writer.writerows(rows)
@@ -107,7 +94,7 @@ def _write_csv(path: Path, manifest: RunManifest, header: list[str], rows: list[
 
 
 def _load_catalog_arg(args):
-    if getattr(args, "catalog", None):
+    if args.catalog:
         return load_catalog(args.catalog)
     return DEFAULT_CATALOG
 
@@ -135,12 +122,9 @@ def cmd_simulate(args) -> int:
     report = am.simulate_inference(model, cfg, catalog)
 
     out = _out_dir(args)
-    manifest = replace(_manifest(args, "simulate", [args.model, args.config]), pipelined=cfg.pipelined)
+    manifest = _manifest(args, "simulate", [args.model, args.config], cfg.pipelined)
     _write_json(out / "report.json", manifest, {"report": as_dict(report)})
-    header = [
-        "index", "kind", "time_steps", "step_period_ns", "latency_s",
-        "energy_j", "macs", "processed_bits", "mvus_used",
-    ]
+    header = [f.name for f in fields(am.LayerReport)]
     rows = [[getattr(l, h) for h in header] for l in report.per_layer]
     _write_csv(out / "report_layers.csv", manifest, header, rows)
     print(
@@ -175,7 +159,7 @@ def cmd_compare(args) -> int:
             ])
 
     out = _out_dir(args)
-    manifest = replace(_manifest(args, "compare", list(args.models) + [args.config]), pipelined=cfg.pipelined)
+    manifest = _manifest(args, "compare", [*args.models, args.config], cfg.pipelined)
     header = ["model", "accelerator", "epb_j_per_bit", "gops", "gops_per_epb", "energy_j", "latency_s"]
     _write_csv(out / "compare.csv", manifest, header, rows)
     print(f"wrote {len(rows)} rows to {out / 'compare.csv'}")
@@ -189,7 +173,7 @@ def cmd_explore(args) -> int:
     result = dse.explore(models, space, catalog, aggregate=args.aggregate)
 
     out = _out_dir(args)
-    manifest = _manifest(args, "explore", list(args.models) + [args.space])
+    manifest = _manifest(args, "explore", [*args.models, args.space], True)
     header = ["rank", "v", "k", "b", "V", "K", "score", "max_power_w"]
     model_names = [m.name for m in models]
     for name in model_names:
@@ -286,12 +270,10 @@ def cmd_validate(args) -> int:
 
     print(f"{args.trials - failures}/{args.trials} ok")
     print(f"trial digest: {digest.hexdigest()[:16]}")
-    if getattr(args, "out_dir", None):
-        out = _out_dir(args)
-        manifest = _manifest(args, "validate", [])
+    if args.out_dir:
         _write_json(
-            out / "validate.json",
-            manifest,
+            _out_dir(args) / "validate.json",
+            _manifest(args, "validate", [], True),
             {
                 "trials": args.trials,
                 "p_bits": p_bits,
@@ -400,7 +382,7 @@ def main(argv: list[str] | None = None) -> int:
     except (wir.InputFileError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except (wir.WorkloadError, am.ConfigError, CatalogError, dse.SearchSpaceError, ValueError) as exc:
+    except ValueError as exc:  # every input-validation error subclasses it
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INVALID
     except OverflowError as exc:

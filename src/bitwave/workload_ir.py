@@ -183,8 +183,8 @@ def read_fields(doc, cls, what: str, error: type[Exception]) -> dict:
     bool) within the float range, a ``float`` any finite number but a bool,
     ``X | None`` also takes null, ``list[X]`` and ``tuple[X, ...]`` take a list
     of X, and a dataclass-typed field is a nested document named after the
-    field. Failures raise ``error``; the range rules stay in each class's
-    ``__post_init__``.
+    field, and a string must encode as UTF-8. Failures raise ``error``; the
+    range rules stay in each class's ``__post_init__``.
     """
     table, required = _field_table(cls)
     if not isinstance(doc, dict):
@@ -200,6 +200,11 @@ def read_fields(doc, cls, what: str, error: type[Exception]) -> dict:
         exact, rules, description = table[name]
         tp = type(value)
         if tp in exact and (tp is not int or low <= value <= high):
+            if tp is str and not value.isascii():
+                try:
+                    value.encode("utf-8")
+                except UnicodeEncodeError:  # a lone surrogate, which a JSON escape such as "\ud800" makes
+                    raise error(f"{what} field {name!r} must be Unicode text, got {brief(value)}") from None
             continue
         for test, build in rules:
             if test(value):

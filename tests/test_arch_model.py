@@ -2,6 +2,8 @@ from dataclasses import replace
 
 import itertools
 import json
+import random
+from operator import mul
 
 import pytest
 
@@ -70,6 +72,86 @@ def test_schedule_read_by_layer_cost_depends_on_slice_counts_only():
             # FC: the weight slice changes every step unless there is one; CONV: weights imprint once
             want = (n_a, n_a * n_w if n_w > 1 else 1) if kind == wir.FC else (n_a, 1)
             assert sched.imprints == unit.imprints == want
+
+
+# -- the engine against the model: run a layer through execute_dot and count what its traces imply
+
+#: _device_table's rows: activation DAC, weight DAC, ADC, photodetector, VCSEL, SOA, EO imprint, laser plus trim
+ACT_DAC, W_DAC, ADC, PD, VCSEL, SOA, IMPRINT, LASER = range(8)
+
+
+@pytest.mark.parametrize("b", [1, 2, 3, 4, 8])
+def test_engine_traces_of_fc_tiles_count_the_model_actions(b):
+    # FC 7 -> 5 on 3 x 3 tiles: 3 lane chunks x 2 row chunks, the last of each partial
+    layer = fc_layer(0, 7, 5, wb=7, ab=6)
+    cfg = am.ArchConfig(v=3, k=4, b=b, V=1, K=1)
+    rng = random.Random(b)
+    x = [rng.randrange(1 << layer.act_bits) for _ in range(layer.in_features)]
+    weights = [[rng.randrange(1 << layer.weight_bits) for _ in x] for _ in range(layer.out_features)]
+    v = cfg.v
+    counts, work, steps, y = [0] * 8, 0, set(), [0] * layer.out_features
+    for r0 in range(0, layer.out_features, v):
+        for c0 in range(0, layer.in_features, v):
+            work += 1
+            a = x[c0:c0 + v]
+            for r in range(r0, min(r0 + v, layer.out_features)):
+                w = weights[r][c0:c0 + v]
+                part, trace = bse.execute_dot(a, w, layer.act_bits, layer.weight_bits, b, bse.FC)
+                assert part == sum(map(mul, a, w))
+                y[r] += part
+                n, (a_imprints, w_imprints) = trace.schedule.n_steps, trace.schedule.imprints
+                steps.add(n)
+                for device in (W_DAC, ADC, PD):  # one per row and step
+                    counts[device] += n
+                counts[IMPRINT] += len(a) * w_imprints  # each weight of the row
+            # every row of the tile shares the activation lanes and their imprints
+            counts[ACT_DAC] += len(a) * n
+            counts[VCSEL] += len(a) * n
+            counts[IMPRINT] += len(a) * a_imprints
+            counts[LASER] += n
+    assert y == [sum(map(mul, x, row)) for row in weights]
+    assert len(steps) == 1
+    assert (work, steps.pop(), tuple(counts)) == am.layer_actions(layer, cfg, am.bitwave_plan(wir.FC, b))
+
+
+@pytest.mark.parametrize("b", [1, 2, 3, 4, 8])
+def test_engine_traces_of_conv_chunks_count_the_model_actions(b):
+    # CONV 3x3x3 -> 2 on 5x5, stride 2, padding 1: 3x3 outputs, 27-long kernels in 4-lane chunks
+    layer = conv_layer(0, 3, 2, k=3, h=5, w=5, stride=2, padding=1, wb=7, ab=6)
+    cfg = am.ArchConfig(v=3, k=4, b=b, V=1, K=1)
+    rng = random.Random(b)
+    image = [[[rng.randrange(1 << layer.act_bits) for _ in range(layer.in_width)]
+              for _ in range(layer.in_height)] for _ in range(layer.in_channels)]
+    taps = list(itertools.product(range(layer.in_channels), range(layer.kernel_h), range(layer.kernel_w)))
+    kernels = [[rng.randrange(1 << layer.weight_bits) for _ in taps] for _ in range(layer.out_channels)]
+    oh, ow = wir.layer_out_hw(layer)
+    k = cfg.k
+    counts, work, steps = [0] * 8, 0, set()
+    for kernel, oy, ox in itertools.product(kernels, range(oh), range(ow)):
+        ys = [oy * layer.stride - layer.padding + i for _, i, _ in taps]
+        xs = [ox * layer.stride - layer.padding + j for _, _, j in taps]
+        patch = [image[c][yy][xx] if 0 <= yy < layer.in_height and 0 <= xx < layer.in_width else 0
+                 for (c, _, _), yy, xx in zip(taps, ys, xs)]  # padding feeds zeros to its lanes
+        out = 0
+        for c0 in range(0, len(taps), k):
+            a, w = patch[c0:c0 + k], kernel[c0:c0 + k]
+            part, trace = bse.execute_dot(a, w, layer.act_bits, layer.weight_bits, b, bse.CONV)
+            assert part == sum(map(mul, a, w))
+            out += part
+            work += 1
+            n, (a_imprints, w_imprints) = trace.schedule.n_steps, trace.schedule.imprints
+            steps.add(n)
+            slice_rows = len(bse.slice_vector(w, layer.weight_bits, b))
+            counts[ACT_DAC] += len(a) * n
+            counts[VCSEL] += len(a) * n
+            for device in (W_DAC, PD, SOA):  # one per weight-slice row and step
+                counts[device] += slice_rows * n
+            counts[ADC] += n  # the rows are current-summed into one conversion
+            counts[IMPRINT] += len(a) * a_imprints + len(a) * slice_rows * w_imprints
+            counts[LASER] += n
+        assert out == sum(map(mul, patch, kernel))
+    assert len(steps) == 1
+    assert (work, steps.pop(), tuple(counts)) == am.layer_actions(layer, cfg, am.bitwave_plan(wir.CONV, b))
 
 
 def test_layer_cost_reads_bitwidths_only_through_slice_counts():

@@ -22,7 +22,7 @@ from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
-from bitwave.workload_ir import workload_from_dict  # noqa: E402
+from bitwave.workload_ir import weight_footprint_bits, workload_from_dict  # noqa: E402
 
 ROOT = Path(__file__).resolve().parents[1]
 OUT = ROOT / "models"
@@ -167,7 +167,7 @@ def emit(name, layers, declared, weight_bits, act_bits):
     model = workload_from_dict(doc)  # validates shapes against the declared total
     path = OUT / f"{name}.json"
     path.write_text(json.dumps(doc, indent=2) + "\n", encoding="utf-8")
-    mean_bits = sum(n_params(l) * b for l, b in zip(layers, weight_bits)) / declared
+    mean_bits = weight_footprint_bits(model) / declared
     print(f"{path.name}: {len(model.layers)} layers, {declared} params, "
           f"mean weight bits {mean_bits:.3f}")
     for suffix, (wb, ab) in VARIANTS.items():
