@@ -80,10 +80,6 @@ ARCH_NAME = "bitwave"
 MICRO_DOT_ENERGY_ANCHOR_J = 6.0e-3
 
 
-class ConfigError(ValueError):
-    """Invalid architecture configuration."""
-
-
 class LaserInfeasibleError(RuntimeError):
     """The link budget cannot be closed under the configured laser ceiling."""
 
@@ -104,17 +100,17 @@ class ArchConfig:
     def __post_init__(self) -> None:
         for name in ("v", "k"):
             if getattr(self, name) < 1:
-                raise ConfigError(f"{name} must be >= 1, got {wir.brief(getattr(self, name))}")
-        check_bits("b", self.b, ConfigError)
+                raise ValueError(f"{name} must be >= 1, got {wir.brief(getattr(self, name))}")
+        check_bits("b", self.b)
         for name in ("V", "K"):
             if getattr(self, name) < 0:
-                raise ConfigError(f"{name} must be >= 0, got {wir.brief(getattr(self, name))}")
+                raise ValueError(f"{name} must be >= 0, got {wir.brief(getattr(self, name))}")
         if self.energy_scale <= 0:
-            raise ConfigError(f"energy_scale must be positive, got {self.energy_scale}")
+            raise ValueError(f"energy_scale must be positive, got {self.energy_scale}")
 
 
 def arch_config_from_dict(doc: dict) -> ArchConfig:
-    return ArchConfig(**wir.read_fields(doc, ArchConfig, "config", ConfigError))
+    return ArchConfig(**wir.read_fields(doc, ArchConfig, "config"))
 
 
 def load_arch_config(path: str | Path) -> ArchConfig:
@@ -131,14 +127,14 @@ class BaselineSpec:
     device_overrides: dict = field(default_factory=dict)
 
     def __post_init__(self) -> None:
-        check_bits(f"baseline {wir.brief(self.name)}: weight_bits", self.weight_bits, ConfigError)
-        check_bits(f"baseline {wir.brief(self.name)}: act_bits", self.act_bits, ConfigError)
+        check_bits(f"baseline {wir.brief(self.name)}: weight_bits", self.weight_bits)
+        check_bits(f"baseline {wir.brief(self.name)}: act_bits", self.act_bits)
 
 
 def load_baseline_spec(path: str | Path) -> BaselineSpec:
     """Read a baseline file; a bad ``device_overrides`` value is reported with the file's path."""
-    spec = BaselineSpec(**wir.read_fields(wir.read_json(path), BaselineSpec, "baseline", ConfigError))
-    wir.read_fields(spec.device_overrides, device_catalog.DeviceParams, f"{path}: device_overrides", ConfigError)
+    spec = BaselineSpec(**wir.read_fields(wir.read_json(path), BaselineSpec, "baseline"))
+    wir.read_fields(spec.device_overrides, device_catalog.DeviceParams, f"{path}: device_overrides")
     return spec
 
 
@@ -517,7 +513,7 @@ def check_runs(runs: list[RunCost], cfg: ArchConfig) -> dict[str, int]:
 
     The checks run in this order: the FC unit count, the FC laser budget,
     the CONV unit count, then each CONV unit's laser budget in layer order.
-    The first that fails raises ConfigError or LaserInfeasibleError.
+    The first that fails raises ValueError or LaserInfeasibleError.
     """
     n_units_of: dict[str, int] = {}
     for kind, field_name in ((wir.FC, "V"), (wir.CONV, "K")):
@@ -527,7 +523,7 @@ def check_runs(runs: list[RunCost], cfg: ArchConfig) -> dict[str, int]:
             if kind not in n_units_of:
                 n_units = n_units_of[kind] = unit_count(kind, cfg)
                 if n_units < 1:
-                    raise ConfigError(f"model has {kind} layers but the config has {field_name}=0 {kind} units")
+                    raise ValueError(f"model has {kind} layers but the config has {field_name}=0 {kind} units")
             spec = run.over_ceiling
             if spec is not None:
                 raise LaserInfeasibleError(

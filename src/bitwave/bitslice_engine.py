@@ -43,10 +43,6 @@ from typing import Sequence
 from .workload_ir import CONV, FC, ceil_div, check_bits
 
 
-class OperandRangeError(ValueError):
-    """An operand does not fit its declared bitwidth."""
-
-
 def _check_mode(mode: str) -> None:
     if mode not in (FC, CONV):
         raise ValueError(f"mode must be {FC!r} or {CONV!r}, got {mode!r}")
@@ -57,14 +53,14 @@ def slice_vector(values: Sequence[int], p: int, b: int) -> list[list[int]]:
 
     The digits come back transposed: ``digits[i][j]`` is slice ``i`` (LSB
     first) of element ``j``, so one slice index of the whole vector is one
-    list. The first element out of range raises :class:`OperandRangeError`.
+    list. The first element out of range raises ``ValueError``.
     """
-    check_bits("p", p, ValueError)
-    check_bits("b", b, ValueError)
+    check_bits("p", p)
+    check_bits("b", b)
     limit = 1 << p
     if values and not (0 <= min(values) and max(values) < limit):
         value = next(x for x in values if not 0 <= x < limit)
-        raise OperandRangeError(f"value {value} out of range for {p}-bit operand")
+        raise ValueError(f"value {value} out of range for {p}-bit operand")
     mask = (1 << b) - 1
     shifts = [b * i for i in range(ceil_div(p, b))]
     return [[(x >> s) & mask for x in values] for s in shifts]
@@ -108,9 +104,9 @@ def build_schedule(p_a: int, p_w: int, b: int, mode: str = FC) -> TdmSchedule:
     apart from ``1``), so it holds at most 16 * 16 * 16 * 2 schedules per
     way of passing the arguments, and bad arguments raise on every call.
     """
-    check_bits("p_a", p_a, ValueError)
-    check_bits("p_w", p_w, ValueError)
-    check_bits("b", b, ValueError)
+    check_bits("p_a", p_a)
+    check_bits("p_w", p_w)
+    check_bits("b", b)
     _check_mode(mode)
     na, nw = ceil_div(p_a, b), ceil_div(p_w, b)
     if mode == FC:
@@ -168,7 +164,8 @@ def execute_dot(
             sum([sum(map(mul, ad[ai], wk)) << g for wk, g in zip(wd, gains)])
             for ai, _ in schedule.steps
         ])
-    return sum(map(lshift, step_sums, schedule.shifts)), DotTrace(schedule, step_sums)
+    trace = DotTrace(schedule, step_sums)
+    return reconstruct(trace), trace
 
 
 def reconstruct(trace: DotTrace) -> int:

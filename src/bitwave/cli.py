@@ -145,6 +145,10 @@ def cmd_compare(args) -> int:
         if not Path(args.baselines).is_dir():
             raise NotADirectoryError(f"--baselines {args.baselines} is not a directory")
         baselines = [am.load_baseline_spec(p) for p in sorted(Path(args.baselines).glob("*.json"))]
+    # compare.csv has one row per (model, accelerator); the architecture's rows are am.ARCH_NAME
+    reason = "compare writes one row per (model, accelerator)"
+    wir.check_unique("model", [m.name for m in models], reason)
+    wir.check_unique("accelerator", [am.ARCH_NAME, *(spec.name for spec in baselines)], reason)
     if not baselines:
         print("warning: no baseline specs found; comparing the architecture alone", file=sys.stderr)
 
@@ -244,9 +248,9 @@ def cmd_validate(args) -> int:
     p_bits = args.p_bits
     b_bits = args.b_bits
     for p in p_bits:
-        wir.check_bits("p", p, ValueError)
+        wir.check_bits("p", p)
     for b in b_bits:
-        wir.check_bits("b", b, ValueError)
+        wir.check_bits("b", b)
     rng = random.Random(args.seed)
     digest = hashlib.sha256()
 
@@ -382,7 +386,7 @@ def main(argv: list[str] | None = None) -> int:
     except (wir.InputFileError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except ValueError as exc:  # every input-validation error subclasses it
+    except ValueError as exc:  # every input-validation error is one
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INVALID
     except OverflowError as exc:

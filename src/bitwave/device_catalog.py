@@ -22,10 +22,6 @@ from typing import Iterable
 from .workload_ir import check_bits, read_fields, read_json
 
 
-class CatalogError(ValueError):
-    """Malformed catalog file or out-of-range device query."""
-
-
 @dataclass(frozen=True)
 class DeviceParams:
     """Per-device latency (ns) and power (mW) figures."""
@@ -51,7 +47,7 @@ class DeviceParams:
     def __post_init__(self) -> None:
         for f in fields(self):
             if getattr(self, f.name) <= 0:
-                raise CatalogError(f"device parameter {f.name} must be positive")
+                raise ValueError(f"device parameter {f.name} must be positive")
 
 
 @dataclass(frozen=True)
@@ -67,7 +63,7 @@ class LossModel:
     def __post_init__(self) -> None:
         for f in fields(self):
             if getattr(self, f.name) < 0:
-                raise CatalogError(f"loss {f.name} must be non-negative")
+                raise ValueError(f"loss {f.name} must be non-negative")
 
 
 @dataclass(frozen=True)
@@ -92,10 +88,10 @@ class DeviceCatalog:
 
     def __post_init__(self) -> None:
         if self.to_duty_cycle < 0 or self.to_duty_cycle > 1:
-            raise CatalogError("to_duty_cycle must be in [0, 1]")
+            raise ValueError("to_duty_cycle must be in [0, 1]")
         for name in ("eo_shift_nm", "mr_pitch_cm", "eo_section_cm", "base_waveguide_cm"):
             if getattr(self, name) < 0:
-                raise CatalogError(f"{name} must be non-negative")
+                raise ValueError(f"{name} must be non-negative")
 
     # -- converter scaling ---------------------------------------------------
 
@@ -108,7 +104,7 @@ class DeviceCatalog:
         single proportionality constant fits both, so the gap is bridged
         log-linearly.
         """
-        check_bits("converter resolution", n_bits, CatalogError)
+        check_bits("converter resolution", n_bits)
         d = self.devices
         if n_bits == 16:
             return d.dac16_power_mw
@@ -125,20 +121,20 @@ class DeviceCatalog:
 
     def dac_latency(self, n_bits: int) -> float:
         """DAC latency (ns); low-resolution designs share the 8-bit figure."""
-        check_bits("converter resolution", n_bits, CatalogError)
+        check_bits("converter resolution", n_bits)
         if n_bits <= 8:
             return self.devices.dac8_latency_ns
         return self.devices.dac16_latency_ns
 
     def adc_power(self, n_bits: int) -> float:
         """ADC power (mW); resolutions up to 8 bits use the 8-bit design."""
-        check_bits("converter resolution", n_bits, CatalogError)
+        check_bits("converter resolution", n_bits)
         if n_bits <= 8:
             return self.devices.adc8_power_mw
         return self.devices.adc16_power_mw
 
     def adc_latency(self, n_bits: int) -> float:
-        check_bits("converter resolution", n_bits, CatalogError)
+        check_bits("converter resolution", n_bits)
         if n_bits <= 8:
             return self.devices.adc8_latency_ns
         return self.devices.adc16_latency_ns
@@ -163,7 +159,7 @@ def min_laser_power(p_photoloss_db: float, n_lambda: int, s_detector_dbm: float)
     costs 10*log10(n_lambda) dB.
     """
     if n_lambda < 1:
-        raise CatalogError(f"wavelength count must be >= 1, got {n_lambda}")
+        raise ValueError(f"wavelength count must be >= 1, got {n_lambda}")
     return s_detector_dbm + p_photoloss_db + 10.0 * math.log10(n_lambda)
 
 
@@ -188,9 +184,9 @@ def aggregate_photoloss(path: Iterable[tuple[str, float]], losses: LossModel | N
     total = 0.0
     for kind, qty in path:
         if kind not in _PATH_ELEMENTS:
-            raise CatalogError(f"unknown path element {kind!r}")
+            raise ValueError(f"unknown path element {kind!r}")
         if qty < 0:
-            raise CatalogError(f"negative quantity for path element {kind!r}")
+            raise ValueError(f"negative quantity for path element {kind!r}")
         total += qty * getattr(losses, _PATH_ELEMENTS[kind])
     return total
 
@@ -200,7 +196,7 @@ def aggregate_photoloss(path: Iterable[tuple[str, float]], losses: LossModel | N
 
 def catalog_from_dict(doc: dict) -> DeviceCatalog:
     """Build a catalog from a JSON document, defaulting unspecified fields."""
-    return DeviceCatalog(**read_fields(doc, DeviceCatalog, "catalog", CatalogError))
+    return DeviceCatalog(**read_fields(doc, DeviceCatalog, "catalog"))
 
 
 def load_catalog(path: str | Path) -> DeviceCatalog:
@@ -212,5 +208,5 @@ def apply_device_overrides(catalog: DeviceCatalog, overrides: dict) -> DeviceCat
     """Return a catalog with selected device fields replaced."""
     if not overrides:
         return catalog
-    checked = read_fields(overrides, DeviceParams, "device_overrides", CatalogError)
+    checked = read_fields(overrides, DeviceParams, "device_overrides")
     return replace(catalog, devices=replace(catalog.devices, **checked))

@@ -46,10 +46,6 @@ from .device_catalog import DEFAULT_CATALOG, DeviceCatalog
 AGGREGATES = ("geomean", "mean", "min")
 
 
-class SearchSpaceError(ValueError):
-    """Malformed search-space description."""
-
-
 @dataclass(frozen=True)
 class SearchConstraints:
     max_power_w: float | None = None
@@ -67,7 +63,7 @@ class SearchSpace:
 
 
 def search_space_from_dict(doc: dict) -> SearchSpace:
-    return SearchSpace(**wir.read_fields(doc, SearchSpace, "search space", SearchSpaceError))
+    return SearchSpace(**wir.read_fields(doc, SearchSpace, "search space"))
 
 
 def load_search_space(path: str | Path) -> SearchSpace:
@@ -138,21 +134,18 @@ def explore(
     each model for each configuration, with the same results and the same
     errors in the same order: a configuration over the power cap is rejected
     before any check, one whose laser budget fails for some model is
-    rejected at that model, and a ConfigError (V=0 or K=0 with layers that
+    rejected at that model, and a ValueError (V=0 or K=0 with layers that
     need them) propagates. Model names must differ: scores are keyed by name.
     """
     if not models:
         raise ValueError("explore needs at least one workload model")
-    names = [m.name for m in models]
-    for name in names:
-        if names.count(name) > 1:
-            raise ValueError(f"model name {wir.brief(name)} is repeated; explore scores each model by its name")
+    wir.check_unique("model", [m.name for m in models], "explore scores each model by its name")
     if aggregate not in AGGREGATES:
-        raise SearchSpaceError(f"unknown aggregate {aggregate!r}; pick one of {AGGREGATES}")
+        raise ValueError(f"unknown aggregate {aggregate!r}; pick one of {AGGREGATES}")
     cons = space.constraints
     configs = enumerate_configs(space)
     if not configs:
-        raise SearchSpaceError("search space enumerates zero configurations")
+        raise ValueError("search space enumerates zero configurations")
 
     units = am.MvuCache(catalog)
     model_runs = [am.kind_runs(m) for m in models]

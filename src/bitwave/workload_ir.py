@@ -39,10 +39,6 @@ _SHAPE_FIELDS = {
 }
 
 
-class WorkloadError(ValueError):
-    """Validation failure in a workload description."""
-
-
 class InputFileError(Exception):
     """An input file that is not UTF-8 JSON text, or nests too deeply to decode."""
 
@@ -77,10 +73,17 @@ def brief(value) -> str:
     return f"{text[:_BRIEF_CHARS]}... ({len(text):,} characters)"
 
 
-def check_bits(name: str, bits: int, error: type[Exception]) -> None:
-    """Raise ``error`` unless ``bits`` is an int (not a bool) in [1, MAX_BITS]."""
+def check_bits(name: str, bits: int) -> None:
+    """Raise ``ValueError`` unless ``bits`` is an int (not a bool) in [1, MAX_BITS]."""
     if isinstance(bits, bool) or not isinstance(bits, int) or not 1 <= bits <= MAX_BITS:
-        raise error(f"{name} must be an int in [1, {MAX_BITS}], got {brief(bits)}")
+        raise ValueError(f"{name} must be an int in [1, {MAX_BITS}], got {brief(bits)}")
+
+
+def check_unique(what: str, names: list[str], reason: str) -> None:
+    """Raise ``ValueError`` quoting the first of ``names`` that repeats."""
+    for name in names:
+        if names.count(name) > 1:
+            raise ValueError(f"{what} name {brief(name)} is repeated; {reason}")
 
 
 #: the largest finite float; every number an input document holds lies within it
@@ -175,7 +178,7 @@ def read_json(path: str | Path):
         raise InputFileError(f"{path}: JSON nested too deeply to decode") from None
 
 
-def read_fields(doc, cls, what: str, error: type[Exception]) -> dict:
+def read_fields(doc, cls, what: str) -> dict:
     """Check JSON document ``doc`` against dataclass ``cls``; return its fields as keyword arguments.
 
     ``doc`` must be an object with no unknown field and every field that has no
@@ -183,17 +186,17 @@ def read_fields(doc, cls, what: str, error: type[Exception]) -> dict:
     bool) within the float range, a ``float`` any finite number but a bool,
     ``X | None`` also takes null, ``list[X]`` and ``tuple[X, ...]`` take a list
     of X, and a dataclass-typed field is a nested document named after the
-    field, and a string must encode as UTF-8. Failures raise ``error``; the
+    field, and a string must encode as UTF-8. Failures raise ``ValueError``; the
     range rules stay in each class's ``__post_init__``.
     """
     table, required = _field_table(cls)
     if not isinstance(doc, dict):
-        raise error(f"{what} document must be a JSON object")
+        raise ValueError(f"{what} document must be a JSON object")
     if not doc.keys() <= table.keys():
-        raise error(f"unknown {what} fields: {brief(sorted(doc.keys() - table.keys()))}")
+        raise ValueError(f"unknown {what} fields: {brief(sorted(doc.keys() - table.keys()))}")
     for name in required:
         if name not in doc:
-            raise error(f"{what} is missing field {name!r}")
+            raise ValueError(f"{what} is missing field {name!r}")
     kwargs = dict(doc)
     low, high = -_INT_MAX, _INT_MAX
     for name, value in doc.items():
@@ -204,17 +207,17 @@ def read_fields(doc, cls, what: str, error: type[Exception]) -> dict:
                 try:
                     value.encode("utf-8")
                 except UnicodeEncodeError:  # a lone surrogate, which a JSON escape such as "\ud800" makes
-                    raise error(f"{what} field {name!r} must be Unicode text, got {brief(value)}") from None
+                    raise ValueError(f"{what} field {name!r} must be Unicode text, got {brief(value)}") from None
             continue
         for test, build in rules:
             if test(value):
                 break
         else:
-            raise error(f"{what} field {name!r} must be {description}, got {brief(value)}")
+            raise ValueError(f"{what} field {name!r} must be {description}, got {brief(value)}")
         if build is tuple:
             kwargs[name] = tuple(value)
         elif build is not None:
-            kwargs[name] = build(**read_fields(value, build, name, error))
+            kwargs[name] = build(**read_fields(value, build, name))
     return kwargs
 
 
@@ -240,27 +243,27 @@ class LayerSpec:
     def __post_init__(self) -> None:
         where = f"layer {self.index}"
         if self.kind not in (CONV, FC):
-            raise WorkloadError(f"{where}: kind must be CONV or FC, got {brief(self.kind)}")
-        check_bits(f"{where}: weight_bits", self.weight_bits, WorkloadError)
-        check_bits(f"{where}: act_bits", self.act_bits, WorkloadError)
+            raise ValueError(f"{where}: kind must be CONV or FC, got {brief(self.kind)}")
+        check_bits(f"{where}: weight_bits", self.weight_bits)
+        check_bits(f"{where}: act_bits", self.act_bits)
         own, other = (CONV, FC) if self.kind == CONV else (FC, CONV)
         missing = [f for f in _SHAPE_FIELDS[own] if getattr(self, f) is None]
         if missing:
-            raise WorkloadError(f"{where}: {own} layer missing fields {missing}")
+            raise ValueError(f"{where}: {own} layer missing fields {missing}")
         extra = [f for f in _SHAPE_FIELDS[other] if getattr(self, f) is not None]
         if extra:
-            raise WorkloadError(f"{where}: {own} layer must not set {other} fields {extra}")
+            raise ValueError(f"{where}: {own} layer must not set {other} fields {extra}")
         for f in _SHAPE_FIELDS[own]:
             if getattr(self, f) <= 0:
-                raise WorkloadError(f"{where}: {f} must be positive, got {brief(getattr(self, f))}")
+                raise ValueError(f"{where}: {f} must be positive, got {brief(getattr(self, f))}")
         if self.kind == CONV:
             if self.stride < 1:
-                raise WorkloadError(f"{where}: stride must be positive, got {brief(self.stride)}")
+                raise ValueError(f"{where}: stride must be positive, got {brief(self.stride)}")
             if self.padding < 0:
-                raise WorkloadError(f"{where}: padding must be non-negative, got {brief(self.padding)}")
+                raise ValueError(f"{where}: padding must be non-negative, got {brief(self.padding)}")
             oh, ow = layer_out_hw(self)
             if oh < 1 or ow < 1:
-                raise WorkloadError(f"{where}: kernel/stride/padding yield empty {oh}x{ow} output")
+                raise ValueError(f"{where}: kernel/stride/padding yield empty {oh}x{ow} output")
 
 
 def layer_out_hw(layer: LayerSpec) -> tuple[int, int]:
@@ -302,7 +305,7 @@ class WorkloadModel:
         if self.declared_param_count is not None:
             actual = param_count(self)
             if actual != self.declared_param_count:
-                raise WorkloadError(
+                raise ValueError(
                     f"model {brief(self.name)}: declared_param_count "
                     f"{brief(self.declared_param_count)} != layer-shape total {actual}"
                 )
@@ -379,23 +382,23 @@ class _ConvDoc(_LayerDoc):
 
 
 def workload_from_dict(doc: dict) -> WorkloadModel:
-    top = _ModelDoc(**read_fields(doc, _ModelDoc, "workload", WorkloadError))
+    top = _ModelDoc(**read_fields(doc, _ModelDoc, "workload"))
     n = len(top.layers)
     top_bits = {}  # field -> one entry per layer, None where the top level is silent
     for field in ("weight_bits", "act_bits"):
         spec = getattr(top, field)
         if isinstance(spec, list) and len(spec) != n:
-            raise WorkloadError(f"{field} list has {len(spec)} entries for a {n}-layer model")
+            raise ValueError(f"{field} list has {len(spec)} entries for a {n}-layer model")
         top_bits[field] = spec if isinstance(spec, list) else [spec] * n
     layers = []
     for i, raw in enumerate(top.layers):
         doc_cls = _ConvDoc if isinstance(raw, dict) and raw.get("kind") == CONV else _FcDoc
-        entry = read_fields(raw, doc_cls, f"layer {i}", WorkloadError)
+        entry = read_fields(raw, doc_cls, f"layer {i}")
         for field, per_layer in top_bits.items():
             if entry.get(field) is None:
                 entry[field] = per_layer[i]
             if entry[field] is None:
-                raise WorkloadError(f"layer {i}: no {field} given (per layer or top level)")
+                raise ValueError(f"layer {i}: no {field} given (per layer or top level)")
         layers.append(LayerSpec(index=i, **entry))
     return WorkloadModel(
         name=top.name,

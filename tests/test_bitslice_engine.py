@@ -82,9 +82,9 @@ def test_slice_mask_and_shift_oracle():
 
 
 def test_slice_range_and_bit_errors():
-    with pytest.raises(bse.OperandRangeError):
+    with pytest.raises(ValueError):
         slices_of(256, 8, 4)
-    with pytest.raises(bse.OperandRangeError):
+    with pytest.raises(ValueError):
         slices_of(-1, 8, 4)
     with pytest.raises(ValueError):
         slices_of(1, 0, 4)
@@ -108,9 +108,9 @@ def test_slice_vector_is_per_element_slicing_transposed():
 
 
 def test_slice_vector_reports_first_bad_element():
-    with pytest.raises(bse.OperandRangeError, match=r"^value 300 out of range for 8-bit operand$"):
+    with pytest.raises(ValueError, match=r"^value 300 out of range for 8-bit operand$"):
         bse.slice_vector([1, 300, -1, 256], 8, 4)
-    with pytest.raises(bse.OperandRangeError, match=r"^value -1 out of range for 8-bit operand$"):
+    with pytest.raises(ValueError, match=r"^value -1 out of range for 8-bit operand$"):
         bse.slice_vector([1, -1, 300], 8, 4)
     with pytest.raises(ValueError, match=r"^p must be an int in \[1, 16\], got 17$"):
         bse.slice_vector([1 << 17], 17, 4)
@@ -264,7 +264,7 @@ def test_execute_dot_linearity():
 def test_execute_dot_input_errors():
     with pytest.raises(ValueError):
         bse.execute_dot([1, 2], [1], 8, 8, 4)
-    with pytest.raises(bse.OperandRangeError):
+    with pytest.raises(ValueError):
         bse.execute_dot([256], [1], 8, 8, 4)
 
 
@@ -299,8 +299,8 @@ def test_execute_dot_all_ones_on_every_schedule():
     # lengths are checked before any operand
     ([256, 1], [1], ValueError, "vector lengths differ: 2 vs 1"),
     # the first bad element of a, before any bad element of w
-    ([1, 300, 256], [999, 1, 1], bse.OperandRangeError, "value 300 out of range for 8-bit operand"),
-    ([1, 2], [3, -4], bse.OperandRangeError, "value -4 out of range for 8-bit operand"),
+    ([1, 300, 256], [999, 1, 1], ValueError, "value 300 out of range for 8-bit operand"),
+    ([1, 2], [3, -4], ValueError, "value -4 out of range for 8-bit operand"),
 ])
 def test_execute_dot_error_order(a, w, error, message):
     for dot in (bse.execute_dot, reference_execute_dot):

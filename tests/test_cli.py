@@ -191,6 +191,35 @@ def test_compare_baselines_not_a_directory_exits_2(tmp_path, model_paths, refere
     assert not out.exists()
 
 
+@pytest.mark.parametrize("clash, message", [
+    ("model", "model name 'svhn_cnn'"),
+    ("baseline", "accelerator name 'robin'"),
+    ("architecture", "accelerator name 'bitwave'"),
+])
+def test_compare_repeated_name_exits_3(tmp_path, model_paths, baselines_dir, reference_config_path, capsys,
+                                       clash, message):
+    # two rows keyed by the same (model, accelerator) would hold different numbers
+    robin = json.loads((baselines_dir / "robin.json").read_text())
+    baselines = tmp_path / "baselines"
+    baselines.mkdir()
+    (baselines / "robin.json").write_text(json.dumps(robin))
+    if clash == "baseline":
+        (baselines / "robin_copy.json").write_text(json.dumps(robin))
+    if clash == "architecture":
+        (baselines / "own.json").write_text(json.dumps({**robin, "name": "bitwave"}))
+    models = [str(model_paths["svhn_cnn"])] * (2 if clash == "model" else 1)
+    out = tmp_path / "out"
+    rc = main([
+        "compare", *models, "--config", str(reference_config_path),
+        "--baselines", str(baselines), "--out-dir", str(out),
+    ])
+    assert rc == 3
+    captured = capsys.readouterr()
+    assert captured.err == f"error: {message} is repeated; compare writes one row per (model, accelerator)\n"
+    assert captured.out == ""
+    assert not out.exists()
+
+
 def test_explore_writes_ranking_and_best(tmp_path, model_paths, space_path):
     out = tmp_path / "out"
     rc = main([

@@ -5,7 +5,6 @@ import pytest
 from bitwave import device_catalog as dcat
 from bitwave.device_catalog import (
     DEFAULT_CATALOG,
-    CatalogError,
     aggregate_photoloss,
     dbm_to_mw,
     min_laser_power,
@@ -30,7 +29,7 @@ def test_dac_power_monotone_non_decreasing():
 
 def test_dac_power_out_of_range():
     for bad in (0, 17, -1):
-        with pytest.raises(CatalogError):
+        with pytest.raises(ValueError):
             DEFAULT_CATALOG.dac_power(bad)
 
 
@@ -75,9 +74,9 @@ def test_aggregate_photoloss_additive_over_concatenation():
 
 
 def test_aggregate_photoloss_rejects_bad_elements():
-    with pytest.raises(CatalogError):
+    with pytest.raises(ValueError):
         aggregate_photoloss([("coupler", 1.0)])
-    with pytest.raises(CatalogError):
+    with pytest.raises(ValueError):
         aggregate_photoloss([("splitter", -1.0)])
 
 
@@ -101,7 +100,7 @@ def test_min_laser_power_additive_in_loss():
 
 
 def test_min_laser_power_rejects_zero_wavelengths():
-    with pytest.raises(CatalogError):
+    with pytest.raises(ValueError):
         min_laser_power(1.0, 0, -20.0)
 
 
@@ -141,14 +140,14 @@ def test_catalog_file_overrides(tmp_path):
 
 
 def test_catalog_rejects_unknown_fields():
-    with pytest.raises(CatalogError):
+    with pytest.raises(ValueError):
         dcat.catalog_from_dict({"devices": {"dac9_power_mw": 1.0}})
-    with pytest.raises(CatalogError):
+    with pytest.raises(ValueError):
         dcat.catalog_from_dict({"detector": -20})
 
 
 def test_catalog_rejects_nonpositive_device_values():
-    with pytest.raises(CatalogError):
+    with pytest.raises(ValueError):
         dcat.catalog_from_dict({"devices": {"vcsel_power_mw": 0.0}})
 
 
@@ -165,9 +164,9 @@ def test_catalog_numbers_must_be_finite_and_numeric(value):
         {"mr_pitch_cm": value},
     ]
     for doc in docs:
-        with pytest.raises(CatalogError, match="must be a finite number, got"):
+        with pytest.raises(ValueError, match="must be a finite number, got"):
             dcat.catalog_from_dict(doc)
-    with pytest.raises(CatalogError, match="must be a finite number, got"):
+    with pytest.raises(ValueError, match="must be a finite number, got"):
         dcat.apply_device_overrides(DEFAULT_CATALOG, {"vcsel_power_mw": value})
 
 
@@ -187,7 +186,7 @@ def test_catalog_sign_rules_kept():
         ({"to_duty_cycle": 1.5}, "to_duty_cycle must be in [0, 1]"),
         ({"eo_shift_nm": -1}, "eo_shift_nm must be non-negative"),
     ]:
-        with pytest.raises(CatalogError) as exc:
+        with pytest.raises(ValueError) as exc:
             dcat.catalog_from_dict(doc)
         assert str(exc.value) == message
 
@@ -196,5 +195,5 @@ def test_apply_device_overrides():
     cat = dcat.apply_device_overrides(DEFAULT_CATALOG, {"adc16_power_mw": 50.0})
     assert cat.devices.adc16_power_mw == 50.0
     assert DEFAULT_CATALOG.devices.adc16_power_mw == 62.0
-    with pytest.raises(CatalogError):
+    with pytest.raises(ValueError):
         dcat.apply_device_overrides(DEFAULT_CATALOG, {"nope": 1.0})

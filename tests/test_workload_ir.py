@@ -97,7 +97,7 @@ def test_bit_list_length_mismatch_is_an_error(tmp_path):
         "act_bits": 4,
         "layers": [{"kind": "FC", "in_features": 4, "out_features": 4} for _ in range(7)],
     }
-    with pytest.raises(wir.WorkloadError, match="6 entries for a 7-layer"):
+    with pytest.raises(ValueError, match="6 entries for a 7-layer"):
         wir.workload_from_dict(doc)
 
 
@@ -128,56 +128,56 @@ def test_per_layer_bits_win_over_top_level():
 
 
 def test_declared_param_count_mismatch_rejected():
-    with pytest.raises(wir.WorkloadError, match="declared_param_count"):
+    with pytest.raises(ValueError, match="declared_param_count"):
         wir.WorkloadModel(name="m", layers=(fc_layer(0, 10, 10),), declared_param_count=99)
 
 
 def test_kind_field_mixups_rejected():
-    with pytest.raises(wir.WorkloadError, match="layer 0.*FC fields"):
+    with pytest.raises(ValueError, match="layer 0.*FC fields"):
         wir.LayerSpec(index=0, kind=wir.CONV, in_channels=3, out_channels=8,
                       kernel_h=3, kernel_w=3, in_height=8, in_width=8,
                       in_features=10, weight_bits=4, act_bits=4)
-    with pytest.raises(wir.WorkloadError, match="layer 1.*missing"):
+    with pytest.raises(ValueError, match="layer 1.*missing"):
         wir.LayerSpec(index=1, kind=wir.CONV, in_channels=3, weight_bits=4, act_bits=4)
-    with pytest.raises(wir.WorkloadError, match="layer 2.*CONV fields"):
+    with pytest.raises(ValueError, match="layer 2.*CONV fields"):
         wir.LayerSpec(index=2, kind=wir.FC, in_features=4, out_features=4,
                       kernel_h=3, weight_bits=4, act_bits=4)
 
 
 def test_bits_out_of_range_rejected():
     for bad in (0, 17, -2):
-        with pytest.raises(wir.WorkloadError, match="weight_bits"):
+        with pytest.raises(ValueError, match="weight_bits"):
             fc_layer(0, 4, 4, wb=bad)
 
 
 def test_nonpositive_dims_rejected():
-    with pytest.raises(wir.WorkloadError, match="layer 0"):
+    with pytest.raises(ValueError, match="layer 0"):
         fc_layer(0, 0, 4)
-    with pytest.raises(wir.WorkloadError, match="stride"):
+    with pytest.raises(ValueError, match="stride"):
         conv_layer(0, 3, 8, stride=0)
 
 
 def test_unknown_layer_fields_rejected():
     doc = {"name": "x", "layers": [{"kind": "FC", "in_features": 1, "out_features": 1,
                                     "weight_bits": 4, "act_bits": 4, "bias": True}]}
-    with pytest.raises(wir.WorkloadError, match="layer 0.*bias"):
+    with pytest.raises(ValueError, match="layer 0.*bias"):
         wir.workload_from_dict(doc)
 
 
 def test_int_beyond_float_range_rejected_without_declared_param_count():
     doc = {"name": "x", "layers": [{"kind": "FC", "in_features": 10**400, "out_features": 1,
                                     "weight_bits": 4, "act_bits": 4}]}
-    with pytest.raises(wir.WorkloadError, match=r"^layer 0 field 'in_features' must be an int within the float range"):
+    with pytest.raises(ValueError, match=r"^layer 0 field 'in_features' must be an int within the float range"):
         wir.workload_from_dict(doc)
     doc["layers"][0]["in_features"] = -(10**400)
-    with pytest.raises(wir.WorkloadError, match="'in_features'"):
+    with pytest.raises(ValueError, match="'in_features'"):
         wir.workload_from_dict(doc)
     doc["layers"][0]["in_features"] = int(wir.FLOAT_MAX)  # the bound itself is in range
     assert wir.workload_from_dict(doc).layers[0].in_features == int(wir.FLOAT_MAX)
 
 
 def test_parse_error_on_malformed_document():
-    with pytest.raises(wir.WorkloadError, match="layers"):
+    with pytest.raises(ValueError, match="layers"):
         wir.workload_from_dict({"name": "nope"})
 
 
@@ -221,21 +221,21 @@ def test_shipped_quantization_variants(repo_root):
 def test_bit_range_check_raises_each_callers_error():
     from bitwave import arch_model as am
     from bitwave import bitslice_engine as bse
-    from bitwave.device_catalog import DEFAULT_CATALOG, CatalogError
+    from bitwave.device_catalog import DEFAULT_CATALOG
 
     sites = [
-        (wir.WorkloadError, lambda bits: fc_layer(0, 2, 2, wb=bits)),
-        (am.ConfigError, lambda bits: am.ArchConfig(v=2, k=2, b=bits, V=1, K=1)),
-        (am.ConfigError, lambda bits: am.BaselineSpec(name="x", weight_bits=4, act_bits=bits)),
-        (CatalogError, lambda bits: DEFAULT_CATALOG.adc_power(bits)),
-        (ValueError, lambda bits: bse.build_schedule(8, 8, bits)),
+        lambda bits: fc_layer(0, 2, 2, wb=bits),
+        lambda bits: am.ArchConfig(v=2, k=2, b=bits, V=1, K=1),
+        lambda bits: am.BaselineSpec(name="x", weight_bits=4, act_bits=bits),
+        lambda bits: DEFAULT_CATALOG.adc_power(bits),
+        lambda bits: bse.build_schedule(8, 8, bits),
     ]
     # a bool is an int to Python, but True is not a bitwidth
     for bad in (0, wir.MAX_BITS + 1, True):
-        for error, call in sites:
-            with pytest.raises(error, match=rf"must be an int in \[1, 16\], got {bad!r}$"):
+        for call in sites:
+            with pytest.raises(ValueError, match=rf"must be an int in \[1, 16\], got {bad!r}$"):
                 call(bad)
-    with pytest.raises(wir.WorkloadError, match="weight_bits"):
+    with pytest.raises(ValueError, match="weight_bits"):
         fc_layer(0, 2, 2, wb=4.0)
 
 
