@@ -18,15 +18,15 @@ Mapping: FC layers tile into ceil(in/v)*ceil(out/v) units of work, CONV
 layers into (output positions x kernel chunks); work units round-robin over
 the V or K available units, which divides latency but leaves energy alone.
 
-Energy accounting follows one device table (``_device_table``): each device
-has a power (``_device_powers``) and an active time per action.
-``layer_actions`` counts a layer's actions per row and ``unit_actions`` a
-unit's devices per row; a layer's energy sums action count x power x active
-time over the table, and a unit's peak power sums device count x power over
-the same rows. A run of layers (``RunCost``) takes its step period once and
-each unit's table once per (unit, plan, period), from ``MvuCache``; a
-layer's cost (``LayerCost``) holds only its work, steps and energy. Float
-totals add left to right (``float_sum``) on every Python.
+Energy accounting follows one device table (``_device_table``): each row
+holds a device's power, its active time per action and how many of it one
+unit holds. ``layer_actions`` counts a layer's actions per row; a layer's
+energy sums action count x power x active time over the table, and a unit's
+peak power sums device count x power over the same rows. A run of layers
+(``RunCost``) takes its step period once and each unit's table once per
+(unit, plan, period), from ``MvuCache``; a layer's cost (``LayerCost``)
+holds only its work, steps and energy. Float totals add left to right
+(``float_sum``) on every Python.
 
 * DACs hold analog values for the whole step: one per active wavelength lane
   (input bank) plus one per active output row/waveguide (weight side,
@@ -134,7 +134,10 @@ class BaselineSpec:
 def load_baseline_spec(path: str | Path) -> BaselineSpec:
     """Read a baseline file; a bad ``device_overrides`` value is reported with the file's path."""
     spec = BaselineSpec(**wir.read_fields(wir.read_json(path), BaselineSpec, "baseline"))
-    wir.read_fields(spec.device_overrides, device_catalog.DeviceParams, f"{path}: device_overrides")
+    try:
+        device_catalog.apply_device_overrides(DEFAULT_CATALOG, spec.device_overrides)
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from None
     return spec
 
 
@@ -192,7 +195,7 @@ class MvuCache:
     def __init__(self, catalog: DeviceCatalog):
         self.catalog = catalog
         self._specs: dict[tuple[str, int, int], MvuSpec] = {}
-        self._tables: dict[tuple, tuple[tuple[float, float], ...]] = {}
+        self._tables: dict[tuple, tuple[tuple[float, float, int], ...]] = {}
         self._active_mw: dict[tuple, float] = {}
         self._unit_mw: dict[tuple[str, int, int], float] = {}
 
@@ -203,22 +206,24 @@ class MvuCache:
             spec = self._specs[key] = _mvu_spec(kind, n_lambda, n_rows, self.catalog)
         return spec
 
-    def table(self, spec: MvuSpec, cp: _ConverterPlan, period_ns: float) -> tuple[tuple[float, float], ...]:
+    def table(self, spec: MvuSpec, cp: _ConverterPlan, period_ns: float) -> tuple[tuple[float, float, int], ...]:
         """``_device_table`` of a ``spec`` unit with the converters of ``cp`` that steps every ``period_ns``."""
         key = (spec, cp, period_ns)
         table = self._tables.get(key)
         if table is None:
-            laser_mw = dbm_to_mw(spec.min_laser_dbm)
-            table = self._tables[key] = _device_table(self.catalog, cp, period_ns, laser_mw)
+            table = self._tables[key] = _device_table(self.catalog, spec, cp, period_ns)
         return table
 
     def active_power_mw(self, spec: MvuSpec, cp: _ConverterPlan) -> float:
-        """Worst-case power of one fully occupied unit: ``unit_actions`` x ``_device_powers``."""
+        """Worst-case power of one fully occupied unit: device count x power over its table.
+
+        Neither column depends on the step period, so any period's table serves.
+        """
         key = (spec, cp)
         mw = self._active_mw.get(key)
         if mw is None:
-            powers = _device_powers(self.catalog, cp, dbm_to_mw(spec.min_laser_dbm))
-            mw = self._active_mw[key] = float_sum(n * p_mw for n, p_mw in zip(unit_actions(spec, cp), powers))
+            table = self.table(spec, cp, 0.0)
+            mw = self._active_mw[key] = float_sum(n * p_mw for p_mw, _, n in table)
         return mw
 
     def unit_power_mw(self, kind: str, width: int, b: int) -> float:
@@ -306,38 +311,28 @@ def _step_period_ns(cfg: ArchConfig, catalog: DeviceCatalog, cp: _ConverterPlan)
     return max(chain) if cfg.pipelined else float_sum(chain)
 
 
-def _device_powers(catalog: DeviceCatalog, cp: _ConverterPlan, laser_mw: float) -> tuple[float, ...]:
-    """Power (mW) of each device, in summation order.
+def _device_table(
+    catalog: DeviceCatalog, spec: MvuSpec, cp: _ConverterPlan, period_ns: float
+) -> tuple[tuple[float, float, int], ...]:
+    """(power mW, active ns per action, devices per unit) of each device, in summation order.
 
     Rows: activation DAC, weight DAC, ADC, photodetector, VCSEL, SOA, EO tuning,
-    and the laser plus thermal trim of the unit's two MR banks.
+    and the laser plus thermal trim of the unit's two MR banks. DACs and laser
+    plus trim hold for the whole step period; the rest for their own latency.
     """
     d = catalog.devices
+    lanes, rows = spec.n_wavelengths, spec.n_rows
     return (
-        catalog.dac_power(cp.dac_bits_act),
-        catalog.dac_power(cp.dac_bits_w),
-        catalog.adc_power(cp.adc_bits),
-        d.photodetector_power_mw,
-        d.vcsel_power_mw,
-        d.soa_power_mw,
-        d.eo_tuning_power_mw_per_nm * catalog.eo_shift_nm,
-        laser_mw + d.to_tuning_power_mw_per_fsr * catalog.to_duty_cycle * 2,
+        (catalog.dac_power(cp.dac_bits_act), period_ns, lanes),
+        (catalog.dac_power(cp.dac_bits_w), period_ns, rows),
+        # CONV rows are current-summed into one ADC
+        (catalog.adc_power(cp.adc_bits), catalog.adc_latency(cp.adc_bits), rows if spec.kind == wir.FC else 1),
+        (d.photodetector_power_mw, d.photodetector_latency_ns, rows),
+        (d.vcsel_power_mw, d.vcsel_latency_ns, lanes),
+        (d.soa_power_mw, d.soa_latency_ns, rows if cp.use_soa else 0),
+        (d.eo_tuning_power_mw_per_nm * catalog.eo_shift_nm, d.eo_tuning_latency_ns, spec.n_mr),
+        (dbm_to_mw(spec.min_laser_dbm) + d.to_tuning_power_mw_per_fsr * catalog.to_duty_cycle * 2, period_ns, 1),
     )
-
-
-def _device_table(
-    catalog: DeviceCatalog, cp: _ConverterPlan, period_ns: float, laser_mw: float
-) -> tuple[tuple[float, float], ...]:
-    """(power mW, active ns per action) of each ``_device_powers`` row.
-
-    DACs and laser plus trim hold for the whole step period; the rest for
-    their own latency.
-    """
-    d = catalog.devices
-    active_ns = (period_ns, period_ns, catalog.adc_latency(cp.adc_bits), d.photodetector_latency_ns,
-                 d.vcsel_latency_ns, d.soa_latency_ns, d.eo_tuning_latency_ns, period_ns)
-    # from a list, as the run tuples below are: tuple(zip) resizes its tuple as it grows
-    return tuple([*zip(_device_powers(catalog, cp, laser_mw), active_ns)])
 
 
 def bitwave_plan(kind: str, b: int) -> _ConverterPlan:
@@ -403,25 +398,18 @@ def layer_actions(layer: wir.LayerSpec, cfg: ArchConfig, cp: _ConverterPlan) -> 
     return work, steps, counts
 
 
-def unit_actions(spec: MvuSpec, cp: _ConverterPlan) -> tuple[int, ...]:
-    """How many of each ``_device_table`` row's devices one unit holds, in row order."""
-    lanes, rows = spec.n_wavelengths, spec.n_rows
-    adcs = rows if spec.kind == wir.FC else 1  # CONV rows are current-summed into one ADC
-    return (lanes, rows, adcs, rows, lanes, rows if cp.use_soa else 0, spec.n_mr, 1)
-
-
 def layer_cost(
     layer: wir.LayerSpec,
     cfg: ArchConfig,
     cp: _ConverterPlan,
-    table: tuple[tuple[float, float], ...],
+    table: tuple[tuple[float, float, int], ...],
 ) -> LayerCost:
     """Work, steps and energy of one layer on units that draw ``table``.
 
     Reads neither ``cfg.V`` nor ``cfg.K``.
     """
     work, steps, counts = layer_actions(layer, cfg, cp)
-    energy_pj = float_sum(n * p_mw * ns for n, (p_mw, ns) in zip(counts, table))
+    energy_pj = float_sum(n * p_mw * ns for n, (p_mw, ns, _) in zip(counts, table))
     return LayerCost(work, steps, energy_pj * 1e-12 * cfg.energy_scale)
 
 
@@ -621,13 +609,13 @@ def simulate_baseline(
 # -- micro-workload calibration --------------------------------------------------
 
 
-def micro_dot_workload(p_bits: int, name: str = "micro-dot") -> wir.WorkloadModel:
+def micro_dot_workload(p_bits: int) -> wir.WorkloadModel:
     """Two-element dot product as a minimal FC workload (one output)."""
     layer = wir.LayerSpec(
         index=0, kind=wir.FC, in_features=2, out_features=1,
         weight_bits=p_bits, act_bits=p_bits,
     )
-    return wir.WorkloadModel(name=name, layers=(layer,))
+    return wir.WorkloadModel(name="micro-dot", layers=(layer,))
 
 
 def micro_dot_config(b: int = 4, energy_scale: float = 1.0) -> ArchConfig:
@@ -635,15 +623,13 @@ def micro_dot_config(b: int = 4, energy_scale: float = 1.0) -> ArchConfig:
     return ArchConfig(v=2, k=1, b=b, V=1, K=1, energy_scale=energy_scale)
 
 
-def calibrate_energy_scale(
-    catalog: DeviceCatalog = DEFAULT_CATALOG,
-    anchor_j: float = MICRO_DOT_ENERGY_ANCHOR_J,
-) -> float:
+def calibrate_energy_scale(catalog: DeviceCatalog = DEFAULT_CATALOG) -> float:
     """Solve the global energy_scale from the micro-workload anchor.
 
     The raw device-level energies are picojoule-scale; reported energies are
-    anchored so the 8-bit b=4 micro dot product reads ``anchor_j``. One
-    constant, solved once; everything else is parameter-free.
+    anchored so the 8-bit b=4 micro dot product reads
+    ``MICRO_DOT_ENERGY_ANCHOR_J``. One constant, solved once; everything else
+    is parameter-free.
     """
     raw = simulate_inference(micro_dot_workload(8), micro_dot_config(4), catalog).energy_j
-    return anchor_j / raw
+    return MICRO_DOT_ENERGY_ANCHOR_J / raw

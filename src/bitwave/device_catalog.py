@@ -174,13 +174,12 @@ _PATH_ELEMENTS = {
 }
 
 
-def aggregate_photoloss(path: Iterable[tuple[str, float]], losses: LossModel | None = None) -> float:
-    """Sum the dB losses along a path of (element, quantity) pairs.
+def aggregate_photoloss(path: Iterable[tuple[str, float]], losses: LossModel) -> float:
+    """Sum the dB losses of ``losses`` along a path of (element, quantity) pairs.
 
     Quantities are counts for discrete elements and lengths in cm for the
     per-cm elements.
     """
-    losses = losses if losses is not None else LossModel()
     total = 0.0
     for kind, qty in path:
         if kind not in _PATH_ELEMENTS:

@@ -43,10 +43,13 @@ def period_of(layer, cfg):
     return am._step_period_ns(cfg, DEFAULT_CATALOG, am.bitwave_plan(layer.kind, cfg.b))
 
 
+#: one unit cache for the helpers below; its entries are pure functions of their keys
+UNITS = am.MvuCache(DEFAULT_CATALOG)
+
+
 def cost_of(layer, cfg):
-    """``layer_cost`` of one layer on cfg's bit-sliced units, with the laser off."""
-    cp = am.bitwave_plan(layer.kind, cfg.b)
-    return am.layer_cost(layer, cfg, cp, am._device_table(DEFAULT_CATALOG, cp, period_of(layer, cfg), 0.0))
+    """``layer_cost`` of one layer on cfg's bit-sliced units."""
+    return am.run_cost(layer.kind, (layer,), am.bitwave_plan(layer.kind, cfg.b), cfg, UNITS).costs[0]
 
 
 def test_layer_cost_steps_match_the_engine_schedule():
@@ -526,6 +529,21 @@ def test_baseline_peak_power_counts_no_soa():
     rep = am.simulate_inference(model, cfg)
     expect_mw = _conv_unit_hand_sum_mw(DEFAULT_CATALOG, k=3, rows=2, soas=2, bits=4)
     assert rep.peak_power_w == pytest.approx(expect_mw * 1e-3, rel=1e-9)
+
+
+@pytest.mark.parametrize("kind, n_lambda, n_rows, plan, counts", [
+    # ACT_DAC per lane, W_DAC/ADC/PD per row, VCSEL per lane, no SOA, 5 + 5 * 4 MRs, one laser
+    (wir.FC, 5, 4, "bitwave", (5, 4, 4, 4, 5, 0, 25, 1)),
+    (wir.FC, 5, 4, "baseline", (5, 4, 4, 4, 5, 0, 25, 1)),
+    # CONV rows share one ADC; only the bit-sliced unit amplifies its rows; 9 + 9 * 3 MRs
+    (wir.CONV, 9, 3, "bitwave", (9, 3, 1, 3, 9, 3, 36, 1)),
+    (wir.CONV, 9, 3, "baseline", (9, 3, 1, 3, 9, 0, 36, 1)),
+])
+def test_device_table_counts_each_units_devices(kind, n_lambda, n_rows, plan, counts):
+    spec = UNITS.spec(kind, n_lambda, n_rows)
+    # a baseline's plan: operand-wide converters, no gain ladder (as simulate_baseline builds it)
+    cp = am.bitwave_plan(kind, 4) if plan == "bitwave" else am._ConverterPlan(8, 8, 8, use_soa=False)
+    assert tuple(n for _, _, n in am._device_table(DEFAULT_CATALOG, spec, cp, 20.0)) == counts
 
 
 def test_max_power_monotone_in_each_dimension():

@@ -646,6 +646,16 @@ def test_model_setting_footprint_scale_exits_3(tmp_path, repo_root, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("value", [0, -1.0])
+def test_out_of_range_device_override_names_the_baseline_file(tmp_path, repo_root, capsys, value):
+    # checked when the baseline is read, before any simulation
+    rc, out = compare_with_field(tmp_path, repo_root, "baseline", "device_overrides", {"dac8_power_mw": value})
+    assert rc == 3
+    path = tmp_path / "baselines" / "b.json"
+    assert capsys.readouterr().err == f"error: {path}: device parameter dac8_power_mw must be positive\n"
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("target, field, value", [
     pytest.param("config", "v", list(range(100_000)), id="config-v-100000-ints"),
     pytest.param("fc layer", "kind", "F" * 200_000, id="fc-layer-kind-200000-characters"),

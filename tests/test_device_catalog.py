@@ -5,6 +5,7 @@ import pytest
 from bitwave import device_catalog as dcat
 from bitwave.device_catalog import (
     DEFAULT_CATALOG,
+    LossModel,
     aggregate_photoloss,
     dbm_to_mw,
     min_laser_power,
@@ -51,8 +52,8 @@ def test_adc_selection_rules():
 
 
 def test_aggregate_photoloss_single_and_empty():
-    assert aggregate_photoloss([("waveguide_cm", 1.0)]) == pytest.approx(1.0)
-    assert aggregate_photoloss([]) == 0.0
+    assert aggregate_photoloss([("waveguide_cm", 1.0)], LossModel()) == pytest.approx(1.0)
+    assert aggregate_photoloss([], LossModel()) == 0.0
 
 
 def test_aggregate_photoloss_hand_sum():
@@ -62,22 +63,22 @@ def test_aggregate_photoloss_hand_sum():
         ("mr_through", 10.0),
         ("mr_modulation", 1.0),
     ]
-    assert aggregate_photoloss(path) == pytest.approx(2.97)
+    assert aggregate_photoloss(path, LossModel()) == pytest.approx(2.97)
 
 
 def test_aggregate_photoloss_additive_over_concatenation():
     p1 = [("waveguide_cm", 0.5), ("mr_through", 3.0)]
     p2 = [("splitter", 2.0), ("eo_cm", 0.1)]
-    assert aggregate_photoloss(p1 + p2) == pytest.approx(
-        aggregate_photoloss(p1) + aggregate_photoloss(p2)
+    assert aggregate_photoloss(p1 + p2, LossModel()) == pytest.approx(
+        aggregate_photoloss(p1, LossModel()) + aggregate_photoloss(p2, LossModel())
     )
 
 
 def test_aggregate_photoloss_rejects_bad_elements():
     with pytest.raises(ValueError):
-        aggregate_photoloss([("coupler", 1.0)])
+        aggregate_photoloss([("coupler", 1.0)], LossModel())
     with pytest.raises(ValueError):
-        aggregate_photoloss([("splitter", -1.0)])
+        aggregate_photoloss([("splitter", -1.0)], LossModel())
 
 
 def test_min_laser_power_trivial_case():

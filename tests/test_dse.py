@@ -303,12 +303,12 @@ def test_explore_counts_each_layers_macs_only_for_the_model_totals(monkeypatch):
 
 def test_each_device_table_and_step_period_is_built_once(monkeypatch, repo_root, reference_config_path):
     device_table, step_period, run_cost = am._device_table, am._step_period_ns, am.run_cost
-    tables = []  # (plan, step period, laser mW) of each table built; the laser stands for the unit spec
+    tables = []  # (unit spec, plan, step period) of each table built
     periods = []  # step periods computed during each run_cost call
 
-    def counted_table(catalog, cp, period_ns, laser_mw):
-        tables.append((cp, period_ns, laser_mw))
-        return device_table(catalog, cp, period_ns, laser_mw)
+    def counted_table(catalog, spec, cp, period_ns):
+        tables.append((spec, cp, period_ns))
+        return device_table(catalog, spec, cp, period_ns)
 
     def counted_period(*args):
         periods[-1] += 1
