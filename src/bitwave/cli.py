@@ -204,7 +204,7 @@ def cmd_explore(args) -> int:
             "config": {"v": c.v, "k": c.k, "b": c.b, "V": c.V, "K": c.K},
             "score": result.best.score,
             "max_power_w": result.best.max_power_w,
-            "per_model": {name: vars(s) for name, s in result.best.per_model.items()},
+            "per_model": {name: s._asdict() for name, s in result.best.per_model.items()},
         }
     _write_json(out / "best.json", manifest, best_payload)
 

@@ -23,13 +23,20 @@ converters of ``bitwave_plan(kind, b)``) once per (model, run, width, b),
 with width v for FC and k for CONV; one unit cache serves the whole search,
 so each unit's device table is built once per (unit, plan, step period).
 A run's latency terms (``place_layer``) are built once per (model, run,
-width, b, unit count). A configuration passes its runs to ``check_runs``,
-sums one list of its latency terms in layer order and reuses one energy sum
-per (model, v, k, b). Every float total is added left to right
-(``wir.float_sum``) and partial sums per run are never added together
-(floats added in another order can round differently), so every result is
-bit-identical to ``max_power`` plus ``simulate_inference`` on each
-configuration.
+width, b, unit count).
+
+Configurations are enumerated in (v, k, b, V, K) order, so they come in
+groups of one (v, k, b). The search walks the groups and prepares each model
+once per group: its runs and its energy sum. A run's laser verdict is fixed
+within a group, so ``check_runs`` reads a configuration only through V >= 1
+and K >= 1; it runs once per (model, group, V >= 1, K >= 1) and its outcome
+is reused. A configuration that passes then costs one latency sum per model,
+over its runs' cached terms in layer order, and ``efficiency``. Every float
+total is added left to right from 0.0 (``wir.float_sum``), and a model's
+first run enters its totals as the sum of its terms, which is the same
+float. Partial sums of later runs are never added together (floats added in
+another order can round differently), so every result is bit-identical to
+``max_power`` plus ``simulate_inference`` on each configuration.
 """
 
 from __future__ import annotations
@@ -38,6 +45,7 @@ import itertools
 import math
 from dataclasses import dataclass, field
 from pathlib import Path
+from typing import NamedTuple
 
 from . import arch_model as am
 from . import workload_ir as wir
@@ -81,15 +89,13 @@ def enumerate_configs(space: SearchSpace) -> list[am.ArchConfig]:
     ]
 
 
-@dataclass(frozen=True)
-class ModelScore:
+class ModelScore(NamedTuple):
     epb_j_per_bit: float
     gops: float
     gops_per_epb: float
 
 
-@dataclass(frozen=True)
-class EvaluatedConfig:
+class EvaluatedConfig(NamedTuple):
     config: am.ArchConfig
     score: float
     max_power_w: float
@@ -117,6 +123,24 @@ def _aggregate(values: list[float], how: str) -> float:
     return min(values)  # explore has checked that ``how`` is one of AGGREGATES
 
 
+def _lead(terms: list[float], first: bool) -> list[float]:
+    """A run's terms, or their sum if the run is its model's first.
+
+    A model's total adds its first run's terms first, from 0.0, so their sum
+    stands in for them: the total is the same float either way.
+    """
+    return [wir.float_sum(terms)] if first else terms
+
+
+def _passes(runs: list[am.RunCost], cfg: am.ArchConfig) -> bool:
+    """Whether ``check_runs`` accepts the runs under ``cfg``: False on a failed laser budget."""
+    try:
+        am.check_runs(runs, cfg)
+    except am.LaserInfeasibleError:
+        return False
+    return True
+
+
 def _rank_key(entry: EvaluatedConfig) -> tuple:
     c = entry.config
     return (-entry.score, entry.max_power_w, c.v, c.k, c.b, c.V, c.K)
@@ -136,6 +160,13 @@ def explore(
     before any check, one whose laser budget fails for some model is
     rejected at that model, and a ValueError (V=0 or K=0 with layers that
     need them) propagates. Model names must differ: scores are keyed by name.
+
+    Configurations are walked one (v, k, b) group at a time. A model is
+    prepared (its runs costed and its energy summed) at the first
+    configuration of a group that reaches it, and ``check_runs``' outcome is
+    kept per (model, V >= 1, K >= 1) within the group, since the laser
+    verdicts do not change inside it. A ValueError is never kept: it
+    propagates from the first configuration that meets it.
     """
     if not models:
         raise ValueError("explore needs at least one workload model")
@@ -149,63 +180,70 @@ def explore(
 
     units = am.MvuCache(catalog)
     model_runs = [am.kind_runs(m) for m in models]
+    names = [m.name for m in models]
     # no configuration changes a model's MACs or processed bits
     totals = [(wir.mac_count(m), wir.processed_bits(m)) for m in models]
-    # (model, run, width, b) -> (run cost, unit count -> layer latencies)
+    # (model, run, width, b) -> (run cost, FC?, first run?, its energies, unit count -> its latencies)
     run_costs: dict[tuple, tuple] = {}
 
     def prepare(mi: int, cfg: am.ArchConfig) -> tuple:
-        """Model ``mi`` at cfg's (v, k, b): its runs and latency caches, and its energy."""
-        entries = []
+        """Model ``mi`` at cfg's (v, k, b): its runs, their entries, its energy, MACs and processed bits."""
+        entries, energies = [], []
         for ri, (kind, layers) in enumerate(model_runs[mi]):
             key = (mi, ri, am.unit_width(kind, cfg), cfg.b)
             entry = run_costs.get(key)
             if entry is None:
                 run = am.run_cost(kind, layers, am.bitwave_plan(kind, cfg.b), cfg, units)
-                entry = run_costs[key] = (run, {})
+                first = ri == 0
+                energies_of_run = _lead([c.energy_j for c in run.costs], first)
+                entry = run_costs[key] = (run, kind == wir.FC, first, energies_of_run, {})
             entries.append(entry)
-        runs = [run for run, _ in entries]
-        return runs, entries, wir.float_sum(c.energy_j for run in runs for c in run.costs)
-
-    def score_models(cfg: am.ArchConfig, prepared: dict) -> dict | None:
-        per_model = {}
-        for mi, model in enumerate(models):
-            entry = prepared.get(mi)
-            if entry is None:
-                entry = prepared[mi] = prepare(mi, cfg)
-            runs, entries, energy = entry
-            try:
-                n_units_of = am.check_runs(runs, cfg)
-            except am.LaserInfeasibleError:
-                return None
-            terms: list[float] = []
-            for run, latencies in entries:
-                n_units = n_units_of[run.kind]
-                part = latencies.get(n_units)
-                if part is None:
-                    part = latencies[n_units] = [am.place_layer(c, n_units, run.period_ns)[2] for c in run.costs]
-                terms += part
-            # one sum over every layer in order, as simulate_inference adds them
-            per_model[model.name] = ModelScore(*am.efficiency(wir.float_sum(terms), energy, *totals[mi]))
-        return per_model
+            energies += entry[3]
+        return [entry[0] for entry in entries], entries, wir.float_sum(energies), *totals[mi]
 
     evaluated: list[EvaluatedConfig] = []
     rejected = {"laser": 0, "max_power": 0}
-    # Configurations come grouped by (v, k, b), so each model is prepared
-    # once per group and dropped before the next.
+    cap = cons.max_power_w
+    # Configurations come grouped by (v, k, b). Each model is prepared once
+    # per group, at the first configuration that scores it, and dropped
+    # before the next group.
     for _, group in itertools.groupby(configs, key=lambda c: (c.v, c.k, c.b)):
-        prepared: dict[int, tuple] = {}
+        prepared: list = [None] * len(models)
+        # a run's laser verdict is fixed in a group, so check_runs reads a
+        # configuration only through V >= 1 and K >= 1
+        verdicts: dict[tuple, bool] = {}
         for cfg in group:
             power = am.array_power_w(cfg, units)
-            if cons.max_power_w is not None and power > cons.max_power_w:
+            if cap is not None and power > cap:
                 rejected["max_power"] += 1
                 continue
-            per_model = score_models(cfg, prepared)
-            if per_model is None:
+            V, K = cfg.V, cfg.K
+            units_on = (V > 0, K > 0)
+            scores = []
+            for mi, entry in enumerate(prepared):
+                if entry is None:
+                    entry = prepared[mi] = prepare(mi, cfg)
+                runs, entries, energy, macs, bits = entry
+                ok = verdicts.get((mi, units_on))
+                if ok is None:
+                    ok = verdicts[mi, units_on] = _passes(runs, cfg)
+                if not ok:
+                    break
+                terms: list[float] = []
+                for run, is_fc, first, _, latencies in entries:
+                    n_units = V if is_fc else K
+                    part = latencies.get(n_units)
+                    if part is None:
+                        part = latencies[n_units] = _lead(
+                            [am.place_layer(c, n_units, run.period_ns)[2] for c in run.costs], first)
+                    terms += part
+                # one sum over every layer in order, as simulate_inference adds them
+                scores.append(ModelScore(*am.efficiency(wir.float_sum(terms), energy, macs, bits)))
+            if len(scores) < len(models):
                 rejected["laser"] += 1
                 continue
-            score = _aggregate([s.gops_per_epb for s in per_model.values()], aggregate)
-            evaluated.append(EvaluatedConfig(cfg, score, power, per_model))
+            score = _aggregate([s.gops_per_epb for s in scores], aggregate)
+            evaluated.append(EvaluatedConfig(cfg, score, power, dict(zip(names, scores))))
 
     ranked = tuple(sorted(evaluated, key=_rank_key))
     return SearchResult(

@@ -785,3 +785,32 @@ def test_shipped_artifacts_byte_identical(tmp_path, repo_root, monkeypatch, caps
     _, _, rows = read_csv(tmp_path / "out" / "compare" / "compare.csv")
     assert len(rows) == 15 * 5  # each model on the architecture and on 4 baselines
     assert digests == SHIPPED_ARTIFACTS
+
+
+# grid_small's dimensions under a power cap and a laser ceiling that each
+# reject some configurations, so the reject paths' output is pinned too
+CAPPED_CONSTRAINTS = {"max_power_w": 150.0, "laser_ceiling_dbm": 25.0}
+# sha256 (first 16 hex digits), recorded before explore scored each
+# (v, k, b) group's models once
+CAPPED_ARTIFACTS = {
+    "ranking.csv": "3730f50a6c5568f1",
+    "best.json": "3414608c45c40262",
+}
+
+
+def test_capped_explore_artifacts_byte_identical(tmp_path, repo_root, monkeypatch, capsys):
+    import shutil
+
+    shutil.copytree(repo_root / "models", tmp_path / "models")
+    space = json.loads((repo_root / "spaces" / "grid_small.json").read_text())
+    space["constraints"] = CAPPED_CONSTRAINTS
+    (tmp_path / "capped.json").write_text(json.dumps(space))
+    monkeypatch.chdir(tmp_path)
+    assert main(["explore", *BASE_MODELS, "--space", "capped.json", "--out-dir", "out"]) == 0
+    capsys.readouterr()
+    best = json.loads((tmp_path / "out" / "best.json").read_text())
+    assert best["diagnostics"] == {"laser": 12, "max_power": 29}
+    assert best["evaluated"] == 67 and best["infeasible_count"] == 41
+    digests = {name: hashlib.sha256((tmp_path / "out" / name).read_bytes()).hexdigest()[:16]
+               for name in CAPPED_ARTIFACTS}
+    assert digests == CAPPED_ARTIFACTS

@@ -258,8 +258,8 @@ def test_explore_builds_each_plan_cost_and_latency_term_once(monkeypatch):
     model_of = {id(l): m.name for m in models for l in m.layers}
     built = {}  # id(cost) -> (model, layer, width, b)
     keep = []  # every cost stays alive, so no id is reused
-    cost_keys, term_keys = [], []
-    layer_cost, place_layer = am.layer_cost, am.place_layer
+    cost_keys, term_keys, check_keys = [], [], []
+    layer_cost, place_layer, check_runs = am.layer_cost, am.place_layer, am.check_runs
 
     def counted_cost(layer, cfg, *args):
         cost = layer_cost(layer, cfg, *args)
@@ -273,15 +273,20 @@ def test_explore_builds_each_plan_cost_and_latency_term_once(monkeypatch):
         term_keys.append((*built[id(cost)], n_units))
         return place_layer(cost, n_units, period_ns)
 
+    def counted_check(runs, cfg):
+        check_keys.append((model_of[id(runs[0].layers[0])], cfg.v, cfg.k, cfg.b, cfg.V >= 1, cfg.K >= 1))
+        return check_runs(runs, cfg)
+
     def no_simulate(*args):
         raise AssertionError("explore simulates a configuration")
 
     monkeypatch.setattr(am, "layer_cost", counted_cost)
     monkeypatch.setattr(am, "place_layer", counted_place)
+    monkeypatch.setattr(am, "check_runs", counted_check)
     monkeypatch.setattr(am, "_simulate", no_simulate)
     result = dse.explore(models, with_constraints(MIXED, laser_ceiling_dbm=LASER_CEILING_DBM))
     assert result.ranked and result.diagnostics["laser"] > 0
-    for keys in (cost_keys, term_keys):
+    for keys in (cost_keys, term_keys, check_keys):
         assert keys and len(keys) == len(set(keys))
 
 
@@ -358,6 +363,11 @@ def test_explore_equals_rescan_when_laser_rejects_before_a_zero_unit_count():
 @pytest.mark.parametrize("space, models", [
     (dse.SearchSpace(v=(8, 16), k=(6,), b=(4,), V=(0,), K=(2,)), [MODEL]),
     (dse.SearchSpace(v=(8,), k=(6,), b=(4,), V=(2,), K=(0, 2)), [CONV_ONLY]),
+    # the b=1 group's CONV unit fails its laser budget at k=128, so CONV_ONLY
+    # rejects both its configurations before MODEL is reached; at b=4 it
+    # passes and MODEL, which has FC layers, meets V=0
+    (with_constraints(dse.SearchSpace(v=(8,), k=(128,), b=(1, 4), V=(0, 4), K=(2,)),
+                      laser_ceiling_dbm=LASER_CEILING_DBM), [CONV_ONLY, MODEL]),
 ])
 def test_explore_zero_unit_count_still_raises_config_error(space, models):
     with pytest.raises(ValueError) as separable:
