@@ -3,6 +3,8 @@ import json
 import math
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from bitwave import arch_model as am
 from bitwave import cli, dse
@@ -375,6 +377,71 @@ def test_explore_zero_unit_count_still_raises_config_error(space, models):
     with pytest.raises(ValueError) as per_config:
         rescan(models, space)
     assert str(separable.value) == str(per_config.value)
+
+
+BITS = st.integers(1, 16)
+
+
+@st.composite
+def fc_layers(draw, index):
+    return wir.LayerSpec(index=index, kind=wir.FC, in_features=draw(st.integers(1, 80)),
+                         out_features=draw(st.integers(1, 50)),
+                         weight_bits=draw(BITS), act_bits=draw(BITS))
+
+
+@st.composite
+def conv_layers(draw, index):
+    kernel, padding = draw(st.integers(1, 3)), draw(st.integers(0, 1))
+    smallest = max(1, kernel - 2 * padding)  # the output is at least 1x1
+    return wir.LayerSpec(index=index, kind=wir.CONV, in_channels=draw(st.integers(1, 4)),
+                         out_channels=draw(st.integers(1, 6)), kernel_h=kernel, kernel_w=kernel,
+                         in_height=draw(st.integers(smallest, 8)), in_width=draw(st.integers(smallest, 8)),
+                         stride=draw(st.integers(1, 2)), padding=padding,
+                         weight_bits=draw(BITS), act_bits=draw(BITS))
+
+
+@st.composite
+def drawn_models(draw):
+    models = []
+    for name in draw(st.lists(st.sampled_from("abcde"), min_size=1, max_size=3, unique=True)):
+        kinds = draw(st.lists(st.sampled_from((wir.FC, wir.CONV)), max_size=4))
+        layers = tuple(draw((fc_layers if kind == wir.FC else conv_layers)(i)) for i, kind in enumerate(kinds))
+        models.append(wir.WorkloadModel(name=name, layers=layers))
+    return models
+
+
+def dim(values):
+    return st.lists(st.sampled_from(values), min_size=1, max_size=2).map(tuple)
+
+
+# v=64 and k=128 fail their laser budgets under low ceilings, and unit counts
+# of 0 meet models that need those units
+DRAWN_SPACES = st.builds(
+    dse.SearchSpace,
+    v=dim((4, 8, 32, 64)), k=dim((3, 9, 64, 128)), b=dim((1, 2, 3, 4, 8, 16)),
+    V=dim((0, 1, 2, 5)), K=dim((0, 1, 2, 5)),
+    constraints=st.builds(
+        dse.SearchConstraints,
+        max_power_w=st.none() | st.floats(0.0, 8.0),
+        laser_ceiling_dbm=st.none() | st.floats(0.0, 25.0),
+    ),
+)
+
+
+@settings(max_examples=300, derandomize=True, deadline=None)
+@given(models=drawn_models(), space=DRAWN_SPACES, aggregate=st.sampled_from(dse.AGGREGATES))
+def test_explore_equals_rescan_on_drawn_models_and_spaces(models, space, aggregate):
+    try:
+        expected, rejected = rescan(models, space, aggregate)
+    except ValueError as exc:
+        with pytest.raises(ValueError) as separable:
+            dse.explore(models, space, aggregate=aggregate)
+        assert str(separable.value) == str(exc)
+        return
+    result = dse.explore(models, space, aggregate=aggregate)
+    assert list(result.ranked) == expected
+    assert result.diagnostics == rejected
+    assert result.infeasible_count == len(dse.enumerate_configs(space)) - len(expected)
 
 
 def test_explore_zero_config_space_raises():
