@@ -25,8 +25,11 @@ energy sums action count x power x active time over the table, and a unit's
 peak power sums device count x power over the same rows. A run of layers
 (``RunCost``) takes its step period once and each unit's table once per
 (unit, plan, period), from ``MvuCache``; a layer's cost (``LayerCost``)
-holds only its work, steps and energy. Float totals add left to right
-(``float_sum``) on every Python.
+holds only its work, steps and energy. A model's latency and energy are
+its layers' latencies and energies added left to right in layer order
+(``float_sum``, the same float on every Python); ``model_latency_s`` and
+``model_energy_j`` are the one home of that law, which ``simulate_inference``
+calls on fresh caches and ``dse.explore`` on shared ones.
 
 * DACs hold analog values for the whole step: one per active wavelength lane
   (input bank) plus one per active output row/waveguide (weight side,
@@ -461,7 +464,11 @@ def kind_runs(model: wir.WorkloadModel) -> list[tuple[str, tuple[wir.LayerSpec, 
 
 @dataclass(frozen=True, slots=True)
 class RunCost:
-    """A run's layers, plan and step period, their specs and costs, and its first unit over the laser ceiling."""
+    """A run's layers, plan and step period, their specs and costs, and its first unit over the laser ceiling.
+
+    ``latencies`` maps a unit count to the layers' latencies on that many
+    units; ``model_latency_s`` fills it on first use.
+    """
 
     kind: str
     layers: tuple[wir.LayerSpec, ...]
@@ -470,6 +477,7 @@ class RunCost:
     specs: tuple[MvuSpec, ...]
     costs: tuple[LayerCost, ...]
     over_ceiling: MvuSpec | None
+    latencies: dict[int, list[float]] = field(default_factory=dict, compare=False, repr=False)
 
 
 def run_cost(
@@ -496,22 +504,18 @@ def run_cost(
     return RunCost(kind, layers, plan, period, specs, costs, over)
 
 
-def check_runs(runs: list[RunCost], cfg: ArchConfig) -> dict[str, int]:
-    """The unit count of each kind the runs hold, once ``cfg`` passes every check.
+def check_runs(runs: list[RunCost], cfg: ArchConfig) -> None:
+    """Raise if ``cfg`` cannot run the runs.
 
     The checks run in this order: the FC unit count, the FC laser budget,
     the CONV unit count, then each CONV unit's laser budget in layer order.
     The first that fails raises ValueError or LaserInfeasibleError.
     """
-    n_units_of: dict[str, int] = {}
     for kind, field_name in ((wir.FC, "V"), (wir.CONV, "K")):
-        for run in runs:
-            if run.kind != kind:
-                continue
-            if kind not in n_units_of:
-                n_units = n_units_of[kind] = unit_count(kind, cfg)
-                if n_units < 1:
-                    raise ValueError(f"model has {kind} layers but the config has {field_name}=0 {kind} units")
+        of_kind = [run for run in runs if run.kind == kind]
+        if of_kind and unit_count(kind, cfg) < 1:
+            raise ValueError(f"model has {kind} layers but the config has {field_name}=0 {kind} units")
+        for run in of_kind:
             spec = run.over_ceiling
             if spec is not None:
                 raise LaserInfeasibleError(
@@ -519,7 +523,23 @@ def check_runs(runs: list[RunCost], cfg: ArchConfig) -> dict[str, int]:
                     f"{spec.n_rows} rows, {spec.path_loss_db:.2f} dB loss) needs "
                     f"{spec.min_laser_dbm:.2f} dBm laser > ceiling {cfg.laser_ceiling_dbm:.2f} dBm"
                 )
-    return n_units_of
+
+
+def model_energy_j(runs: list[RunCost]) -> float:
+    """A model's energy: its layers' energies added in layer order."""
+    return float_sum([c.energy_j for run in runs for c in run.costs])
+
+
+def model_latency_s(runs: list[RunCost], cfg: ArchConfig) -> float:
+    """A model's latency under ``cfg``'s unit counts: its layers' latencies added in layer order."""
+    terms: list[float] = []
+    for run in runs:
+        n_units = unit_count(run.kind, cfg)
+        latencies = run.latencies.get(n_units)
+        if latencies is None:
+            latencies = run.latencies[n_units] = [place_layer(c, n_units, run.period_ns)[2] for c in run.costs]
+        terms += latencies
+    return float_sum(terms)
 
 
 def _simulate(
@@ -532,12 +552,13 @@ def _simulate(
     """Simulate ``model`` on units whose converters ``plans`` gives per layer kind."""
     units = MvuCache(catalog)
     runs = [run_cost(kind, layers, plans[kind], cfg, units) for kind, layers in kind_runs(model)]
-    n_units_of = check_runs(runs, cfg)
+    check_runs(runs, cfg)
     per_layer: list[LayerReport] = []
     peak_mw = 0.0
     for run in runs:
+        n_units = unit_count(run.kind, cfg)
         for layer, cost, spec in zip(run.layers, run.costs, run.specs):
-            _, seq_steps, latency_s, used = place_layer(cost, n_units_of[run.kind], run.period_ns)
+            _, seq_steps, latency_s, used = place_layer(cost, n_units, run.period_ns)
             per_layer.append(LayerReport(
                 index=layer.index,
                 kind=layer.kind,
@@ -551,8 +572,8 @@ def _simulate(
             ))
             peak_mw = max(peak_mw, used * units.active_power_mw(spec, run.plan))
 
-    latency = float_sum(r.latency_s for r in per_layer)
-    energy = float_sum(r.energy_j for r in per_layer)
+    latency = model_latency_s(runs, cfg)
+    energy = model_energy_j(runs)
     macs = sum(r.macs for r in per_layer)
     bits = sum(r.processed_bits for r in per_layer)
     epb_val, gops, gops_per_epb_val = efficiency(latency, energy, macs, bits)

@@ -16,27 +16,24 @@ aggregate score across workloads is the geometric mean of per-workload
 GOPS/EPB by default (scale-free across models of very different size).
 Ranking and tie-breaking are deterministic regardless of evaluation order.
 
-The search is separable and reuses ``arch_model``'s run costing. Each model
-splits once into runs of same-kind layers (``kind_runs``), and its MAC and
-processed-bit totals are taken once. A run is costed (``run_cost``, on the
-converters of ``bitwave_plan(kind, b)``) once per (model, run, width, b),
-with width v for FC and k for CONV; one unit cache serves the whole search,
-so each unit's device table is built once per (unit, plan, step period).
-A run's latency terms (``place_layer``) are built once per (model, run,
-width, b, unit count).
+The search only memoizes ``arch_model``: a model's totals come from
+``am.model_latency_s`` and ``am.model_energy_j``, as ``simulate_inference``'s
+do, so every result is bit-identical to ``max_power`` plus
+``simulate_inference`` on each configuration. Each model splits once into
+runs of same-kind layers (``kind_runs``), and its MAC and processed-bit
+totals are taken once. A run is costed (``run_cost``, on the converters of
+``bitwave_plan(kind, b)``) once per (model, run, width, b), with width v for
+FC and k for CONV, and keeps its layers' latencies per unit count; one unit
+cache serves the whole search, so each unit's device table is built once per
+(unit, plan, step period).
 
 Configurations are enumerated in (v, k, b, V, K) order, so they come in
 groups of one (v, k, b). The search walks the groups and prepares each model
-once per group: its runs and its energy sum. A run's laser verdict is fixed
+once per group: its runs and its energy. A run's laser verdict is fixed
 within a group, so ``check_runs`` reads a configuration only through V >= 1
 and K >= 1; it runs once per (model, group, V >= 1, K >= 1) and its outcome
-is reused. A configuration that passes then costs one latency sum per model,
-over its runs' cached terms in layer order, and ``efficiency``. Every float
-total is added left to right from 0.0 (``wir.float_sum``), and a model's
-first run enters its totals as the sum of its terms, which is the same
-float. Partial sums of later runs are never added together (floats added in
-another order can round differently), so every result is bit-identical to
-``max_power`` plus ``simulate_inference`` on each configuration.
+is reused. A configuration that passes then costs one ``model_latency_s``
+and one ``efficiency`` per model.
 """
 
 from __future__ import annotations
@@ -123,15 +120,6 @@ def _aggregate(values: list[float], how: str) -> float:
     return min(values)  # explore has checked that ``how`` is one of AGGREGATES
 
 
-def _lead(terms: list[float], first: bool) -> list[float]:
-    """A run's terms, or their sum if the run is its model's first.
-
-    A model's total adds its first run's terms first, from 0.0, so their sum
-    stands in for them: the total is the same float either way.
-    """
-    return [wir.float_sum(terms)] if first else terms
-
-
 def _passes(runs: list[am.RunCost], cfg: am.ArchConfig) -> bool:
     """Whether ``check_runs`` accepts the runs under ``cfg``: False on a failed laser budget."""
     try:
@@ -162,11 +150,12 @@ def explore(
     need them) propagates. Model names must differ: scores are keyed by name.
 
     Configurations are walked one (v, k, b) group at a time. A model is
-    prepared (its runs costed and its energy summed) at the first
-    configuration of a group that reaches it, and ``check_runs``' outcome is
-    kept per (model, V >= 1, K >= 1) within the group, since the laser
-    verdicts do not change inside it. A ValueError is never kept: it
-    propagates from the first configuration that meets it.
+    prepared (its runs costed, its energy from ``am.model_energy_j``) at the
+    first configuration of a group that reaches it, and ``check_runs``'
+    outcome is kept per (model, V >= 1, K >= 1) within the group, since the
+    laser verdicts do not change inside it. A ValueError is never kept: it
+    propagates from the first configuration that meets it. Latencies come
+    from ``am.model_latency_s``, the one law ``simulate_inference`` uses too.
     """
     if not models:
         raise ValueError("explore needs at least one workload model")
@@ -183,23 +172,19 @@ def explore(
     names = [m.name for m in models]
     # no configuration changes a model's MACs or processed bits
     totals = [(wir.mac_count(m), wir.processed_bits(m)) for m in models]
-    # (model, run, width, b) -> (run cost, FC?, first run?, its energies, unit count -> its latencies)
-    run_costs: dict[tuple, tuple] = {}
+    # (model, run, width, b) -> its cost, which keeps its latencies per unit count
+    run_costs: dict[tuple, am.RunCost] = {}
 
-    def prepare(mi: int, cfg: am.ArchConfig) -> tuple:
-        """Model ``mi`` at cfg's (v, k, b): its runs, their entries, its energy, MACs and processed bits."""
-        entries, energies = [], []
+    def prepare(mi: int, cfg: am.ArchConfig) -> tuple[list[am.RunCost], float]:
+        """Model ``mi`` at cfg's (v, k, b): its runs and its energy."""
+        runs = []
         for ri, (kind, layers) in enumerate(model_runs[mi]):
             key = (mi, ri, am.unit_width(kind, cfg), cfg.b)
-            entry = run_costs.get(key)
-            if entry is None:
-                run = am.run_cost(kind, layers, am.bitwave_plan(kind, cfg.b), cfg, units)
-                first = ri == 0
-                energies_of_run = _lead([c.energy_j for c in run.costs], first)
-                entry = run_costs[key] = (run, kind == wir.FC, first, energies_of_run, {})
-            entries.append(entry)
-            energies += entry[3]
-        return [entry[0] for entry in entries], entries, wir.float_sum(energies), *totals[mi]
+            run = run_costs.get(key)
+            if run is None:
+                run = run_costs[key] = am.run_cost(kind, layers, am.bitwave_plan(kind, cfg.b), cfg, units)
+            runs.append(run)
+        return runs, am.model_energy_j(runs)
 
     evaluated: list[EvaluatedConfig] = []
     rejected = {"laser": 0, "max_power": 0}
@@ -217,28 +202,18 @@ def explore(
             if cap is not None and power > cap:
                 rejected["max_power"] += 1
                 continue
-            V, K = cfg.V, cfg.K
-            units_on = (V > 0, K > 0)
+            units_on = (cfg.V > 0, cfg.K > 0)
             scores = []
             for mi, entry in enumerate(prepared):
                 if entry is None:
                     entry = prepared[mi] = prepare(mi, cfg)
-                runs, entries, energy, macs, bits = entry
+                runs, energy = entry
                 ok = verdicts.get((mi, units_on))
                 if ok is None:
                     ok = verdicts[mi, units_on] = _passes(runs, cfg)
                 if not ok:
                     break
-                terms: list[float] = []
-                for run, is_fc, first, _, latencies in entries:
-                    n_units = V if is_fc else K
-                    part = latencies.get(n_units)
-                    if part is None:
-                        part = latencies[n_units] = _lead(
-                            [am.place_layer(c, n_units, run.period_ns)[2] for c in run.costs], first)
-                    terms += part
-                # one sum over every layer in order, as simulate_inference adds them
-                scores.append(ModelScore(*am.efficiency(wir.float_sum(terms), energy, macs, bits)))
+                scores.append(ModelScore(*am.efficiency(am.model_latency_s(runs, cfg), energy, *totals[mi])))
             if len(scores) < len(models):
                 rejected["laser"] += 1
                 continue

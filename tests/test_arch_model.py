@@ -12,6 +12,7 @@ from bitwave import bitslice_engine as bse
 from bitwave import cli
 from bitwave import workload_ir as wir
 from bitwave.device_catalog import DEFAULT_CATALOG
+from test_dse import FC_FIRST
 
 
 def fc_layer(i, nin, nout, wb=8, ab=8):
@@ -323,14 +324,28 @@ def test_empty_model_reports_zero():
 # -- whole-model properties ---------------------------------------------------------
 
 
-def test_report_additivity():
-    rep = am.simulate_inference(SMALL_MODEL, CFG)
-    assert rep.energy_j == sum(l.energy_j for l in rep.per_layer)
-    assert rep.total_macs == sum(l.macs for l in rep.per_layer)
-    assert rep.total_time_steps == sum(l.time_steps for l in rep.per_layer)
-    assert rep.processed_bits == sum(l.processed_bits for l in rep.per_layer)
-    assert rep.total_macs == wir.mac_count(SMALL_MODEL)
-    assert rep.processed_bits == wir.processed_bits(SMALL_MODEL)
+def test_report_additivity(repo_root, reference_config_path):
+    # float totals add the layers left to right in layer order, as float_sum
+    # does; builtin sum compensates from Python 3.12 on
+    fc_first_cfg = am.ArchConfig(v=8, k=9, b=1, V=1, K=2)
+    ref = am.load_arch_config(reference_config_path)
+    cases = [(SMALL_MODEL, CFG), (FC_FIRST, fc_first_cfg)]
+    cases += [(wir.load_workload(p), ref) for p in sorted((repo_root / "models").glob("*.json"))]
+    assert len(cases) == 17
+    for model, cfg in cases:
+        rep = am.simulate_inference(model, cfg)
+        layers = rep.per_layer
+        assert [l.index for l in layers] == [l.index for l in model.layers]
+        assert rep.latency_s == wir.float_sum(l.latency_s for l in layers)
+        assert rep.energy_j == wir.float_sum(l.energy_j for l in layers)
+        assert rep.total_macs == sum(l.macs for l in layers) == wir.mac_count(model)
+        assert rep.total_time_steps == sum(l.time_steps for l in layers)
+        assert rep.processed_bits == sum(l.processed_bits for l in layers) == wir.processed_bits(model)
+    # FC_FIRST's layers added in kind order (its FC layers, then its CONV
+    # layers) give another latency, so this case tells the two orders apart
+    rep = am.simulate_inference(FC_FIRST, fc_first_cfg)
+    by_kind = sorted(rep.per_layer, key=lambda l: l.kind != wir.FC)
+    assert wir.float_sum(l.latency_s for l in by_kind) != rep.latency_s
 
 
 def test_latency_and_energy_monotone_in_unit_counts():
