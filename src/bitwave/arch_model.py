@@ -24,9 +24,10 @@ unit holds. ``layer_actions`` counts a layer's actions per row; a layer's
 energy sums action count x power x active time over the table, and a unit's
 peak power sums device count x power over the same rows. A run of layers
 (``RunCost``) takes its step period once and each unit's table once per
-(unit, plan, period), from ``MvuCache``; a layer's cost (``LayerCost``)
-holds only its work, steps and energy. A model's latency and energy are
-its layers' latencies and energies added left to right in layer order
+(unit, plan, period) from an ``MvuCache``, whose caches are per instance
+and die with it; a layer's cost (``LayerCost``) holds only its work, steps
+and energy. A model's latency and energy are its layers' latencies and
+energies added left to right in layer order
 (``float_sum``, the same float on every Python); ``model_latency_s`` and
 ``model_energy_j`` are the one home of that law, which ``simulate_inference``
 calls on fresh caches and ``dse.explore`` on shared ones.
@@ -55,6 +56,7 @@ immutable values and safe to share across threads.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass, field
@@ -191,56 +193,28 @@ def _mvu_spec(kind: str, n_lambda: int, n_rows: int, catalog: DeviceCatalog) -> 
 class MvuCache:
     """Unit specs, device tables and per-unit peak powers under one catalog, each computed once.
 
-    One simulation builds its own; a search builds one per call and shares
-    it across every configuration it evaluates.
+    ``spec(kind, n_lambda, n_rows)`` is ``_mvu_spec`` and ``table(spec, cp,
+    period_ns)`` is ``_device_table`` under the catalog. ``active_power_mw(spec,
+    cp)`` is one fully occupied unit's worst-case power, device count x power
+    over its table; no column it reads depends on the period. ``unit_power_mw(kind,
+    width, b)`` is that power on the bit-sliced plan, CONV units sized for the
+    widest operand (16-bit weights at slice width b).
+
+    Each is a ``functools.cache`` made per instance that holds no reference to
+    the instance, so the caches die with it. One simulation builds its own; a
+    search builds one per call and shares it across every configuration.
     """
 
     def __init__(self, catalog: DeviceCatalog):
         self.catalog = catalog
-        self._specs: dict[tuple[str, int, int], MvuSpec] = {}
-        self._tables: dict[tuple, tuple[tuple[float, float, int], ...]] = {}
-        self._active_mw: dict[tuple, float] = {}
-        self._unit_mw: dict[tuple[str, int, int], float] = {}
-
-    def spec(self, kind: str, n_lambda: int, n_rows: int) -> MvuSpec:
-        key = (kind, n_lambda, n_rows)
-        spec = self._specs.get(key)
-        if spec is None:
-            spec = self._specs[key] = _mvu_spec(kind, n_lambda, n_rows, self.catalog)
-        return spec
-
-    def table(self, spec: MvuSpec, cp: _ConverterPlan, period_ns: float) -> tuple[tuple[float, float, int], ...]:
-        """``_device_table`` of a ``spec`` unit with the converters of ``cp`` that steps every ``period_ns``."""
-        key = (spec, cp, period_ns)
-        table = self._tables.get(key)
-        if table is None:
-            table = self._tables[key] = _device_table(self.catalog, spec, cp, period_ns)
-        return table
-
-    def active_power_mw(self, spec: MvuSpec, cp: _ConverterPlan) -> float:
-        """Worst-case power of one fully occupied unit: device count x power over its table.
-
-        Neither column depends on the step period, so any period's table serves.
-        """
-        key = (spec, cp)
-        mw = self._active_mw.get(key)
-        if mw is None:
-            table = self.table(spec, cp, 0.0)
-            mw = self._active_mw[key] = float_sum(n * p_mw for p_mw, _, n in table)
-        return mw
-
-    def unit_power_mw(self, kind: str, width: int, b: int) -> float:
-        """Worst-case power of one fully active unit of ``kind`` and ``width`` at slice width b.
-
-        CONV units are sized for the widest supported operand (16-bit
-        weights at slice width b).
-        """
-        key = (kind, width, b)
-        mw = self._unit_mw.get(key)
-        if mw is None:
-            spec = self.spec(kind, width, width if kind == wir.FC else ceil_div(MAX_BITS, b))
-            mw = self._unit_mw[key] = self.active_power_mw(spec, bitwave_plan(kind, b))
-        return mw
+        self.spec = specs = functools.cache(
+            lambda kind, n_lambda, n_rows: _mvu_spec(kind, n_lambda, n_rows, catalog))
+        self.table = tables = functools.cache(
+            lambda spec, cp, period_ns: _device_table(catalog, spec, cp, period_ns))
+        self.active_power_mw = active = functools.cache(
+            lambda spec, cp: float_sum(n * p_mw for p_mw, _, n in tables(spec, cp, 0.0)))
+        self.unit_power_mw = functools.cache(lambda kind, width, b: active(
+            specs(kind, width, width if kind == wir.FC else ceil_div(MAX_BITS, b)), bitwave_plan(kind, b)))
 
 
 def unit_count(kind: str, cfg: ArchConfig) -> int:

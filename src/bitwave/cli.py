@@ -3,9 +3,9 @@
 Exit codes: 0 success, 1 validation-fuzz mismatch, 2 file/parse/usage
 errors, 3 input validation errors, 4 laser-budget infeasibility. Every
 output artifact embeds the run manifest; identical inputs and manifest
-produce byte-identical outputs (no timestamps were harmed). Files are
-written to a temp path and renamed on success, so failures never leave
-partial outputs behind.
+produce byte-identical outputs (no timestamps were harmed). Each file is
+written to a temp path and renamed on success, so each artifact is replaced
+whole or not at all, and a failed write leaves no temp file behind.
 """
 
 from __future__ import annotations
@@ -65,9 +65,14 @@ def _manifest(args, command: str, inputs: list[str], pipelined: bool) -> dict:
 
 
 def _atomic_write(path: Path, data: str) -> None:
+    """Replace ``path`` with ``data`` whole, through a temp file that a failure removes."""
     tmp = path.with_name(path.name + ".tmp")
-    tmp.write_text(data, encoding="utf-8")
-    os.replace(tmp, path)
+    try:
+        tmp.write_text(data, encoding="utf-8")
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
 
 
 _NON_FINITE = "{} would hold a non-finite number; the inputs overflow the float range"

@@ -40,7 +40,7 @@ _SHAPE_FIELDS = {
 
 
 class InputFileError(Exception):
-    """An input file that is not UTF-8 JSON text, or nests too deeply to decode."""
+    """An input file that is not UTF-8 JSON text with unique keys per object, or nests too deeply to decode."""
 
 
 def ceil_div(a: int, b: int) -> int:
@@ -157,22 +157,36 @@ def _field_table(cls) -> tuple[dict, list[str]]:
     return table, required
 
 
+def _unique_keys(pairs: list[tuple[str, object]]) -> dict:
+    """A JSON object's members as a dict; a key that repeats raises ``ValueError``."""
+    doc = dict(pairs)
+    if len(doc) < len(pairs):
+        check_unique("JSON object key", [key for key, _ in pairs], "one of its values would be ignored")
+    return doc
+
+
+#: the decoder of every input file, built once
+_DECODER = json.JSONDecoder(object_pairs_hook=_unique_keys)
+
+
 def read_json(path: str | Path):
     """The JSON document in file ``path``.
 
-    A file that is not UTF-8, is not JSON, holds an integer longer than the
-    interpreter converts (``sys.get_int_max_str_digits``) or nests too deeply
-    for the decoder raises ``InputFileError`` naming the file. Only the decode
-    is guarded: a recursion fault anywhere else is not a file error.
+    A file that is not UTF-8, is not JSON, repeats a key within an object,
+    holds an integer longer than the interpreter converts
+    (``sys.get_int_max_str_digits``) or nests too deeply for the decoder
+    raises ``InputFileError`` naming the file. Only the decode is guarded: a
+    recursion fault anywhere else is not a file error.
     """
     data = Path(path).read_bytes()
     try:
-        return json.loads(data.decode("utf-8"))
+        text = data.decode("utf-8")
+        if text.startswith("\ufeff"):  # json.loads' own check, which JSONDecoder.decode skips
+            raise json.JSONDecodeError("Unexpected UTF-8 BOM (decode using utf-8-sig)", text, 0)
+        return _DECODER.decode(text)
     except UnicodeDecodeError as exc:
         raise InputFileError(f"{path}: not UTF-8 text ({exc.reason} at byte {exc.start})") from None
-    except json.JSONDecodeError as exc:
-        raise InputFileError(f"{path}: {exc}") from None
-    except ValueError as exc:  # the decoder's int() of a number with too many digits
+    except ValueError as exc:  # malformed JSON, a repeated key, or an int with too many digits
         raise InputFileError(f"{path}: {exc}") from None
     except RecursionError:
         raise InputFileError(f"{path}: JSON nested too deeply to decode") from None

@@ -1,8 +1,10 @@
 from dataclasses import replace
 
+import gc
 import itertools
 import json
 import random
+import weakref
 from operator import mul
 
 import pytest
@@ -435,6 +437,27 @@ def test_mvu_spec_geometry():
     assert conv.n_wavelengths == 6
     assert conv.n_rows == 2
     assert conv.n_mr == 6 + 12
+
+
+def test_unit_caches_belong_to_one_instance_and_die_with_it():
+    """Each ``MvuCache`` answers from its own catalog, and dropping one frees it without a gc pass."""
+    key = (wir.FC, 8, 8)
+    lossy = replace(DEFAULT_CATALOG, losses=replace(DEFAULT_CATALOG.losses, splitter_db=0.5))
+    assert am.MvuCache(DEFAULT_CATALOG).spec(*key) != am.MvuCache(lossy).spec(*key)
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        units = am.MvuCache(DEFAULT_CATALOG)
+        spec, plan = units.spec(*key), am.bitwave_plan(wir.FC, 4)
+        units.table(spec, plan, 1.0)
+        units.active_power_mw(spec, plan)
+        units.unit_power_mw(wir.CONV, 9, 4)
+        ref = weakref.ref(units)
+        del units
+        assert ref() is None
+    finally:
+        if enabled:
+            gc.enable()
 
 
 def test_laser_need_grows_with_vector_size():

@@ -70,6 +70,12 @@ UNREADABLE = {
     # every supported Python's decoder gives up well before this depth
     "nested-100000": (b"[" * 100_000 + b"]" * 100_000, "JSON nested too deeply to decode"),
     "malformed": (b"{not json", "Expecting property name"),
+    "byte-order-mark": (b"\xef\xbb\xbf{}", "Unexpected UTF-8 BOM"),
+    # the decoder would keep the last value of a repeated key and drop the others unread
+    "duplicate-key": (b'{"name": "a", "weight_bits": 4, "name": "b"}',
+                      "JSON object key name 'name' is repeated"),
+    "duplicate-nested-key": (b'{"devices": {"dac8_power_mw": 1, "dac8_power_mw": 2}}',
+                             "JSON object key name 'dac8_power_mw' is repeated"),
 }
 
 
@@ -95,6 +101,17 @@ def test_unreadable_input_file_exits_2_naming_it(tmp_path, model_paths, referenc
     err = capsys.readouterr().err
     assert err.startswith(f"error: {bad}: {reason}") and err.count("\n") == 1
     assert not out.exists()
+
+
+def test_failed_write_leaves_no_temp_file(tmp_path, model_paths, reference_config_path, capsys):
+    out = tmp_path / "out"
+    (out / "report.json").mkdir(parents=True)
+    rc = main(["simulate", str(model_paths["svhn_cnn"]), "--config", str(reference_config_path),
+               "--out-dir", str(out)])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert [p.name for p in out.iterdir()] == ["report.json"] and (out / "report.json").is_dir()
 
 
 # more digits than Python's default limit (4,300) on converting a decimal string to an int
