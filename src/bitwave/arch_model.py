@@ -407,17 +407,11 @@ def efficiency(latency_s: float, energy_j: float, macs: int, bits: int) -> tuple
     return epb_val, gops, gops / epb_val if epb_val > 0 else 0.0
 
 
-def max_power(cfg: ArchConfig, catalog: DeviceCatalog = DEFAULT_CATALOG) -> float:
-    """Worst-case simultaneous power draw (W) with every unit fully active.
+def max_power(cfg: ArchConfig, units: MvuCache) -> float:
+    """Worst-case power draw (W) of V FC plus K CONV units, each fully active, from ``units``' unit powers.
 
-    CONV units are sized for the widest supported operand (16-bit weights
-    at the configured slice width).
+    CONV units are sized for the widest operand (16-bit weights at slice width b).
     """
-    return array_power_w(cfg, MvuCache(catalog))
-
-
-def array_power_w(cfg: ArchConfig, units: MvuCache) -> float:
-    """``max_power`` from per-unit powers: V FC units plus K CONV units."""
     total_mw = 0.0
     if cfg.V > 0:
         total_mw += cfg.V * units.unit_power_mw(wir.FC, cfg.v, cfg.b)
@@ -438,10 +432,11 @@ def kind_runs(model: wir.WorkloadModel) -> list[tuple[str, tuple[wir.LayerSpec, 
 
 @dataclass(frozen=True, slots=True)
 class RunCost:
-    """A run's layers, plan and step period, their specs and costs, and its first unit over the laser ceiling.
+    """A run's layers, plan and step period, their specs and costs, and the laser power it needs.
 
-    ``latencies`` maps a unit count to the layers' latencies on that many
-    units; ``model_latency_s`` fills it on first use.
+    ``laser_dbm`` is the largest ``min_laser_dbm`` of the specs. ``latencies``
+    maps a unit count to the layers' latencies on that many units;
+    ``model_latency_s`` fills it on first use.
     """
 
     kind: str
@@ -450,7 +445,7 @@ class RunCost:
     period_ns: float
     specs: tuple[MvuSpec, ...]
     costs: tuple[LayerCost, ...]
-    over_ceiling: MvuSpec | None
+    laser_dbm: float
     latencies: dict[int, list[float]] = field(default_factory=dict, compare=False, repr=False)
 
 
@@ -465,7 +460,8 @@ def run_cost(
 
     FC layers share one v x v unit; a CONV layer runs on a k-wide unit with
     one row per weight slice. The run takes its step period once and each
-    unit's device table from ``units``. Reads neither ``cfg.V`` nor ``cfg.K``.
+    unit's device table from ``units``. Reads neither ``cfg.V``, ``cfg.K``
+    nor ``cfg.laser_ceiling_dbm``.
     """
     if kind == wir.FC:
         specs = (units.spec(wir.FC, cfg.v, cfg.v),) * len(layers)
@@ -473,30 +469,26 @@ def run_cost(
         specs = tuple([units.spec(wir.CONV, cfg.k, slice_counts(l, plan)[1]) for l in layers])
     period = _step_period_ns(cfg, units.catalog, plan)
     costs = tuple([layer_cost(l, cfg, plan, units.table(spec, plan, period)) for l, spec in zip(layers, specs)])
-    # the laser law: a unit's link budget fails if its minimum laser power exceeds the ceiling
-    over = next((spec for spec in specs if spec.min_laser_dbm > cfg.laser_ceiling_dbm), None)
-    return RunCost(kind, layers, plan, period, specs, costs, over)
+    return RunCost(kind, layers, plan, period, specs, costs, max([spec.min_laser_dbm for spec in specs]))
 
 
-def check_runs(runs: list[RunCost], cfg: ArchConfig) -> None:
-    """Raise if ``cfg`` cannot run the runs.
+def check_runs(runs: list[RunCost], cfg: ArchConfig) -> MvuSpec | None:
+    """The first unit spec whose laser need exceeds ``cfg``'s ceiling, or None if ``cfg`` can run the runs.
 
-    The checks run in this order: the FC unit count, the FC laser budget,
-    the CONV unit count, then each CONV unit's laser budget in layer order.
-    The first that fails raises ValueError or LaserInfeasibleError.
+    This is the laser law: a unit's link budget fails if its minimum laser
+    power exceeds the ceiling. The checks run in this order: the FC unit
+    count, the FC laser budget, the CONV unit count, then each CONV unit's
+    laser budget in layer order. A missing unit kind raises ValueError.
     """
+    ceiling = cfg.laser_ceiling_dbm
     for kind, field_name in ((wir.FC, "V"), (wir.CONV, "K")):
         of_kind = [run for run in runs if run.kind == kind]
         if of_kind and unit_count(kind, cfg) < 1:
             raise ValueError(f"model has {kind} layers but the config has {field_name}=0 {kind} units")
         for run in of_kind:
-            spec = run.over_ceiling
-            if spec is not None:
-                raise LaserInfeasibleError(
-                    f"{spec.kind} unit path ({spec.n_wavelengths} wavelengths, "
-                    f"{spec.n_rows} rows, {spec.path_loss_db:.2f} dB loss) needs "
-                    f"{spec.min_laser_dbm:.2f} dBm laser > ceiling {cfg.laser_ceiling_dbm:.2f} dBm"
-                )
+            if run.laser_dbm > ceiling:
+                return next(spec for spec in run.specs if spec.min_laser_dbm > ceiling)
+    return None
 
 
 def model_energy_j(runs: list[RunCost]) -> float:
@@ -526,7 +518,13 @@ def _simulate(
     """Simulate ``model`` on units whose converters ``plans`` gives per layer kind."""
     units = MvuCache(catalog)
     runs = [run_cost(kind, layers, plans[kind], cfg, units) for kind, layers in kind_runs(model)]
-    check_runs(runs, cfg)
+    spec = check_runs(runs, cfg)
+    if spec is not None:
+        raise LaserInfeasibleError(
+            f"{spec.kind} unit path ({spec.n_wavelengths} wavelengths, "
+            f"{spec.n_rows} rows, {spec.path_loss_db:.2f} dB loss) needs "
+            f"{spec.min_laser_dbm:.2f} dBm laser > ceiling {cfg.laser_ceiling_dbm:.2f} dBm"
+        )
     per_layer: list[LayerReport] = []
     peak_mw = 0.0
     for run in runs:

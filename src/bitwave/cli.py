@@ -3,15 +3,18 @@
 Exit codes: 0 success, 1 validation-fuzz mismatch, 2 file/parse/usage
 errors, 3 input validation errors, 4 laser-budget infeasibility. Every
 output artifact embeds the run manifest; identical inputs and manifest
-produce byte-identical outputs (no timestamps were harmed). Each file is
-written to a temp path and renamed on success, so each artifact is replaced
-whole or not at all, and a failed write leaves no temp file behind.
+produce byte-identical outputs (no timestamps were harmed). A command
+renders all its artifacts before it makes the output directory, then writes
+each to a temp path; the renames start only once every temp file is written
+and no artifact path is a directory. So a render or write failure replaces
+no artifact, and any failure leaves no temp file behind.
 """
 
 from __future__ import annotations
 
 import argparse
 import csv
+import errno
 import functools
 import hashlib
 import io
@@ -64,38 +67,50 @@ def _manifest(args, command: str, inputs: list[str], pipelined: bool) -> dict:
     }
 
 
-def _atomic_write(path: Path, data: str) -> None:
-    """Replace ``path`` with ``data`` whole, through a temp file that a failure removes."""
-    tmp = path.with_name(path.name + ".tmp")
-    try:
-        tmp.write_text(data, encoding="utf-8")
-        os.replace(tmp, path)
-    except BaseException:
-        tmp.unlink(missing_ok=True)
-        raise
-
-
 _NON_FINITE = "{} would hold a non-finite number; the inputs overflow the float range"
 
 
-def _write_json(path: Path, manifest: dict, payload: dict) -> None:
+def _render_json(name: str, manifest: dict, payload: dict) -> str:
     doc = {"manifest": manifest, **payload}
     try:
-        text = json.dumps(doc, indent=2, sort_keys=True, allow_nan=False)
+        return json.dumps(doc, indent=2, sort_keys=True, allow_nan=False) + "\n"
     except ValueError:
-        raise ValueError(_NON_FINITE.format(path.name)) from None
-    _atomic_write(path, text + "\n")
+        raise ValueError(_NON_FINITE.format(name)) from None
 
 
-def _write_csv(path: Path, manifest: dict, header: list[str], rows: list[list]) -> None:
+def _render_csv(name: str, manifest: dict, header: list[str], rows: list[list]) -> str:
     if not all(math.isfinite(x) for row in rows for x in row if isinstance(x, float)):
-        raise ValueError(_NON_FINITE.format(path.name))
+        raise ValueError(_NON_FINITE.format(name))
     buf = io.StringIO()
     buf.write("# manifest: " + json.dumps(manifest, sort_keys=True) + "\n")
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(header)
     writer.writerows(rows)
-    _atomic_write(path, buf.getvalue())
+    return buf.getvalue()
+
+
+def _write(out_dir: str, artifacts: dict[str, str]) -> None:
+    """Write each rendered artifact (file name -> text) into ``out_dir``, replacing none unless all can be.
+
+    Every temp file is written, and no artifact or temp path may be a
+    directory, before the first rename; a failure removes the temp files.
+    """
+    out = Path(out_dir)
+    out.mkdir(parents=True, exist_ok=True)
+    tmps: list[Path] = []
+    try:
+        for name, text in artifacts.items():
+            for path in (out / name, out / f"{name}.tmp"):
+                if path.is_dir():
+                    raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), str(path))
+            tmps.append(out / f"{name}.tmp")
+            tmps[-1].write_text(text, encoding="utf-8")
+        for name, tmp in zip(artifacts, tmps):
+            os.replace(tmp, out / name)
+    except BaseException:
+        for tmp in tmps:
+            tmp.unlink(missing_ok=True)
+        raise
 
 
 def _load_catalog_arg(args):
@@ -111,12 +126,6 @@ def _load_config(args) -> am.ArchConfig:
     return cfg
 
 
-def _out_dir(args) -> Path:
-    out = Path(args.out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    return out
-
-
 # -- subcommands ---------------------------------------------------------------
 
 
@@ -126,12 +135,13 @@ def cmd_simulate(args) -> int:
     cfg = _load_config(args)
     report = am.simulate_inference(model, cfg, catalog)
 
-    out = _out_dir(args)
     manifest = _manifest(args, "simulate", [args.model, args.config], cfg.pipelined)
-    _write_json(out / "report.json", manifest, {"report": as_dict(report)})
     header = [f.name for f in fields(am.LayerReport)]
     rows = [[getattr(l, h) for h in header] for l in report.per_layer]
-    _write_csv(out / "report_layers.csv", manifest, header, rows)
+    _write(args.out_dir, {
+        "report.json": _render_json("report.json", manifest, {"report": as_dict(report)}),
+        "report_layers.csv": _render_csv("report_layers.csv", manifest, header, rows),
+    })
     print(
         f"{model.name}: {report.total_time_steps} steps, "
         f"latency {report.latency_s:.3e} s, energy {report.energy_j:.3e} J, "
@@ -167,11 +177,10 @@ def cmd_compare(args) -> int:
                 rep.gops, rep.gops_per_epb, rep.energy_j, rep.latency_s,
             ])
 
-    out = _out_dir(args)
     manifest = _manifest(args, "compare", [*args.models, args.config], cfg.pipelined)
     header = ["model", "accelerator", "epb_j_per_bit", "gops", "gops_per_epb", "energy_j", "latency_s"]
-    _write_csv(out / "compare.csv", manifest, header, rows)
-    print(f"wrote {len(rows)} rows to {out / 'compare.csv'}")
+    _write(args.out_dir, {"compare.csv": _render_csv("compare.csv", manifest, header, rows)})
+    print(f"wrote {len(rows)} rows to {Path(args.out_dir) / 'compare.csv'}")
     return EXIT_OK
 
 
@@ -181,7 +190,6 @@ def cmd_explore(args) -> int:
     space = dse.load_search_space(args.space)
     result = dse.explore(models, space, catalog, aggregate=args.aggregate)
 
-    out = _out_dir(args)
     manifest = _manifest(args, "explore", [*args.models, args.space], True)
     header = ["rank", "v", "k", "b", "V", "K", "score", "max_power_w"]
     model_names = [m.name for m in models]
@@ -195,7 +203,7 @@ def cmd_explore(args) -> int:
             score = entry.per_model[name]
             row += [score.epb_j_per_bit, score.gops_per_epb]
         rows.append(row)
-    _write_csv(out / "ranking.csv", manifest, header, rows)
+    ranking = _render_csv("ranking.csv", manifest, header, rows)
 
     best_payload: dict = {
         "infeasible_count": result.infeasible_count,
@@ -211,7 +219,7 @@ def cmd_explore(args) -> int:
             "max_power_w": result.best.max_power_w,
             "per_model": {name: s._asdict() for name, s in result.best.per_model.items()},
         }
-    _write_json(out / "best.json", manifest, best_payload)
+    _write(args.out_dir, {"ranking.csv": ranking, "best.json": _render_json("best.json", manifest, best_payload)})
 
     if result.best is None:
         print(f"no feasible configuration ({result.infeasible_count} rejected: {result.diagnostics})")
@@ -280,17 +288,15 @@ def cmd_validate(args) -> int:
     print(f"{args.trials - failures}/{args.trials} ok")
     print(f"trial digest: {digest.hexdigest()[:16]}")
     if args.out_dir:
-        _write_json(
-            _out_dir(args) / "validate.json",
-            _manifest(args, "validate", [], True),
-            {
-                "trials": args.trials,
-                "p_bits": p_bits,
-                "b_bits": b_bits,
-                "failures": failures,
-                "digest": digest.hexdigest()[:16],
-            },
-        )
+        summary = {
+            "trials": args.trials,
+            "p_bits": p_bits,
+            "b_bits": b_bits,
+            "failures": failures,
+            "digest": digest.hexdigest()[:16],
+        }
+        manifest = _manifest(args, "validate", [], True)
+        _write(args.out_dir, {"validate.json": _render_json("validate.json", manifest, summary)})
     if failures:
         t, p_a, p_w, b, mode, a, w, got, want = first_failure
         print(

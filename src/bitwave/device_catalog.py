@@ -147,8 +147,11 @@ DEFAULT_CATALOG = DeviceCatalog()
 
 
 def dbm_to_mw(x_dbm: float) -> float:
-    """Convert dBm to mW."""
-    return 10.0 ** (x_dbm / 10.0)
+    """Convert dBm to mW; a power past the float range (above about 3,082 dBm) is inf."""
+    try:
+        return 10.0 ** (x_dbm / 10.0)
+    except OverflowError:
+        return math.inf
 
 
 def min_laser_power(p_photoloss_db: float, n_lambda: int, s_detector_dbm: float) -> float:

@@ -16,16 +16,16 @@ aggregate score across workloads is the geometric mean of per-workload
 GOPS/EPB by default (scale-free across models of very different size).
 Ranking and tie-breaking are deterministic regardless of evaluation order.
 
-The search only memoizes ``arch_model``: a model's totals come from
-``am.model_latency_s`` and ``am.model_energy_j``, as ``simulate_inference``'s
-do, so every result is bit-identical to ``max_power`` plus
-``simulate_inference`` on each configuration. Each model splits once into
-runs of same-kind layers (``kind_runs``), and its MAC and processed-bit
-totals are taken once. A run is costed (``run_cost``, on the converters of
-``bitwave_plan(kind, b)``) once per (model, run, width, b), with width v for
-FC and k for CONV, and keeps its layers' latencies per unit count; one unit
-cache serves the whole search, so each unit's device table is built once per
-(unit, plan, step period).
+The search only memoizes ``arch_model``: it prices each configuration with
+``am.max_power`` and takes a model's totals from ``am.model_latency_s`` and
+``am.model_energy_j``, as ``simulate_inference`` does, so every result is
+bit-identical to ``max_power`` plus ``simulate_inference`` on each
+configuration. Each model splits once into runs of same-kind layers
+(``kind_runs``), and its MAC and processed-bit totals are taken once. A run is
+costed (``run_cost``, on the converters of ``bitwave_plan(kind, b)``) once per
+(model, run, width, b), with width v for FC and k for CONV, and keeps its
+layers' latencies per unit count; one unit cache serves the whole search, so
+each unit's device table is built once per (unit, plan, step period).
 
 Configurations are enumerated in (v, k, b, V, K) order, so they come in
 groups of one (v, k, b). The search walks the groups and prepares each model
@@ -120,15 +120,6 @@ def _aggregate(values: list[float], how: str) -> float:
     return min(values)  # explore has checked that ``how`` is one of AGGREGATES
 
 
-def _passes(runs: list[am.RunCost], cfg: am.ArchConfig) -> bool:
-    """Whether ``check_runs`` accepts the runs under ``cfg``: False on a failed laser budget."""
-    try:
-        am.check_runs(runs, cfg)
-    except am.LaserInfeasibleError:
-        return False
-    return True
-
-
 def _rank_key(entry: EvaluatedConfig) -> tuple:
     c = entry.config
     return (-entry.score, entry.max_power_w, c.v, c.k, c.b, c.V, c.K)
@@ -151,11 +142,12 @@ def explore(
 
     Configurations are walked one (v, k, b) group at a time. A model is
     prepared (its runs costed, its energy from ``am.model_energy_j``) at the
-    first configuration of a group that reaches it, and ``check_runs``'
-    outcome is kept per (model, V >= 1, K >= 1) within the group, since the
-    laser verdicts do not change inside it. A ValueError is never kept: it
-    propagates from the first configuration that meets it. Latencies come
-    from ``am.model_latency_s``, the one law ``simulate_inference`` uses too.
+    first configuration of a group that reaches it, and whether
+    ``am.check_runs`` finds a unit over the laser ceiling is kept per
+    (model, V >= 1, K >= 1) within the group, since the laser verdicts do
+    not change inside it. A ValueError is never kept: it propagates from the
+    first configuration that meets it. Latencies come from
+    ``am.model_latency_s``, the one law ``simulate_inference`` uses too.
     """
     if not models:
         raise ValueError("explore needs at least one workload model")
@@ -198,7 +190,7 @@ def explore(
         # configuration only through V >= 1 and K >= 1
         verdicts: dict[tuple, bool] = {}
         for cfg in group:
-            power = am.array_power_w(cfg, units)
+            power = am.max_power(cfg, units)
             if cap is not None and power > cap:
                 rejected["max_power"] += 1
                 continue
@@ -210,7 +202,7 @@ def explore(
                 runs, energy = entry
                 ok = verdicts.get((mi, units_on))
                 if ok is None:
-                    ok = verdicts[mi, units_on] = _passes(runs, cfg)
+                    ok = verdicts[mi, units_on] = am.check_runs(runs, cfg) is None
                 if not ok:
                     break
                 scores.append(ModelScore(*am.efficiency(am.model_latency_s(runs, cfg), energy, *totals[mi])))

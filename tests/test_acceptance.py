@@ -202,7 +202,7 @@ def test_c9_dse_soundness(model_paths, space_path):
     best_score = -1.0
     best_key = None
     for cfg in dse.enumerate_configs(capped):
-        if am.max_power(cfg) > power_cap:
+        if am.max_power(cfg, am.MvuCache(DEFAULT_CATALOG)) > power_cap:
             continue
         try:
             scores = [am.simulate_inference(m, cfg).gops_per_epb for m in models]

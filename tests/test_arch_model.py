@@ -499,6 +499,31 @@ def test_simulate_checks_fc_units_fc_laser_conv_units_then_conv_lasers(dims, err
     with pytest.raises(error) as exc:
         am.simulate_inference(CONV_CONV_FC, cfg)
     assert message in str(exc.value)
+    # check_runs makes the same checks in the same order, and returns the unit over the ceiling
+    runs = [am.run_cost(kind, layers, am.bitwave_plan(kind, cfg.b), cfg, units)
+            for kind, layers in am.kind_runs(CONV_CONV_FC)]
+    if error is ValueError:
+        with pytest.raises(ValueError) as checked:
+            am.check_runs(runs, cfg)
+        assert str(checked.value) == str(exc.value)
+    else:
+        spec = am.check_runs(runs, cfg)
+        # the v x v FC unit, or the first CONV layer's unit with 12 weight-slice rows
+        assert (spec.kind, spec.n_rows) == ((wir.FC, 64) if cfg.K == 0 else (wir.CONV, 12))
+        assert f"{spec.kind} unit path ({spec.n_wavelengths} wavelengths, {spec.n_rows} rows," in str(exc.value)
+
+
+def test_a_run_is_checked_against_its_largest_laser_need():
+    # at 15 dBm the first CONV layer's unit (2 weight-slice rows) closes its link budget and the second's (16) does not
+    model = wir.WorkloadModel(name="m", layers=(conv_layer(0, 4, 6, wb=2, ab=2), conv_layer(1, 6, 4, k=1, wb=16)))
+    cfg = am.ArchConfig(v=8, k=128, b=1, V=1, K=1, laser_ceiling_dbm=15.0)
+    [(kind, layers)] = am.kind_runs(model)
+    run = am.run_cost(kind, layers, am.bitwave_plan(kind, cfg.b), cfg, am.MvuCache(DEFAULT_CATALOG))
+    assert [spec.n_rows for spec in run.specs] == [2, 16]
+    assert run.specs[0].min_laser_dbm < 15.0 < run.specs[1].min_laser_dbm == run.laser_dbm
+    assert am.check_runs([run], cfg) == run.specs[1]
+    with pytest.raises(am.LaserInfeasibleError, match=r"CONV unit path \(128 wavelengths, 16 rows,"):
+        am.simulate_inference(model, cfg)
 
 
 def test_laser_feasible_at_reference_scale():
@@ -511,7 +536,7 @@ def test_laser_feasible_at_reference_scale():
 
 
 def test_max_power_zero_units():
-    assert am.max_power(am.ArchConfig(v=4, k=4, b=4, V=0, K=0)) == 0.0
+    assert am.max_power(am.ArchConfig(v=4, k=4, b=4, V=0, K=0), am.MvuCache(DEFAULT_CATALOG)) == 0.0
 
 
 def test_max_power_hand_sum_single_fc_unit():
@@ -528,7 +553,7 @@ def test_max_power_hand_sum_single_fc_unit():
         + dbm_to_mw(spec.min_laser_dbm)
         + d.to_tuning_power_mw_per_fsr * cat.to_duty_cycle * 2
     )
-    assert am.max_power(cfg) == pytest.approx(expect_mw * 1e-3, rel=1e-9)
+    assert am.max_power(cfg, am.MvuCache(DEFAULT_CATALOG)) == pytest.approx(expect_mw * 1e-3, rel=1e-9)
 
 
 def _conv_unit_hand_sum_mw(cat, k, rows, soas, bits):
@@ -552,7 +577,7 @@ def test_max_power_hand_sum_single_conv_unit():
     # b=8 sizes the unit for 16-bit weights: two weight-slice rows, one SOA on each
     cfg = am.ArchConfig(v=2, k=3, b=8, V=0, K=1)
     expect_mw = _conv_unit_hand_sum_mw(DEFAULT_CATALOG, k=3, rows=2, soas=2, bits=8)
-    assert am.max_power(cfg) == pytest.approx(expect_mw * 1e-3, rel=1e-9)
+    assert am.max_power(cfg, am.MvuCache(DEFAULT_CATALOG)) == pytest.approx(expect_mw * 1e-3, rel=1e-9)
 
 
 def test_baseline_peak_power_counts_no_soa():
@@ -586,16 +611,16 @@ def test_device_table_counts_each_units_devices(kind, n_lambda, n_rows, plan, co
 
 def test_max_power_monotone_in_each_dimension():
     base = am.ArchConfig(v=8, k=8, b=4, V=4, K=4)
-    p0 = am.max_power(base)
-    assert am.max_power(replace(base, v=16)) >= p0
-    assert am.max_power(replace(base, k=16)) >= p0
-    assert am.max_power(replace(base, V=8)) >= p0
-    assert am.max_power(replace(base, K=8)) >= p0
+    p0 = am.max_power(base, am.MvuCache(DEFAULT_CATALOG))
+    assert am.max_power(replace(base, v=16), am.MvuCache(DEFAULT_CATALOG)) >= p0
+    assert am.max_power(replace(base, k=16), am.MvuCache(DEFAULT_CATALOG)) >= p0
+    assert am.max_power(replace(base, V=8), am.MvuCache(DEFAULT_CATALOG)) >= p0
+    assert am.max_power(replace(base, K=8), am.MvuCache(DEFAULT_CATALOG)) >= p0
 
 
 def test_peak_power_reported_positive():
     rep = am.simulate_inference(SMALL_MODEL, CFG)
-    assert 0 < rep.peak_power_w <= am.max_power(CFG) + 1e-9
+    assert 0 < rep.peak_power_w <= am.max_power(CFG, am.MvuCache(DEFAULT_CATALOG)) + 1e-9
 
 
 # -- baseline specs -------------------------------------------------------------------

@@ -114,6 +114,20 @@ def test_failed_write_leaves_no_temp_file(tmp_path, model_paths, reference_confi
     assert [p.name for p in out.iterdir()] == ["report.json"] and (out / "report.json").is_dir()
 
 
+@pytest.mark.parametrize("blocker", ["report_layers.csv", "report_layers.csv.tmp"])
+def test_failed_write_replaces_no_artifact(tmp_path, model_paths, reference_config_path, capsys, blocker):
+    out = tmp_path / "out"
+    (out / blocker).mkdir(parents=True)
+    (out / "report.json").write_text("old report\n")
+    rc = main(["simulate", str(model_paths["svhn_cnn"]), "--config", str(reference_config_path),
+               "--out-dir", str(out)])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1 and blocker in err
+    assert (out / "report.json").read_text() == "old report\n"
+    assert sorted(p.name for p in out.iterdir()) == sorted(["report.json", blocker])
+
+
 # more digits than Python's default limit (4,300) on converting a decimal string to an int
 LONG_INT_DIGITS = 5_000
 
@@ -145,15 +159,17 @@ def test_simulate_invalid_config_exits_3_naming_field(tmp_path, model_paths, cap
 
 
 def test_simulate_laser_infeasible_exits_4(tmp_path, model_paths, capsys):
-    cfg = write_config(tmp_path, v=2000, laser_ceiling_dbm=10.0)
-    rc = main([
-        "simulate", str(model_paths["svhn_cnn"]),
-        "--config", str(cfg), "--out-dir", str(tmp_path / "out"),
-    ])
-    assert rc == 4
-    err = capsys.readouterr().err
-    assert "laser" in err.lower() or "dBm" in err
-    assert not (tmp_path / "out" / "report.json").exists()  # no partial outputs
+    # at v=68262 the FC unit needs 3,082.6 dBm, whose power in mW is past the float range
+    for overrides in (dict(v=2000, laser_ceiling_dbm=10.0), dict(v=68262)):
+        cfg = write_config(tmp_path, **overrides)
+        rc = main([
+            "simulate", str(model_paths["svhn_cnn"]),
+            "--config", str(cfg), "--out-dir", str(tmp_path / "out"),
+        ])
+        assert rc == 4
+        err = capsys.readouterr().err
+        assert "laser" in err.lower() or "dBm" in err
+        assert not (tmp_path / "out" / "report.json").exists()  # no partial outputs
 
 
 def test_compare_builds_full_table(tmp_path, model_paths, baselines_dir, reference_config_path):
@@ -716,10 +732,7 @@ def test_non_finite_result_exits_3_writing_nothing(tmp_path, model_paths, baseli
     rc = main(argv)
     assert rc == 3
     assert capsys.readouterr().err == expect
-    if artifact is None:
-        assert not out.exists()  # the costing fails before the output directory is made
-    else:
-        assert list(out.iterdir()) == []
+    assert not out.exists()  # the costing or the rendering fails before the output directory is made
 
 
 # -- byte-identical artifacts for the shipped inputs ---------------------------------

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from bitwave import arch_model as am
 from bitwave import cli, dse
 from bitwave import workload_ir as wir
+from bitwave.device_catalog import DEFAULT_CATALOG
 
 MODEL = wir.WorkloadModel(
     name="toy",
@@ -215,7 +216,7 @@ def rescan(models, space, aggregate="geomean"):
     cons = space.constraints
     entries, rejected = [], {"laser": 0, "max_power": 0}
     for cfg in dse.enumerate_configs(space):
-        power = am.max_power(cfg)
+        power = am.max_power(cfg, am.MvuCache(DEFAULT_CATALOG))
         if cons.max_power_w is not None and power > cons.max_power_w:
             rejected["max_power"] += 1
             continue
@@ -238,7 +239,7 @@ def with_constraints(space, **constraints):
 @pytest.mark.parametrize("aggregate", dse.AGGREGATES)
 def test_explore_equals_per_config_rescan_exactly(aggregate):
     models = [MODEL, HETERO, CONV_ONLY, FC_FIRST]
-    powers = sorted(am.max_power(cfg) for cfg in dse.enumerate_configs(MIXED))
+    powers = sorted(am.max_power(cfg, am.MvuCache(DEFAULT_CATALOG)) for cfg in dse.enumerate_configs(MIXED))
     space = with_constraints(MIXED, max_power_w=powers[len(powers) * 3 // 4],
                              laser_ceiling_dbm=LASER_CEILING_DBM)
     result = dse.explore(models, space, aggregate=aggregate)
@@ -253,6 +254,35 @@ def test_explore_equals_per_config_rescan_exactly(aggregate):
         assert got.max_power_w == want.max_power_w
         assert got.per_model == want.per_model
     assert result.best == expected[0]
+
+
+def test_explore_prices_each_configuration_once_with_max_power(monkeypatch):
+    models = [MODEL, HETERO, CONV_ONLY, FC_FIRST]
+    powers = sorted(am.max_power(cfg, am.MvuCache(DEFAULT_CATALOG)) for cfg in dse.enumerate_configs(MIXED))
+    space = with_constraints(MIXED, max_power_w=powers[len(powers) // 2], laser_ceiling_dbm=LASER_CEILING_DBM)
+    priced = []
+    max_power = am.max_power
+
+    def counted_power(cfg, units):
+        priced.append(cfg)
+        return max_power(cfg, units)
+
+    monkeypatch.setattr(am, "max_power", counted_power)
+    result = dse.explore(models, space)
+    assert result.diagnostics["max_power"] > 0
+    assert priced == dse.enumerate_configs(space)
+
+
+@pytest.mark.parametrize("cap, rejected", [(None, {"laser": 1, "max_power": 0}),
+                                           (1000.0, {"laser": 0, "max_power": 1})])
+def test_explore_rejects_a_unit_whose_laser_power_overflows(cap, rejected):
+    # a 100,000-wide FC unit needs about 4,480 dBm, past the float range in mW: an inf
+    # laser power fails the laser law, and an inf max_power any power cap
+    space = with_constraints(dse.SearchSpace(v=(50, 100_000), k=(9,), b=(4,), V=(2,), K=(2,)), max_power_w=cap)
+    result = dse.explore([MODEL, HETERO], space)
+    expected, expected_rejected = rescan([MODEL, HETERO], space)
+    assert result.diagnostics == expected_rejected == rejected
+    assert list(result.ranked) == expected and len(expected) == 1
 
 
 def test_explore_builds_each_plan_cost_and_latency_term_once(monkeypatch):
