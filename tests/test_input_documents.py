@@ -5,6 +5,7 @@ arbitrary JSON value, at the top level or one level down (a layer, a catalog
 section, the search-space constraints).
 """
 
+import hashlib
 import json
 from dataclasses import fields
 
@@ -85,3 +86,40 @@ def test_loader_returns_or_raises_its_own_error(repo_root, tmp_path_factory, kin
         load(doc, tmp_path_factory.getbasetemp())
     except ValueError:
         pass
+
+
+# every document class read_fields checks, with a valid base document
+DOCUMENT_CLASSES = (
+    (am.ArchConfig, {"v": 50, "k": 20, "b": 4, "V": 200, "K": 100}),
+    (am.BaselineSpec, {"name": "x", "weight_bits": 4, "act_bits": 4}),
+    (dse.SearchSpace, {"v": [50], "k": [20], "b": [4], "V": [1], "K": [1]}),
+    (dse.SearchConstraints, {}),
+    (dcat.DeviceCatalog, {}),
+    (dcat.DeviceParams, {}),
+    (dcat.LossModel, {}),
+    (wir._ModelDoc, {"layers": []}),
+    (wir._FcDoc, {"kind": "FC", "in_features": 4, "out_features": 2}),
+    (wir._ConvDoc, {"kind": "CONV", "in_channels": 1, "out_channels": 1, "kernel_h": 1, "kernel_w": 1,
+                    "in_height": 1, "in_width": 1}),
+)
+# one value of each JSON type, at and past the edges of each rule read_fields applies
+PROBES = (
+    None, False, True, 0, 1, -1, 2**1030, -(2**1030), 1.5, -0.0, 1e308, float("nan"), float("inf"),
+    "", "FC", "\ud800", "é", [], [1], [1, 2], [1.5], [True], [None], ["x"], [2**1030], {}, {"a": 1},
+)
+
+
+def test_read_fields_outcomes_are_pinned():
+    """Each field of each document class set to each probe: the value read, or the error's text."""
+    lines = []
+    for cls, base in DOCUMENT_CLASSES:
+        for f in fields(cls):
+            for probe in PROBES:
+                try:
+                    outcome = repr(wir.read_fields({**base, f.name: probe}, cls, "doc")[f.name])
+                except ValueError as exc:
+                    outcome = f"ValueError: {exc}"
+                lines.append(f"{cls.__name__}.{f.name} = {probe!r}: {outcome}")
+    assert len(lines) == 1917
+    digest = hashlib.sha256("\n".join(lines).encode("utf-8")).hexdigest()
+    assert digest[:16] == "399b569392834ee0"
