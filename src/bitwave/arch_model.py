@@ -54,8 +54,6 @@ Everything here is a pure function of (model, config, catalog); reports are
 immutable values and safe to share across threads.
 """
 
-from __future__ import annotations
-
 import functools
 import itertools
 import math

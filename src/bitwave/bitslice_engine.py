@@ -33,8 +33,6 @@ value it was given or has returned, so values can be shared freely across
 threads.
 """
 
-from __future__ import annotations
-
 from dataclasses import dataclass
 from functools import lru_cache
 from operator import lshift, mul, ne

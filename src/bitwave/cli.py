@@ -10,8 +10,6 @@ and no artifact path is a directory. So a render or write failure replaces
 no artifact, and any failure leaves no temp file behind.
 """
 
-from __future__ import annotations
-
 import argparse
 import csv
 import errno

@@ -12,8 +12,6 @@ coordination. A catalog file (JSON) may override any subset of fields;
 everything unspecified keeps its default.
 """
 
-from __future__ import annotations
-
 import math
 from dataclasses import dataclass, field, fields, replace
 from pathlib import Path

@@ -36,8 +36,6 @@ is reused. A configuration that passes then costs one ``model_latency_s``
 and one ``efficiency`` per model.
 """
 
-from __future__ import annotations
-
 import itertools
 import math
 from dataclasses import dataclass, field

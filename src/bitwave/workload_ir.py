@@ -12,10 +12,8 @@ Bias parameters are not counted anywhere.
 
 ``read_json`` reads every input file of the package (workload, config,
 baseline, catalog, search space), and ``read_fields`` checks each document
-against the dataclass it fills.
+against the dataclass it fills, taking each type rule from one table, ``_TYPES``.
 """
-
-from __future__ import annotations
 
 import functools
 import json
@@ -31,12 +29,6 @@ FC = "FC"
 
 #: widest operand, slice and converter resolution anywhere in the package
 MAX_BITS = 16
-
-#: the shape fields each layer kind requires, and the other kind must leave None
-_SHAPE_FIELDS = {
-    CONV: ("in_channels", "out_channels", "kernel_h", "kernel_w", "in_height", "in_width"),
-    FC: ("in_features", "out_features"),
-}
 
 
 class InputFileError(Exception):
@@ -79,6 +71,12 @@ def check_bits(name: str, bits: int) -> None:
         raise ValueError(f"{name} must be an int in [1, {MAX_BITS}], got {brief(bits)}")
 
 
+def check_kind(where: str, kind) -> None:
+    """Raise ``ValueError`` unless layer ``kind`` is CONV or FC."""
+    if kind not in (CONV, FC):
+        raise ValueError(f"{where}: kind must be CONV or FC, got {brief(kind)}")
+
+
 def check_unique(what: str, names: list[str], reason: str) -> None:
     """Raise ``ValueError`` quoting the first of ``names`` that repeats."""
     for name in names:
@@ -92,67 +90,45 @@ FLOAT_MAX = sys.float_info.max
 _INT_MAX = int(FLOAT_MAX)
 
 
-def is_finite_number(value) -> bool:
-    """True for an int or float (not a bool) within the float range; NaN, infinities and larger ints are not."""
-    return (
-        isinstance(value, (int, float))
-        and not isinstance(value, bool)
-        and -FLOAT_MAX <= value <= FLOAT_MAX
-    )
-
-
-#: how a message names each type a field may declare, alone and as the items of a list
-_TYPE_NAMES = {
-    int: ("an int within the float range", "ints within the float range"),
-    float: ("a finite number", "finite numbers"),
-    bool: ("a bool", "bools"),
-    str: ("a string", "strings"),
-    dict: ("a JSON object", "JSON objects"),
-    list: ("a list", "lists"),
-    type(None): ("null", "nulls"),
+#: every JSON type a field may declare: its test, and how a message names it alone and as list items;
+#: a ``float`` is any int or float (not a bool) within the float range, so NaN and infinities fail
+_TYPES = {
+    int: (lambda v: type(v) is int and -_INT_MAX <= v <= _INT_MAX,
+          "an int within the float range", "ints within the float range"),
+    float: (lambda v: type(v) in (int, float) and -FLOAT_MAX <= v <= FLOAT_MAX,
+            "a finite number", "finite numbers"),
+    bool: (lambda v: type(v) is bool, "a bool", "bools"),
+    str: (lambda v: type(v) is str, "a string", "strings"),
+    dict: (lambda v: type(v) is dict, "a JSON object", "JSON objects"),
+    list: (lambda v: type(v) is list, "a list", "lists"),
+    type(None): (lambda v: v is None, "null", "nulls"),
 }
-
-
-def _is(tp):
-    """The test a JSON value passes as a ``tp``: any finite number for ``float``, an int (not a bool)
-    within the float range for ``int``, else exactly a ``tp``."""
-    if tp is float:
-        return is_finite_number
-    if tp is int:
-        return lambda v: type(v) is int and -_INT_MAX <= v <= _INT_MAX
-    return lambda v: type(v) is tp
 
 
 @functools.cache
 def _field_table(cls) -> tuple[dict, list[str]]:
-    """``cls``'s fields as name -> (exact types, [(test, build), ...], description), and its required names.
+    """``cls``'s fields as name -> ([(test, build), ...], description), and its required names.
 
-    A value of one of the exact types is taken as it is, an int only within the
-    float range; any other must pass a test. ``build`` is None (keep the value),
-    ``tuple`` (a list becomes a tuple) or the dataclass of a nested document.
-    Built once per class.
+    Each type a field declares (each member of a union) gives one rule, whose
+    test comes from ``_TYPES``: ``list[X]`` and ``tuple[X, ...]`` take a list
+    whose items pass X's test, and a dataclass takes a JSON object. ``build``
+    is None (keep the value), ``tuple`` (a list becomes a tuple) or the
+    dataclass of a nested document. Built once per class.
     """
-    namespace = vars(sys.modules[cls.__module__])
     table = {}
     for f in fields(cls):
-        hint = eval(f.type, namespace)  # typing.get_type_hints would add about 1 ms to each run
-        exact, rules, descriptions = set(), [], []
-        for tp in get_args(hint) if isinstance(hint, UnionType) else (hint,):
+        rules, names = [], []
+        for tp in get_args(f.type) if isinstance(f.type, UnionType) else (f.type,):
             if get_origin(tp) in (list, tuple):  # list[X] or tuple[X, ...]
-                item = get_args(tp)[0]
-                test = lambda v, item_test=_is(item): type(v) is list and all(map(item_test, v))
+                item_test, _, items = _TYPES[get_args(tp)[0]]
+                test = lambda v, item_test=item_test: type(v) is list and all(map(item_test, v))
                 rules.append((test, tuple if get_origin(tp) is tuple else None))
-                descriptions.append(f"a list of {_TYPE_NAMES[item][1]}")
-            elif is_dataclass(tp):
-                rules.append((_is(dict), tp))
-                descriptions.append(_TYPE_NAMES[dict][0])
-            elif tp is float:
-                rules.append((is_finite_number, None))
-                descriptions.append(_TYPE_NAMES[float][0])
+                names.append(f"a list of {items}")
             else:
-                exact.add(tp)
-                descriptions.append(_TYPE_NAMES[tp][0])
-        table[f.name] = (frozenset(exact), rules, " or ".join(descriptions))
+                test, name, _ = _TYPES[dict if is_dataclass(tp) else tp]
+                rules.append((test, tp if is_dataclass(tp) else None))
+                names.append(name)
+        table[f.name] = (rules, " or ".join(names))
     required = [f.name for f in fields(cls) if f.default is MISSING and f.default_factory is MISSING]
     return table, required
 
@@ -196,12 +172,12 @@ def read_fields(doc, cls, what: str) -> dict:
     """Check JSON document ``doc`` against dataclass ``cls``; return its fields as keyword arguments.
 
     ``doc`` must be an object with no unknown field and every field that has no
-    default. Each value must be of its field's type: an ``int`` is an int (not a
-    bool) within the float range, a ``float`` any finite number but a bool,
-    ``X | None`` also takes null, ``list[X]`` and ``tuple[X, ...]`` take a list
-    of X, and a dataclass-typed field is a nested document named after the
-    field, and a string must encode as UTF-8. Failures raise ``ValueError``; the
-    range rules stay in each class's ``__post_init__``.
+    default. Each value must pass one of its field's rules (``_field_table``),
+    whose tests all come from ``_TYPES``: ``X | None`` also takes null,
+    ``list[X]`` and ``tuple[X, ...]`` take a list of X, and a dataclass-typed
+    field is a nested document named after the field. A string must also
+    encode as UTF-8. Failures raise ``ValueError``; the range rules stay in
+    each class's ``__post_init__``.
     """
     table, required = _field_table(cls)
     if not isinstance(doc, dict):
@@ -212,17 +188,8 @@ def read_fields(doc, cls, what: str) -> dict:
         if name not in doc:
             raise ValueError(f"{what} is missing field {name!r}")
     kwargs = dict(doc)
-    low, high = -_INT_MAX, _INT_MAX
     for name, value in doc.items():
-        exact, rules, description = table[name]
-        tp = type(value)
-        if tp in exact and (tp is not int or low <= value <= high):
-            if tp is str and not value.isascii():
-                try:
-                    value.encode("utf-8")
-                except UnicodeEncodeError:  # a lone surrogate, which a JSON escape such as "\ud800" makes
-                    raise ValueError(f"{what} field {name!r} must be Unicode text, got {brief(value)}") from None
-            continue
+        rules, description = table[name]
         for test, build in rules:
             if test(value):
                 break
@@ -232,6 +199,11 @@ def read_fields(doc, cls, what: str) -> dict:
             kwargs[name] = tuple(value)
         elif build is not None:
             kwargs[name] = build(**read_fields(value, build, name))
+        elif type(value) is str and not value.isascii():
+            try:
+                value.encode("utf-8")
+            except UnicodeEncodeError:  # a lone surrogate, which a JSON escape such as "\ud800" makes
+                raise ValueError(f"{what} field {name!r} must be Unicode text, got {brief(value)}") from None
     return kwargs
 
 
@@ -256,8 +228,7 @@ class LayerSpec:
 
     def __post_init__(self) -> None:
         where = f"layer {self.index}"
-        if self.kind not in (CONV, FC):
-            raise ValueError(f"{where}: kind must be CONV or FC, got {brief(self.kind)}")
+        check_kind(where, self.kind)
         check_bits(f"{where}: weight_bits", self.weight_bits)
         check_bits(f"{where}: act_bits", self.act_bits)
         own, other = (CONV, FC) if self.kind == CONV else (FC, CONV)
@@ -395,6 +366,15 @@ class _ConvDoc(_LayerDoc):
     padding: int = 0
 
 
+#: each layer kind's document
+_LAYER_DOCS = {CONV: _ConvDoc, FC: _FcDoc}
+#: the shape fields each layer kind requires, and the other kind must leave None
+_SHAPE_FIELDS = {
+    kind: tuple(f.name for f in fields(doc) if f.default is MISSING and f.name != "kind")
+    for kind, doc in _LAYER_DOCS.items()
+}
+
+
 def workload_from_dict(doc: dict) -> WorkloadModel:
     top = _ModelDoc(**read_fields(doc, _ModelDoc, "workload"))
     n = len(top.layers)
@@ -406,8 +386,9 @@ def workload_from_dict(doc: dict) -> WorkloadModel:
         top_bits[field] = spec if isinstance(spec, list) else [spec] * n
     layers = []
     for i, raw in enumerate(top.layers):
-        doc_cls = _ConvDoc if isinstance(raw, dict) and raw.get("kind") == CONV else _FcDoc
-        entry = read_fields(raw, doc_cls, f"layer {i}")
+        kind = raw.get("kind", FC) if isinstance(raw, dict) else FC
+        check_kind(f"layer {i}", kind)
+        entry = read_fields(raw, _LAYER_DOCS[kind], f"layer {i}")
         for field, per_layer in top_bits.items():
             if entry.get(field) is None:
                 entry[field] = per_layer[i]

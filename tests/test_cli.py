@@ -281,6 +281,19 @@ def test_explore_reruns_byte_identical(tmp_path, model_paths, space_path):
     assert (out / "best.json").read_bytes() == first_json
 
 
+def test_explore_with_no_feasible_configuration_writes_a_null_best(tmp_path, model_paths, capsys):
+    space = tmp_path / "space.json"
+    space.write_text('{"v": [25, 50], "k": [20], "b": [4], "V": [1], "K": [1], "constraints": {"max_power_w": 0.001}}')
+    out = tmp_path / "out"
+    rc = main(["explore", str(model_paths["svhn_cnn"]), "--space", str(space), "--out-dir", str(out)])
+    assert rc == 0
+    assert capsys.readouterr().out == "no feasible configuration (2 rejected: {'laser': 0, 'max_power': 2})\n"
+    best = json.loads((out / "best.json").read_text())
+    assert best["best"] is None and best["evaluated"] == 0 and best["infeasible_count"] == 2
+    _, _, rows = read_csv(out / "ranking.csv")
+    assert rows == []
+
+
 def test_explore_zero_config_space_exits_3(tmp_path, model_paths, capsys):
     space = tmp_path / "space.json"
     space.write_text('{"v": [], "k": [9], "b": [4], "V": [1], "K": [1]}')

@@ -142,6 +142,13 @@ def test_kind_field_mixups_rejected():
     with pytest.raises(ValueError, match="layer 2.*CONV fields"):
         wir.LayerSpec(index=2, kind=wir.FC, in_features=4, out_features=4,
                       kernel_h=3, weight_bits=4, act_bits=4)
+    # a misspelled kind in a workload file is named, not read as the other kind's fields
+    conv = {"kind": "CONV", "in_channels": 1, "out_channels": 1, "kernel_h": 1, "kernel_w": 1,
+            "in_height": 1, "in_width": 1}
+    for layer in ({**conv, "kind": "Conv"}, {"kind": "fc", "in_features": 1, "out_features": 1}):
+        doc = {"weight_bits": 4, "act_bits": 4, "layers": [layer]}
+        with pytest.raises(ValueError, match=f"^layer 0: kind must be CONV or FC, got '{layer['kind']}'$"):
+            wir.workload_from_dict(doc)
 
 
 def test_bits_out_of_range_rejected():
@@ -155,6 +162,10 @@ def test_nonpositive_dims_rejected():
         fc_layer(0, 0, 4)
     with pytest.raises(ValueError, match="stride"):
         conv_layer(0, 3, 8, stride=0)
+    with pytest.raises(ValueError, match="padding must be non-negative, got -1"):
+        conv_layer(0, 3, 8, padding=-1)
+    with pytest.raises(ValueError, match="yield empty -4x-4 output"):
+        conv_layer(0, 3, 8, k=9, h=4, w=4)
 
 
 def test_unknown_layer_fields_rejected():
