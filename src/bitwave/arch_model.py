@@ -19,15 +19,15 @@ layers into (output positions x kernel chunks); work units round-robin over
 the V or K available units, which divides latency but leaves energy alone.
 
 Energy accounting follows one device table (``_device_table``): each row
-holds a device's power, its active time per action and how many of it one
-unit holds. ``layer_actions`` counts a layer's actions per row; a layer's
-energy sums action count x power x active time over the table, and a unit's
-peak power sums device count x power over the same rows. A run of layers
-(``RunCost``) takes its step period once and each unit's table once per
-(unit, plan, period) from an ``MvuCache``, whose caches are per instance
-and die with it; a layer's cost (``LayerCost``) holds only its work, steps
-and energy. A model's latency and energy are its layers' latencies and
-energies added left to right in layer order
+holds a device's power, its active time per action (None: the whole step)
+and how many of it one unit holds. ``layer_actions`` counts a layer's
+actions per row; a layer's energy sums action count x power x active time
+over the table, and a unit's peak power sums device count x power over the
+same rows. A run of layers (``RunCost``) takes its step period once and each
+unit's table once per (unit, plan) from an ``MvuCache``, whose caches are
+per instance and die with it; a layer's cost (``LayerCost``) holds only its
+work, steps and energy. A model's latency and energy are its layers'
+latencies and energies added left to right in layer order
 (``float_sum``, the same float on every Python); ``model_latency_s`` and
 ``model_energy_j`` are the one home of that law, which ``simulate_inference``
 calls on fresh caches and ``dse.explore`` on shared ones.
@@ -160,9 +160,7 @@ class MvuSpec:
 
 
 def _split_loss_db(n_branches: int, catalog: DeviceCatalog) -> float:
-    """Power division plus per-stage excess loss of a 1-to-n splitter tree."""
-    if n_branches <= 1:
-        return 0.0
+    """Power division plus per-stage excess loss of a 1-to-n splitter tree; exactly 0.0 for one branch."""
     stages = (n_branches - 1).bit_length()
     return 10.0 * math.log10(n_branches) + stages * catalog.losses.splitter_db
 
@@ -191,12 +189,11 @@ def _mvu_spec(kind: str, n_lambda: int, n_rows: int, catalog: DeviceCatalog) -> 
 class MvuCache:
     """Unit specs, device tables and per-unit peak powers under one catalog, each computed once.
 
-    ``spec(kind, n_lambda, n_rows)`` is ``_mvu_spec`` and ``table(spec, cp,
-    period_ns)`` is ``_device_table`` under the catalog. ``active_power_mw(spec,
-    cp)`` is one fully occupied unit's worst-case power, device count x power
-    over its table; no column it reads depends on the period. ``unit_power_mw(kind,
-    width, b)`` is that power on the bit-sliced plan, CONV units sized for the
-    widest operand (16-bit weights at slice width b).
+    ``spec(kind, n_lambda, n_rows)`` is ``_mvu_spec`` and ``table(spec, cp)``
+    is ``_device_table`` under the catalog. ``active_power_mw(spec, cp)`` is
+    one fully occupied unit's worst-case power, device count x power over that
+    table. ``unit_power_mw(kind, width, b)`` is that power on the bit-sliced
+    plan, CONV units sized for the widest operand (16-bit weights at slice width b).
 
     Each is a ``functools.cache`` made per instance that holds no reference to
     the instance, so the caches die with it. One simulation builds its own; a
@@ -207,10 +204,9 @@ class MvuCache:
         self.catalog = catalog
         self.spec = specs = functools.cache(
             lambda kind, n_lambda, n_rows: _mvu_spec(kind, n_lambda, n_rows, catalog))
-        self.table = tables = functools.cache(
-            lambda spec, cp, period_ns: _device_table(catalog, spec, cp, period_ns))
+        self.table = tables = functools.cache(lambda spec, cp: _device_table(catalog, spec, cp))
         self.active_power_mw = active = functools.cache(
-            lambda spec, cp: float_sum(n * p_mw for p_mw, _, n in tables(spec, cp, 0.0)))
+            lambda spec, cp: float_sum(n * p_mw for p_mw, _, n in tables(spec, cp)))
         self.unit_power_mw = functools.cache(lambda kind, width, b: active(
             specs(kind, width, width if kind == wir.FC else ceil_div(MAX_BITS, b)), bitwave_plan(kind, b)))
 
@@ -287,26 +283,27 @@ def _step_period_ns(cfg: ArchConfig, catalog: DeviceCatalog, cp: _ConverterPlan)
 
 
 def _device_table(
-    catalog: DeviceCatalog, spec: MvuSpec, cp: _ConverterPlan, period_ns: float
-) -> tuple[tuple[float, float, int], ...]:
+    catalog: DeviceCatalog, spec: MvuSpec, cp: _ConverterPlan
+) -> tuple[tuple[float, float | None, int], ...]:
     """(power mW, active ns per action, devices per unit) of each device, in summation order.
 
     Rows: activation DAC, weight DAC, ADC, photodetector, VCSEL, SOA, EO tuning,
     and the laser plus thermal trim of the unit's two MR banks. DACs and laser
-    plus trim hold for the whole step period; the rest for their own latency.
+    plus trim hold for the whole step: their active time is None, which
+    ``layer_cost`` charges at the run's step period. The rest hold for their own latency.
     """
     d = catalog.devices
     lanes, rows = spec.n_wavelengths, spec.n_rows
     return (
-        (catalog.dac_power(cp.dac_bits_act), period_ns, lanes),
-        (catalog.dac_power(cp.dac_bits_w), period_ns, rows),
+        (catalog.dac_power(cp.dac_bits_act), None, lanes),
+        (catalog.dac_power(cp.dac_bits_w), None, rows),
         # CONV rows are current-summed into one ADC
         (catalog.adc_power(cp.adc_bits), catalog.adc_latency(cp.adc_bits), rows if spec.kind == wir.FC else 1),
         (d.photodetector_power_mw, d.photodetector_latency_ns, rows),
         (d.vcsel_power_mw, d.vcsel_latency_ns, lanes),
         (d.soa_power_mw, d.soa_latency_ns, rows if cp.use_soa else 0),
         (d.eo_tuning_power_mw_per_nm * catalog.eo_shift_nm, d.eo_tuning_latency_ns, spec.n_mr),
-        (dbm_to_mw(spec.min_laser_dbm) + d.to_tuning_power_mw_per_fsr * catalog.to_duty_cycle * 2, period_ns, 1),
+        (dbm_to_mw(spec.min_laser_dbm) + d.to_tuning_power_mw_per_fsr * catalog.to_duty_cycle * 2, None, 1),
     )
 
 
@@ -377,14 +374,15 @@ def layer_cost(
     layer: wir.LayerSpec,
     cfg: ArchConfig,
     cp: _ConverterPlan,
-    table: tuple[tuple[float, float, int], ...],
+    table: tuple[tuple[float, float | None, int], ...],
+    period_ns: float,
 ) -> LayerCost:
-    """Work, steps and energy of one layer on units that draw ``table``.
+    """Work, steps and energy of one layer on units that draw ``table`` and step every ``period_ns``.
 
     Reads neither ``cfg.V`` nor ``cfg.K``.
     """
     work, steps, counts = layer_actions(layer, cfg, cp)
-    energy_pj = float_sum(n * p_mw * ns for n, (p_mw, ns, _) in zip(counts, table))
+    energy_pj = float_sum(n * p_mw * (period_ns if ns is None else ns) for n, (p_mw, ns, _) in zip(counts, table))
     return LayerCost(work, steps, energy_pj * 1e-12 * cfg.energy_scale)
 
 
@@ -466,26 +464,29 @@ def run_cost(
     else:
         specs = tuple([units.spec(wir.CONV, cfg.k, slice_counts(l, plan)[1]) for l in layers])
     period = _step_period_ns(cfg, units.catalog, plan)
-    costs = tuple([layer_cost(l, cfg, plan, units.table(spec, plan, period)) for l, spec in zip(layers, specs)])
+    costs = tuple([layer_cost(l, cfg, plan, units.table(spec, plan), period) for l, spec in zip(layers, specs)])
     return RunCost(kind, layers, plan, period, specs, costs, max([spec.min_laser_dbm for spec in specs]))
 
 
 def check_runs(runs: list[RunCost], cfg: ArchConfig) -> MvuSpec | None:
-    """The first unit spec whose laser need exceeds ``cfg``'s ceiling, or None if ``cfg`` can run the runs.
+    """The first unit spec whose laser budget fails under ``cfg``, or None if ``cfg`` can run the runs.
 
     This is the laser law: a unit's link budget fails if its minimum laser
-    power exceeds the ceiling. The checks run in this order: the FC unit
+    power exceeds the ceiling, or, whatever the ceiling, if that power in mW
+    is past the float range. The checks run in this order: the FC unit
     count, the FC laser budget, the CONV unit count, then each CONV unit's
     laser budget in layer order. A missing unit kind raises ValueError.
     """
-    ceiling = cfg.laser_ceiling_dbm
+    def fails(dbm: float) -> bool:
+        return dbm > cfg.laser_ceiling_dbm or math.isinf(dbm_to_mw(dbm))
+
     for kind, field_name in ((wir.FC, "V"), (wir.CONV, "K")):
         of_kind = [run for run in runs if run.kind == kind]
         if of_kind and unit_count(kind, cfg) < 1:
             raise ValueError(f"model has {kind} layers but the config has {field_name}=0 {kind} units")
         for run in of_kind:
-            if run.laser_dbm > ceiling:
-                return next(spec for spec in run.specs if spec.min_laser_dbm > ceiling)
+            if fails(run.laser_dbm):
+                return next(spec for spec in run.specs if fails(spec.min_laser_dbm))
     return None
 
 
@@ -518,10 +519,12 @@ def _simulate(
     runs = [run_cost(kind, layers, plans[kind], cfg, units) for kind, layers in kind_runs(model)]
     spec = check_runs(runs, cfg)
     if spec is not None:
+        over = (f"> ceiling {cfg.laser_ceiling_dbm:.2f} dBm" if spec.min_laser_dbm > cfg.laser_ceiling_dbm
+                else "whose power in mW is past the float range")
         raise LaserInfeasibleError(
             f"{spec.kind} unit path ({spec.n_wavelengths} wavelengths, "
             f"{spec.n_rows} rows, {spec.path_loss_db:.2f} dB loss) needs "
-            f"{spec.min_laser_dbm:.2f} dBm laser > ceiling {cfg.laser_ceiling_dbm:.2f} dBm"
+            f"{spec.min_laser_dbm:.2f} dBm laser {over}"
         )
     per_layer: list[LayerReport] = []
     peak_mw = 0.0
@@ -609,7 +612,7 @@ def micro_dot_workload(p_bits: int) -> wir.WorkloadModel:
     return wir.WorkloadModel(name="micro-dot", layers=(layer,))
 
 
-def micro_dot_config(b: int = 4, energy_scale: float = 1.0) -> ArchConfig:
+def micro_dot_config(b: int, energy_scale: float = 1.0) -> ArchConfig:
     """Two-wavelength single-unit configuration for the micro-workload."""
     return ArchConfig(v=2, k=1, b=b, V=1, K=1, energy_scale=energy_scale)
 

@@ -25,7 +25,7 @@ configuration. Each model splits once into runs of same-kind layers
 costed (``run_cost``, on the converters of ``bitwave_plan(kind, b)``) once per
 (model, run, width, b), with width v for FC and k for CONV, and keeps its
 layers' latencies per unit count; one unit cache serves the whole search, so
-each unit's device table is built once per (unit, plan, step period).
+each unit's device table is built once per (unit, plan).
 
 Configurations are enumerated in (v, k, b, V, K) order, so they come in
 groups of one (v, k, b). The search walks the groups and prepares each model
@@ -141,7 +141,7 @@ def explore(
     Configurations are walked one (v, k, b) group at a time. A model is
     prepared (its runs costed, its energy from ``am.model_energy_j``) at the
     first configuration of a group that reaches it, and whether
-    ``am.check_runs`` finds a unit over the laser ceiling is kept per
+    ``am.check_runs`` finds a unit whose laser budget fails is kept per
     (model, V >= 1, K >= 1) within the group, since the laser verdicts do
     not change inside it. A ValueError is never kept: it propagates from the
     first configuration that meets it. Latencies come from

@@ -386,7 +386,9 @@ def workload_from_dict(doc: dict) -> WorkloadModel:
         top_bits[field] = spec if isinstance(spec, list) else [spec] * n
     layers = []
     for i, raw in enumerate(top.layers):
-        kind = raw.get("kind", FC) if isinstance(raw, dict) else FC
+        if isinstance(raw, dict) and "kind" not in raw:
+            raise ValueError(f"layer {i} is missing field 'kind'")
+        kind = raw["kind"] if isinstance(raw, dict) else FC
         check_kind(f"layer {i}", kind)
         entry = read_fields(raw, _LAYER_DOCS[kind], f"layer {i}")
         for field, per_layer in top_bits.items():

@@ -3,6 +3,7 @@ from dataclasses import replace
 import gc
 import itertools
 import json
+import math
 import random
 import weakref
 from operator import mul
@@ -13,7 +14,7 @@ from bitwave import arch_model as am
 from bitwave import bitslice_engine as bse
 from bitwave import cli
 from bitwave import workload_ir as wir
-from bitwave.device_catalog import DEFAULT_CATALOG
+from bitwave.device_catalog import DEFAULT_CATALOG, catalog_from_dict, dbm_to_mw
 from test_dse import FC_FIRST
 
 
@@ -210,6 +211,8 @@ def test_config_from_dict_checks_fields():
         am.arch_config_from_dict({"v": 2, "k": 2, "b": 4, "V": 1})
     with pytest.raises(ValueError, match="unknown config fields"):
         am.arch_config_from_dict({"v": 2, "k": 2, "b": 4, "V": 1, "K": 1, "zz": 3})
+    # a config that leaves the laser ceiling out gets 30 dBm
+    assert am.arch_config_from_dict({"v": 2, "k": 2, "b": 4, "V": 1, "K": 1}).laser_ceiling_dbm == 30.0
 
 
 # -- mapping: layer_cost tiles a layer, place_layer round-robins it ----------------
@@ -449,7 +452,7 @@ def test_unit_caches_belong_to_one_instance_and_die_with_it():
     try:
         units = am.MvuCache(DEFAULT_CATALOG)
         spec, plan = units.spec(*key), am.bitwave_plan(wir.FC, 4)
-        units.table(spec, plan, 1.0)
+        units.table(spec, plan)
         units.active_power_mw(spec, plan)
         units.unit_power_mw(wir.CONV, 9, 4)
         ref = weakref.ref(units)
@@ -484,6 +487,29 @@ CONV_CONV_FC = wir.WorkloadModel(
         fc_layer(2, 48, 20),
     ),
 )
+
+
+def test_laser_law_fails_only_a_need_above_the_ceiling():
+    # a unit whose need equals the ceiling runs; one float step lower it fails, and the
+    # check names the first unit whose need is above the ceiling, not one equal to it
+    units = am.MvuCache(DEFAULT_CATALOG)
+    cfg = am.ArchConfig(v=8, k=128, b=1, V=1, K=1)
+    runs = [am.run_cost(kind, layers, am.bitwave_plan(kind, 1), cfg, units)
+            for kind, layers in am.kind_runs(CONV_CONV_FC)]
+    twelve, sixteen = runs[0].specs
+    assert (twelve.n_rows, sixteen.n_rows) == (12, 16) and twelve.min_laser_dbm < sixteen.min_laser_dbm
+
+    def under(ceiling):
+        return replace(cfg, laser_ceiling_dbm=ceiling)
+
+    def below(dbm):
+        return math.nextafter(dbm, -math.inf)
+
+    assert am.check_runs(runs, under(sixteen.min_laser_dbm)) is None
+    am.simulate_inference(CONV_CONV_FC, under(sixteen.min_laser_dbm))
+    assert am.check_runs(runs, under(below(sixteen.min_laser_dbm))) is sixteen
+    assert am.check_runs(runs, under(twelve.min_laser_dbm)) is sixteen
+    assert am.check_runs(runs, under(below(twelve.min_laser_dbm))) is twelve
 
 
 @pytest.mark.parametrize("dims, error, message", [
@@ -606,7 +632,14 @@ def test_device_table_counts_each_units_devices(kind, n_lambda, n_rows, plan, co
     spec = UNITS.spec(kind, n_lambda, n_rows)
     # a baseline's plan: operand-wide converters, no gain ladder (as simulate_baseline builds it)
     cp = am.bitwave_plan(kind, 4) if plan == "bitwave" else am._ConverterPlan(8, 8, 8, use_soa=False)
-    assert tuple(n for _, _, n in am._device_table(DEFAULT_CATALOG, spec, cp, 20.0)) == counts
+    assert tuple(n for _, _, n in am._device_table(DEFAULT_CATALOG, spec, cp)) == counts
+
+
+def test_zero_trim_duty_cycle_charges_no_trim_power():
+    # the heaters may stay off: the laser-plus-trim row then draws the laser alone
+    catalog = catalog_from_dict({"to_duty_cycle": 0})
+    spec = am.MvuCache(catalog).spec(wir.FC, 4, 4)
+    assert am._device_table(catalog, spec, am.bitwave_plan(wir.FC, 4))[-1][0] == dbm_to_mw(spec.min_laser_dbm)
 
 
 def test_max_power_monotone_in_each_dimension():

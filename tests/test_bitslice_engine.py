@@ -112,6 +112,8 @@ def test_slice_vector_reports_first_bad_element():
         bse.slice_vector([1, 300, -1, 256], 8, 4)
     with pytest.raises(ValueError, match=r"^value -1 out of range for 8-bit operand$"):
         bse.slice_vector([1, -1, 300], 8, 4)
+    with pytest.raises(ValueError, match=r"^value 300 out of range for 8-bit operand$"):
+        bse.slice_vector([0, 300], 8, 4)
     with pytest.raises(ValueError, match=r"^p must be an int in \[1, 16\], got 17$"):
         bse.slice_vector([1 << 17], 17, 4)
 

@@ -1,4 +1,5 @@
 import json
+import math
 
 import pytest
 
@@ -15,6 +16,8 @@ from bitwave.device_catalog import (
 def test_dac_power_anchors_exact():
     assert DEFAULT_CATALOG.dac_power(16) == 40.0
     assert DEFAULT_CATALOG.dac_power(8) == 3.0
+    # halfway along the log-linear bridge, the geometric mean of the two anchors
+    assert DEFAULT_CATALOG.dac_power(12) == pytest.approx(math.sqrt(3.0 * 40.0), abs=1e-12)
 
 
 def test_dac_power_low_resolution_scaling():
@@ -40,6 +43,7 @@ def test_dac_latency_rules():
     assert DEFAULT_CATALOG.dac_latency(4) == 0.29
     assert DEFAULT_CATALOG.dac_latency(1) == 0.29
     assert DEFAULT_CATALOG.dac_latency(12) == 0.33  # conservative between anchors
+    assert DEFAULT_CATALOG.dac_latency(9) == 0.33
 
 
 def test_adc_selection_rules():
@@ -49,6 +53,7 @@ def test_adc_selection_rules():
     assert DEFAULT_CATALOG.adc_power(16) == 62.0
     assert DEFAULT_CATALOG.adc_latency(16) == 14.0
     assert DEFAULT_CATALOG.adc_power(9) == 62.0
+    assert DEFAULT_CATALOG.adc_latency(9) == 14.0
 
 
 def test_aggregate_photoloss_single_and_empty():

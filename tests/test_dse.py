@@ -273,12 +273,16 @@ def test_explore_prices_each_configuration_once_with_max_power(monkeypatch):
     assert priced == dse.enumerate_configs(space)
 
 
-@pytest.mark.parametrize("cap, rejected", [(None, {"laser": 1, "max_power": 0}),
-                                           (1000.0, {"laser": 0, "max_power": 1})])
-def test_explore_rejects_a_unit_whose_laser_power_overflows(cap, rejected):
+@pytest.mark.parametrize("cap, ceiling, rejected", [
+    pytest.param(None, None, {"laser": 1, "max_power": 0}, id="None-rejected0"),
+    pytest.param(1000.0, None, {"laser": 0, "max_power": 1}, id="1000.0-rejected1"),
+    pytest.param(None, 10000.0, {"laser": 1, "max_power": 0}, id="ceiling-10000.0"),
+])
+def test_explore_rejects_a_unit_whose_laser_power_overflows(cap, ceiling, rejected):
     # a 100,000-wide FC unit needs about 4,480 dBm, past the float range in mW: an inf
-    # laser power fails the laser law, and an inf max_power any power cap
-    space = with_constraints(dse.SearchSpace(v=(50, 100_000), k=(9,), b=(4,), V=(2,), K=(2,)), max_power_w=cap)
+    # laser power fails the laser law under any ceiling, and an inf max_power any power cap
+    space = with_constraints(dse.SearchSpace(v=(50, 100_000), k=(9,), b=(4,), V=(2,), K=(2,)),
+                             max_power_w=cap, laser_ceiling_dbm=ceiling)
     result = dse.explore([MODEL, HETERO], space)
     expected, expected_rejected = rescan([MODEL, HETERO], space)
     assert result.diagnostics == expected_rejected == rejected
@@ -340,12 +344,12 @@ def test_explore_counts_each_layers_macs_only_for_the_model_totals(monkeypatch):
 
 def test_each_device_table_and_step_period_is_built_once(monkeypatch, repo_root, reference_config_path):
     device_table, step_period, run_cost = am._device_table, am._step_period_ns, am.run_cost
-    tables = []  # (unit spec, plan, step period) of each table built
+    tables = []  # (unit spec, plan) of each table built
     periods = []  # step periods computed during each run_cost call
 
-    def counted_table(catalog, spec, cp, period_ns):
-        tables.append((spec, cp, period_ns))
-        return device_table(catalog, spec, cp, period_ns)
+    def counted_table(catalog, spec, cp):
+        tables.append((spec, cp))
+        return device_table(catalog, spec, cp)
 
     def counted_period(*args):
         periods[-1] += 1

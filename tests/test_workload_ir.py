@@ -149,6 +149,11 @@ def test_kind_field_mixups_rejected():
         doc = {"weight_bits": 4, "act_bits": 4, "layers": [layer]}
         with pytest.raises(ValueError, match=f"^layer 0: kind must be CONV or FC, got '{layer['kind']}'$"):
             wir.workload_from_dict(doc)
+    # a layer without kind is named as such, whatever its other fields
+    for layer in ({k: v for k, v in conv.items() if k != "kind"}, {"in_features": 1, "out_features": 1}, {}):
+        doc = {"weight_bits": 4, "act_bits": 4, "layers": [layer]}
+        with pytest.raises(ValueError, match="^layer 0 is missing field 'kind'$"):
+            wir.workload_from_dict(doc)
 
 
 def test_bits_out_of_range_rejected():
