@@ -18,14 +18,25 @@ Two step layouts are supported:
   gain 2^(b*k)) before a single conversion. :func:`execute_dot` models
   the ladder exactly as the lane shift ``<< (b * k)``.
 
-An operand vector is sliced once, per slice index rather than per element:
-:func:`slice_vector` returns ``digits[i][j]``, slice ``i`` of element ``j``,
-so the lanes of one step are the elementwise product of two digit lists.
+The lanes of one step are the fields of one integer (Kronecker
+substitution). :func:`slice_vector` packs an operand vector once into an int
+whose W-bit field j holds element j (the weight vector is packed in reverse
+order), and slice i of the whole vector is ``(packed >> (b*i)) & lane_mask``,
+where ``lane_mask`` holds 2^b - 1 in every field. The product of an
+activation slice and a reversed weight slice holds the step's photodetector
+sum, the sum of its n lane products, in field n-1. The field width W is
+:func:`field_width`, the smallest power of two of at least 8 bits that keeps
+the law
+
+    W >= max(b*ceil(p_a/b), b*ceil(p_w/b), 2b + n.bit_length())
+
+The first two terms keep a shifted slice clear of the next field. The last
+holds a sum of n lane products, each below 2^(2b), without a carry into the
+next field, so every field of the product is its exact coefficient.
 
 A dot product's trace (:class:`DotTrace`) is its cached schedule plus one
-photodetector sum per step; the lane values are summed as they are made and
-not kept. :func:`reconstruct` adds each step sum shifted by the schedule's
-shift for that step.
+photodetector sum per step; no lane value is kept. :func:`reconstruct` adds
+each step sum shifted by the schedule's shift for that step.
 
 Everything here is exact unsigned integer arithmetic; signed operands
 are a caller-side mapping concern. All functions are pure: none changes a
@@ -33,9 +44,11 @@ value it was given or has returned, so values can be shared freely across
 threads.
 """
 
+import sys
+from array import array
 from dataclasses import dataclass
 from functools import lru_cache
-from operator import lshift, mul, ne
+from operator import lshift, ne
 from typing import Sequence
 
 from .workload_ir import CONV, FC, ceil_div, check_bits
@@ -46,22 +59,52 @@ def _check_mode(mode: str) -> None:
         raise ValueError(f"mode must be {FC!r} or {CONV!r}, got {mode!r}")
 
 
-def slice_vector(values: Sequence[int], p: int, b: int) -> list[list[int]]:
-    """Slice every p-bit element of ``values`` into ceil(p/b) base-2^b digits.
+#: an unsigned array type code for each field width of one machine word: 8, 16, 32 and 64 bits
+_WORD_CODES = {8 * array(code).itemsize: code for code in "BHILQ"}
 
-    The digits come back transposed: ``digits[i][j]`` is slice ``i`` (LSB
-    first) of element ``j``, so one slice index of the whole vector is one
-    list. The first element out of range raises ``ValueError``.
+
+def field_width(p_a: int, p_w: int, b: int, n: int) -> int:
+    """The lane field width W of an n-long (p_a, p_w)-bit dot product with b-bit slices.
+
+    W is the smallest power of two of at least 8 bits with
+    W >= max(b*ceil(p_a/b), b*ceil(p_w/b), 2b + n.bit_length()): see the module docstring.
     """
+    need = max(b * ceil_div(p_a, b), b * ceil_div(p_w, b), 2 * b + n.bit_length())
+    return max(8, 1 << (need - 1).bit_length())
+
+
+def check_operand(values: Sequence[int], p: int, b: int) -> None:
+    """Raise ``ValueError`` for a bad ``p`` or ``b``, or naming the first element of ``values`` that is not p-bit."""
     check_bits("p", p)
     check_bits("b", b)
     limit = 1 << p
     if values and not (0 <= min(values) and max(values) < limit):
         value = next(x for x in values if not 0 <= x < limit)
         raise ValueError(f"value {value} out of range for {p}-bit operand")
-    mask = (1 << b) - 1
-    shifts = [b * i for i in range(ceil_div(p, b))]
-    return [[(x >> s) & mask for x in values] for s in shifts]
+
+
+def slice_vector(values: Sequence[int], p: int, b: int, width: int, reverse: bool = False) -> list[int]:
+    """Slice every p-bit element of ``values`` into ceil(p/b) base-2^b digits, one int per slice index.
+
+    Int ``i`` holds slice ``i`` (LSB first) of element ``j`` in its
+    ``width``-bit field ``j``, or field ``n-1-j`` with ``reverse``. ``width``
+    is a power of two of at least 8 bits and at least b*ceil(p/b), and the
+    elements have passed :func:`check_operand`.
+    """
+    n = len(values)
+    if width > 64:  # a field of several 64-bit words: the element sits in the field's lowest word
+        stride = width // 64
+        words = [0] * (n * stride)
+        words[stride - 1 if reverse else 0::stride] = values  # reversing the words below moves it down
+        values = words
+    fields = array(_WORD_CODES[min(width, 64)], values)
+    if reverse:
+        fields.reverse()
+    if sys.byteorder == "big":  # the int below reads every item's bytes least significant first
+        fields.byteswap()
+    packed = int.from_bytes(fields.tobytes(), "little")
+    lane_mask = int.from_bytes(((1 << b) - 1).to_bytes(width // 8, "little") * n, "little")
+    return [(packed >> shift) & lane_mask for shift in range(0, b * ceil_div(p, b), b)]
 
 
 @dataclass(frozen=True)
@@ -145,21 +188,26 @@ def execute_dot(
     The result is the exact integer dot product a dot w; the trace
     reconstructs it as the sum of each step's sum shifted by its shift.
     """
-    if len(a) != len(w):
-        raise ValueError(f"vector lengths differ: {len(a)} vs {len(w)}")
-    if not a:  # no element to check, so the schedule's checks of p_a, p_w and b come first
+    n = len(a)
+    if n != len(w):
+        raise ValueError(f"vector lengths differ: {n} vs {len(w)}")
+    if not n:  # no element to check, so the schedule's checks of p_a, p_w and b come first
         build_schedule(p_a, p_w, b, mode)
-    ad = slice_vector(a, p_a, b)  # ad[i][j] = slice i of element j
-    wd = slice_vector(w, p_w, b)
+    check_operand(a, p_a, b)
+    check_operand(w, p_w, b)
+    width = field_width(p_a, p_w, b, n)
+    ad = slice_vector(a, p_a, b, width)  # ad[i] = slice i of every element of a, element j in field j
+    wd = slice_vector(w, p_w, b, width, reverse=True)  # element j of w in field n-1-j
     schedule = build_schedule(p_a, p_w, b, mode)
+    # one wavelength lane per element pair: field n-1 of a slice product is the photodetector sum
+    top, field = width * max(n - 1, 0), (1 << width) - 1  # an empty vector's products are all 0
     if mode == FC:
-        # one wavelength lane per element pair; the photodetector sums the lanes
-        step_sums = tuple([sum(map(mul, ad[ai], wd[wi])) for ai, wi in schedule.steps])
+        step_sums = tuple([(ad[ai] * wd[wi] >> top) & field for ai, wi in schedule.steps])
     else:
         # one lane per weight slice, each lane's sum times its ladder gain 2^(b*k)
         gains = range(0, b * len(wd), b)
         step_sums = tuple([
-            sum([sum(map(mul, ad[ai], wk)) << g for wk, g in zip(wd, gains)])
+            sum([((ad[ai] * wk >> top) & field) << g for wk, g in zip(wd, gains)])
             for ai, _ in schedule.steps
         ])
     trace = DotTrace(schedule, step_sums)

@@ -148,7 +148,7 @@ def test_engine_traces_of_conv_chunks_count_the_model_actions(b):
             work += 1
             n, (a_imprints, w_imprints) = trace.schedule.n_steps, trace.schedule.imprints
             steps.add(n)
-            slice_rows = len(bse.slice_vector(w, layer.weight_bits, b))
+            slice_rows = wir.ceil_div(layer.weight_bits, b)
             counts[ACT_DAC] += len(a) * n
             counts[VCSEL] += len(a) * n
             for device in (W_DAC, PD, SOA):  # one per weight-slice row and step
@@ -563,6 +563,16 @@ def test_laser_feasible_at_reference_scale():
 
 def test_max_power_zero_units():
     assert am.max_power(am.ArchConfig(v=4, k=4, b=4, V=0, K=0), am.MvuCache(DEFAULT_CATALOG)) == 0.0
+
+
+@pytest.mark.parametrize("v, k, V, K, watts", [(100000, 9, 0, 2, 0.0831), (9, 100000, 2, 0, 0.1495)])
+def test_max_power_skips_an_absent_kind_whose_unit_power_is_inf(v, k, V, K, watts):
+    # the absent kind's unit is so wide that its laser power is past the float range, and 0 x inf is NaN
+    units = am.MvuCache(DEFAULT_CATALOG)
+    (kind, width, count), absent = ((wir.CONV, k, K), (wir.FC, v)) if V == 0 else ((wir.FC, v, V), (wir.CONV, k))
+    assert units.unit_power_mw(*absent, 4) == math.inf
+    power = am.max_power(am.ArchConfig(v=v, k=k, b=4, V=V, K=K), units)
+    assert power == count * units.unit_power_mw(kind, width, 4) * 1e-3 == pytest.approx(watts, abs=5e-5)
 
 
 def test_max_power_hand_sum_single_fc_unit():

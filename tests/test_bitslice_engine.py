@@ -1,4 +1,5 @@
 import random
+import struct
 from collections import Counter
 from itertools import product
 
@@ -7,6 +8,10 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from bitwave import bitslice_engine as bse
+from bitwave import workload_ir as wir
+
+#: struct's standard-size unsigned code for each field of 1, 2, 4 and 8 bytes
+STRUCT_CODES = {1: "B", 2: "H", 4: "I", 8: "Q"}
 
 # the worked two-element example used throughout: 49*52 + 13*20 = 2808
 GOLD_A = [0x31, 0x0D]
@@ -14,8 +19,38 @@ GOLD_W = [0x34, 0x14]
 
 
 def slices_of(x, p, b):
-    """The ceil(p/b) base-2^b digits of one value, LSB first, as :func:`bse.slice_vector` gives them."""
-    return [digits[0] for digits in bse.slice_vector([x], p, b)]
+    """The ceil(p/b) base-2^b digits of one p-bit value, LSB first, each masked out on its own.
+
+    This is the oracle's slicing: it shares no code with :mod:`bse`'s packed
+    slices, and raises :func:`bse.check_operand`'s errors for one value.
+    """
+    wir.check_bits("p", p)
+    wir.check_bits("b", b)
+    if not 0 <= x < 1 << p:
+        raise ValueError(f"value {x} out of range for {p}-bit operand")
+    return [(x >> (b * i)) & ((1 << b) - 1) for i in range(-(-p // b))]
+
+
+def fields(word, width, n):
+    """The n ``width``-bit fields of ``word``, field 0 first, read through its little-endian bytes."""
+    size = width // 8
+    data = word.to_bytes(size * n, "little")
+    if size in STRUCT_CODES:
+        return list(struct.unpack(f"<{n}{STRUCT_CODES[size]}", data))
+    return [int.from_bytes(data[size * j:size * (j + 1)], "little") for j in range(n)]
+
+
+def unpacked_slices(values, p, b, width=None, reverse=False):
+    """:func:`bse.slice_vector`'s packed slices as digit lists: ``digits[i][j]`` is field j of slice i."""
+    if width is None:
+        width = bse.field_width(p, p, b, len(values))
+    return [fields(word, width, len(values)) for word in bse.slice_vector(values, p, b, width, reverse)]
+
+
+def engine_slices_of(x, p, b):
+    """The ceil(p/b) digits of one value, LSB first, as :mod:`bse` checks and packs them."""
+    bse.check_operand([x], p, b)
+    return [digits[0] for digits in unpacked_slices([x], p, b)]
 
 
 def reference_execute_dot(a, w, p_a, p_w, b, mode=bse.FC):
@@ -61,61 +96,67 @@ def assert_matches_reference(a, w, p_a, p_w, b, mode):
 
 
 def test_slice_golden_nibbles():
-    assert slices_of(0x31, 8, 4) == [0x1, 0x3]
-    assert slices_of(0x0D, 8, 4) == [0xD, 0x0]
+    assert engine_slices_of(0x31, 8, 4) == [0x1, 0x3]
+    assert engine_slices_of(0x0D, 8, 4) == [0xD, 0x0]
 
 
 def test_slice_zero_pads_to_slice_count():
-    assert slices_of(0, 10, 4) == [0, 0, 0]
-    assert slices_of(0, 8, 8) == [0]
+    assert engine_slices_of(0, 10, 4) == [0, 0, 0]
+    assert engine_slices_of(0, 8, 8) == [0]
 
 
 def test_slice_mask_and_shift_oracle():
-    assert slices_of(0x3FF, 10, 4) == [0xF, 0xF, 0x3]
+    assert engine_slices_of(0x3FF, 10, 4) == [0xF, 0xF, 0x3]
     rng = random.Random(7)
     for _ in range(200):
         p = rng.randint(1, 16)
         b = rng.randint(1, 16)
         x = rng.randrange(1 << p)
         expect = [(x >> (b * i)) & ((1 << b) - 1) for i in range(-(-p // b))]
-        assert slices_of(x, p, b) == expect
+        assert engine_slices_of(x, p, b) == expect == slices_of(x, p, b)
 
 
 def test_slice_range_and_bit_errors():
-    with pytest.raises(ValueError):
-        slices_of(256, 8, 4)
-    with pytest.raises(ValueError):
-        slices_of(-1, 8, 4)
-    with pytest.raises(ValueError):
-        slices_of(1, 0, 4)
-    with pytest.raises(ValueError):
-        slices_of(1, 17, 4)
-    with pytest.raises(ValueError):
-        slices_of(1, 8, 0)
+    for slices in (engine_slices_of, slices_of):
+        with pytest.raises(ValueError):
+            slices(256, 8, 4)
+        with pytest.raises(ValueError):
+            slices(-1, 8, 4)
+        with pytest.raises(ValueError):
+            slices(1, 0, 4)
+        with pytest.raises(ValueError):
+            slices(1, 17, 4)
+        with pytest.raises(ValueError):
+            slices(1, 8, 0)
 
 
 def test_slice_vector_is_per_element_slicing_transposed():
     values = [0x31, 0x0D, 0x00, 0xFF]
-    digits = bse.slice_vector(values, 8, 4)
+    digits = unpacked_slices(values, 8, 4)
     assert digits == [[0x1, 0xD, 0x0, 0xF], [0x3, 0x0, 0x0, 0xF]]
+    assert unpacked_slices(values, 8, 4, reverse=True) == [[0xF, 0x0, 0xD, 0x1], [0xF, 0x0, 0x0, 0x3]]
     rng = random.Random(3)
     for _ in range(200):
         p = rng.randint(1, 16)
         b = rng.randint(1, 16)
         values = [rng.randrange(1 << p) for _ in range(rng.randint(1, 8))]
-        per_element = [slices_of(x, p, b) for x in values]
-        assert bse.slice_vector(values, p, b) == [list(col) for col in zip(*per_element)]
+        want = [list(col) for col in zip(*[slices_of(x, p, b) for x in values])]
+        # every width the packing takes, up to fields of four 64-bit words
+        for width in (8, 16, 32, 64, 128, 256):
+            if width >= b * -(-p // b):
+                assert unpacked_slices(values, p, b, width) == want
+                assert unpacked_slices(values, p, b, width, reverse=True) == [col[::-1] for col in want]
 
 
-def test_slice_vector_reports_first_bad_element():
+def test_check_operand_reports_first_bad_element():
     with pytest.raises(ValueError, match=r"^value 300 out of range for 8-bit operand$"):
-        bse.slice_vector([1, 300, -1, 256], 8, 4)
+        bse.check_operand([1, 300, -1, 256], 8, 4)
     with pytest.raises(ValueError, match=r"^value -1 out of range for 8-bit operand$"):
-        bse.slice_vector([1, -1, 300], 8, 4)
+        bse.check_operand([1, -1, 300], 8, 4)
     with pytest.raises(ValueError, match=r"^value 300 out of range for 8-bit operand$"):
-        bse.slice_vector([0, 300], 8, 4)
+        bse.check_operand([0, 300], 8, 4)
     with pytest.raises(ValueError, match=r"^p must be an int in \[1, 16\], got 17$"):
-        bse.slice_vector([1 << 17], 17, 4)
+        bse.check_operand([1 << 17], 17, 4)
 
 
 def test_slice_round_trip_exhaustive():
@@ -123,7 +164,7 @@ def test_slice_round_trip_exhaustive():
     for p in range(1, 17):
         values = range(1 << p)
         for b in range(1, 17):
-            digits = bse.slice_vector(values, p, b)
+            digits = unpacked_slices(values, p, b)
             assert len(digits) == -(-p // b)
             rebuilt = [0] * len(values)
             for i, column in enumerate(digits):
@@ -173,7 +214,12 @@ def test_schedule_conv_lanes_marked_parallel():
 
 def test_schedule_coverage_exhaustive():
     # with the round trip above, this proves execute_dot exact for every operand vector,
-    # because the dot product is bilinear in the slices (CONV's weight shift b*k is the lane's)
+    # because the dot product is bilinear in the slices (CONV's weight shift b*k is the lane's),
+    # given the lane-field law W >= max(b*ceil(p_a/b), b*ceil(p_w/b), 2b + n.bit_length()):
+    # the first two terms keep a shifted slice clear of the next field, and the last holds
+    # a sum of n lane products, each below 2^(2b), so field n-1 of a slice product carries
+    # nothing into the next field and is exactly the step's sum of lane products
+    # (test_field_width_keeps_the_lane_law checks field_width against the law)
     for p_a, p_w, b in product(range(1, 17), repeat=3):
         n_a, n_w = -(-p_a // b), -(-p_w // b)
         fc = bse.build_schedule(p_a, p_w, b, bse.FC)
@@ -295,6 +341,31 @@ def test_execute_dot_all_ones_on_every_schedule():
         a, w = [(1 << p_a) - 1] * 2, [(1 << p_w) - 1] * 2
         for mode in (bse.FC, bse.CONV):
             assert_matches_reference(a, w, p_a, p_w, b, mode)
+
+
+def test_field_width_keeps_the_lane_law():
+    # the smallest power of two of at least 8 bits that holds both shifted slices and n lane products
+    for p_a, p_w, b in product(range(1, 17), repeat=3):
+        for n in (0, 1, 2, 15, 16, 63, 64, 255, 256, 511, 1 << 40):
+            width = bse.field_width(p_a, p_w, b, n)
+            need = max(b * -(-p_a // b), b * -(-p_w // b), 2 * b + n.bit_length())
+            assert width >= max(8, need) and width & (width - 1) == 0
+            assert width == 8 or width // 2 < need
+
+
+# (b, p, n0): 2b + n.bit_length() crosses a field width between n0 - 1 and n0,
+# 8 -> 16, 16 -> 32 and 32 -> 64 bits; 2 * n0 - 1 elements of all-ones slices sum to more
+# than the narrower field holds, so a law one bit short of 2b + n.bit_length() overflows there
+LANE_WIDTH_CROSSINGS = [(2, 8, 16), (4, 16, 256), (12, 12, 256), (14, 14, 16)]
+
+
+@pytest.mark.parametrize("b, p, n0", LANE_WIDTH_CROSSINGS)
+@pytest.mark.parametrize("mode", [bse.FC, bse.CONV])
+def test_execute_dot_all_ones_across_lane_width_crossings(b, p, n0, mode):
+    assert bse.field_width(p, p, b, n0 - 1) < bse.field_width(p, p, b, n0)
+    for n in (n0 - 1, n0, 2 * n0 - 1):
+        ones = [(1 << p) - 1] * n
+        assert_matches_reference(ones, ones, p, p, b, mode)
 
 
 @pytest.mark.parametrize("a, w, error, message", [

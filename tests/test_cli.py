@@ -459,6 +459,11 @@ def test_validate_custom_bit_ranges(capsys):
                "--p-bits", "16", "--b-bits", "1,3,5"])
     assert rc == 0
     assert "50/50 ok" in capsys.readouterr().out
+    # slices wider than 8 bits, which the default sets never draw, reach 64-bit lane fields
+    rc = main(["validate", "--trials", "2000", "--seed", "3",
+               "--p-bits", "1,9,16", "--b-bits", "9,12,16"])
+    assert rc == 0
+    assert capsys.readouterr().out == "2000/2000 ok\ntrial digest: d7cd01f1e9f40a3b\n"
 
 
 def test_validate_digest_pinned(tmp_path, monkeypatch, capsys):

@@ -59,6 +59,8 @@ def test_adc_selection_rules():
 def test_aggregate_photoloss_single_and_empty():
     assert aggregate_photoloss([("waveguide_cm", 1.0)], LossModel()) == pytest.approx(1.0)
     assert aggregate_photoloss([], LossModel()) == 0.0
+    # a 1-wide unit's rings pass no other wavelength: zero through-rings cost nothing
+    assert aggregate_photoloss([("mr_through", 0.0), ("waveguide_cm", 1.0)], LossModel()) == pytest.approx(1.0)
 
 
 def test_aggregate_photoloss_hand_sum():

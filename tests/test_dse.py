@@ -146,6 +146,13 @@ def test_geomean_is_scale_free():
     assert dse._aggregate(vals, "min") == pytest.approx(2.0)
 
 
+def test_geomean_of_a_score_at_or_below_zero_is_zero():
+    for worst in (0.0, -1.0):
+        assert dse._aggregate([worst, 4.0], "geomean") == 0.0
+        assert dse._aggregate([4.0, worst], "geomean") == 0.0
+    assert dse._aggregate([0.25, 4.0], "geomean") == pytest.approx(1.0)  # a score below 1 is not zero
+
+
 def test_search_space_file_round_trip(tmp_path):
     path = tmp_path / "space.json"
     path.write_text(
