@@ -24,13 +24,14 @@ and how many of it one unit holds. ``layer_actions`` counts a layer's
 actions per row; a layer's energy sums action count x power x active time
 over the table, and a unit's peak power sums device count x power over the
 same rows. A run of layers (``RunCost``) takes its step period once and each
-unit's table once per (unit, plan) from an ``MvuCache``, whose caches are
-per instance and die with it; a layer's cost (``LayerCost``) holds only its
-work, steps and energy. A model's latency and energy are its layers'
-latencies and energies added left to right in layer order
-(``float_sum``, the same float on every Python); ``model_latency_s`` and
-``model_energy_j`` are the one home of that law, which ``simulate_inference``
-calls on fresh caches and ``dse.explore`` on shared ones.
+unit's table once per (unit, plan) from an ``MvuCache``, which also keeps a
+run's layer latencies per unit count; its caches are per instance and die
+with it. A layer's cost (``LayerCost``) holds only its work, steps and
+energy. A model's latency and energy are its layers' latencies and energies
+added left to right in layer order (``float_sum``, the same float on every
+Python); ``model_latency_s`` and ``model_energy_j`` are the one home of
+that law, which ``simulate_inference`` calls on fresh caches and
+``dse.explore`` on shared ones.
 
 * DACs hold analog values for the whole step: one per active wavelength lane
   (input bank) plus one per active output row/waveguide (weight side,
@@ -195,6 +196,8 @@ class MvuCache:
     table. ``unit_power_mw(kind, width, b)`` is that power on the bit-sliced
     plan, CONV units sized for the widest operand (16-bit weights at slice width b).
 
+    ``latencies(run, n_units)`` is a run's layer latencies on ``n_units`` units.
+
     Each is a ``functools.cache`` made per instance that holds no reference to
     the instance, so the caches die with it. One simulation builds its own; a
     search builds one per call and shares it across every configuration.
@@ -209,6 +212,9 @@ class MvuCache:
             lambda spec, cp: float_sum(n * p_mw for p_mw, _, n in tables(spec, cp)))
         self.unit_power_mw = functools.cache(lambda kind, width, b: active(
             specs(kind, width, width if kind == wir.FC else ceil_div(MAX_BITS, b)), bitwave_plan(kind, b)))
+        # place_layer is looked up at call time, so a patched one sees every placement
+        self.latencies = functools.cache(
+            lambda run, n_units: [place_layer(c, n_units, run.period_ns)[2] for c in run.costs])
 
 
 def unit_count(kind: str, cfg: ArchConfig) -> int:
@@ -426,13 +432,12 @@ def kind_runs(model: wir.WorkloadModel) -> list[tuple[str, tuple[wir.LayerSpec, 
     return [(kind, tuple([*run])) for kind, run in itertools.groupby(model.layers, key=lambda l: l.kind)]
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True, slots=True, eq=False)
 class RunCost:
     """A run's layers, plan and step period, their specs and costs, and the laser power it needs.
 
-    ``laser_dbm`` is the largest ``min_laser_dbm`` of the specs. ``latencies``
-    maps a unit count to the layers' latencies on that many units;
-    ``model_latency_s`` fills it on first use.
+    ``laser_dbm`` is the largest ``min_laser_dbm`` of the specs. Hashed by
+    identity, so a cache lookup does not hash every ``LayerSpec`` of the run.
     """
 
     kind: str
@@ -442,7 +447,6 @@ class RunCost:
     specs: tuple[MvuSpec, ...]
     costs: tuple[LayerCost, ...]
     laser_dbm: float
-    latencies: dict[int, list[float]] = field(default_factory=dict, compare=False, repr=False)
 
 
 def run_cost(
@@ -495,15 +499,11 @@ def model_energy_j(runs: list[RunCost]) -> float:
     return float_sum([c.energy_j for run in runs for c in run.costs])
 
 
-def model_latency_s(runs: list[RunCost], cfg: ArchConfig) -> float:
-    """A model's latency under ``cfg``'s unit counts: its layers' latencies added in layer order."""
+def model_latency_s(runs: list[RunCost], cfg: ArchConfig, units: MvuCache) -> float:
+    """A model's latency under ``cfg``'s unit counts: its layers' latencies from ``units``, added in layer order."""
     terms: list[float] = []
     for run in runs:
-        n_units = unit_count(run.kind, cfg)
-        latencies = run.latencies.get(n_units)
-        if latencies is None:
-            latencies = run.latencies[n_units] = [place_layer(c, n_units, run.period_ns)[2] for c in run.costs]
-        terms += latencies
+        terms += units.latencies(run, unit_count(run.kind, cfg))
     return float_sum(terms)
 
 
@@ -545,7 +545,7 @@ def _simulate(
             ))
             peak_mw = max(peak_mw, used * units.active_power_mw(spec, run.plan))
 
-    latency = model_latency_s(runs, cfg)
+    latency = model_latency_s(runs, cfg, units)
     energy = model_energy_j(runs)
     macs = sum(r.macs for r in per_layer)
     bits = sum(r.processed_bits for r in per_layer)

@@ -21,19 +21,25 @@ The search only memoizes ``arch_model``: it prices each configuration with
 ``am.model_energy_j``, as ``simulate_inference`` does, so every result is
 bit-identical to ``max_power`` plus ``simulate_inference`` on each
 configuration. Each model splits once into runs of same-kind layers
-(``kind_runs``), and its MAC and processed-bit totals are taken once. A run is
-costed (``run_cost``, on the converters of ``bitwave_plan(kind, b)``) once per
-(model, run, width, b), with width v for FC and k for CONV, and keeps its
-layers' latencies per unit count; one unit cache serves the whole search, so
-each unit's device table is built once per (unit, plan).
+(``kind_runs``), and its MAC and processed-bit totals are taken once. Three
+memos hold the rest, each with one owner:
 
-Configurations are enumerated in (v, k, b, V, K) order, so they come in
-groups of one (v, k, b). The search walks the groups and prepares each model
-once per group: its runs and its energy. A run's laser verdict is fixed
-within a group, so ``check_runs`` reads a configuration only through V >= 1
-and K >= 1; it runs once per (model, group, V >= 1, K >= 1) and its outcome
-is reused. A configuration that passes then costs one ``model_latency_s``
-and one ``efficiency`` per model.
+* ``run_costs`` in ``explore``: a run is costed (``run_cost``, on the
+  converters of ``bitwave_plan(kind, b)``) once per (model, run, width, b),
+  with width v for FC and k for CONV.
+* One dict per (v, k, b) group in ``explore``. Configurations are enumerated
+  in (v, k, b, V, K) order, so they come in such groups, and a run's laser
+  verdict is fixed within one: ``check_runs`` reads a configuration only
+  through V >= 1 and K >= 1. The dict maps (model, V >= 1, K >= 1) to None
+  if ``check_runs`` finds a failing unit, else to the model's runs and its
+  ``model_energy_j``; it is dropped before the next group. A ValueError is
+  never stored: it propagates from the first configuration that meets it.
+* ``MvuCache.latencies`` on the one unit cache of the search: a run's layer
+  latencies once per unit count. The same cache builds each unit's device
+  table once per (unit, plan).
+
+A configuration under the power cap then costs one ``model_latency_s`` and
+one ``efficiency`` per model.
 """
 
 import itertools
@@ -138,14 +144,7 @@ def explore(
     rejected at that model, and a ValueError (V=0 or K=0 with layers that
     need them) propagates. Model names must differ: scores are keyed by name.
 
-    Configurations are walked one (v, k, b) group at a time. A model is
-    prepared (its runs costed, its energy from ``am.model_energy_j``) at the
-    first configuration of a group that reaches it, and whether
-    ``am.check_runs`` finds a unit whose laser budget fails is kept per
-    (model, V >= 1, K >= 1) within the group, since the laser verdicts do
-    not change inside it. A ValueError is never kept: it propagates from the
-    first configuration that meets it. Latencies come from
-    ``am.model_latency_s``, the one law ``simulate_inference`` uses too.
+    The module docstring describes the memos that make this cheap.
     """
     if not models:
         raise ValueError("explore needs at least one workload model")
@@ -162,11 +161,11 @@ def explore(
     names = [m.name for m in models]
     # no configuration changes a model's MACs or processed bits
     totals = [(wir.mac_count(m), wir.processed_bits(m)) for m in models]
-    # (model, run, width, b) -> its cost, which keeps its latencies per unit count
+    # (model, run, width, b) -> its cost
     run_costs: dict[tuple, am.RunCost] = {}
 
-    def prepare(mi: int, cfg: am.ArchConfig) -> tuple[list[am.RunCost], float]:
-        """Model ``mi`` at cfg's (v, k, b): its runs and its energy."""
+    def prepare(mi: int, cfg: am.ArchConfig) -> tuple[list[am.RunCost], float] | None:
+        """Model ``mi`` at cfg: None if a unit's laser budget fails, else its runs and its energy."""
         runs = []
         for ri, (kind, layers) in enumerate(model_runs[mi]):
             key = (mi, ri, am.unit_width(kind, cfg), cfg.b)
@@ -174,36 +173,30 @@ def explore(
             if run is None:
                 run = run_costs[key] = am.run_cost(kind, layers, am.bitwave_plan(kind, cfg.b), cfg, units)
             runs.append(run)
+        if am.check_runs(runs, cfg) is not None:
+            return None
         return runs, am.model_energy_j(runs)
 
     evaluated: list[EvaluatedConfig] = []
     rejected = {"laser": 0, "max_power": 0}
     cap = cons.max_power_w
-    # Configurations come grouped by (v, k, b). Each model is prepared once
-    # per group, at the first configuration that scores it, and dropped
-    # before the next group.
     for _, group in itertools.groupby(configs, key=lambda c: (c.v, c.k, c.b)):
-        prepared: list = [None] * len(models)
-        # a run's laser verdict is fixed in a group, so check_runs reads a
-        # configuration only through V >= 1 and K >= 1
-        verdicts: dict[tuple, bool] = {}
+        # (model, V >= 1, K >= 1) -> prepare's outcome, for this group only
+        checked: dict[tuple, tuple[list[am.RunCost], float] | None] = {}
         for cfg in group:
             power = am.max_power(cfg, units)
             if cap is not None and power > cap:
                 rejected["max_power"] += 1
                 continue
-            units_on = (cfg.V > 0, cfg.K > 0)
             scores = []
-            for mi, entry in enumerate(prepared):
-                if entry is None:
-                    entry = prepared[mi] = prepare(mi, cfg)
-                runs, energy = entry
-                ok = verdicts.get((mi, units_on))
-                if ok is None:
-                    ok = verdicts[mi, units_on] = am.check_runs(runs, cfg) is None
-                if not ok:
+            for mi in range(len(models)):
+                key = (mi, cfg.V >= 1, cfg.K >= 1)
+                if key not in checked:
+                    checked[key] = prepare(mi, cfg)
+                if checked[key] is None:
                     break
-                scores.append(ModelScore(*am.efficiency(am.model_latency_s(runs, cfg), energy, *totals[mi])))
+                runs, energy = checked[key]
+                scores.append(ModelScore(*am.efficiency(am.model_latency_s(runs, cfg, units), energy, *totals[mi])))
             if len(scores) < len(models):
                 rejected["laser"] += 1
                 continue

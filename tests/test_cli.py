@@ -874,3 +874,56 @@ def test_capped_explore_artifacts_byte_identical(tmp_path, repo_root, monkeypatc
     digests = {name: hashlib.sha256((tmp_path / "out" / name).read_bytes()).hexdigest()[:16]
                for name in CAPPED_ARTIFACTS}
     assert digests == CAPPED_ARTIFACTS
+
+
+# The benchmark's dse_sweep grid, 4,096 configurations, under its laser
+# ceiling and a power cap that rejects about a quarter of them
+SWEEP_SPACE = {
+    "v": list(range(8, 129, 8)),
+    "k": list(range(4, 65, 4)),
+    "b": [1, 2, 4, 8],
+    "V": [100, 200],
+    "K": [50, 100],
+    "constraints": {"laser_ceiling_dbm": 30.0, "max_power_w": 200.0},
+}
+# sha256 (first 16 hex digits), recorded before the run latencies moved into
+# MvuCache and explore kept one memo per (v, k, b) group
+SWEEP_ARTIFACTS = {
+    "ranking.csv": "daa3721e00a66b47",
+    "best.json": "3b1c7ce336583a2c",
+}
+
+
+def test_sweep_explore_artifacts_byte_identical(tmp_path, repo_root, monkeypatch, capsys):
+    import shutil
+
+    (tmp_path / "models").mkdir()
+    for path in BASE_MODELS:
+        shutil.copy(repo_root / path, tmp_path / path)
+    (tmp_path / "grid.json").write_text(json.dumps(SWEEP_SPACE))
+    monkeypatch.chdir(tmp_path)
+    assert main(["explore", *BASE_MODELS, "--space", "grid.json", "--out-dir", "out"]) == 0
+    capsys.readouterr()
+    best = json.loads((tmp_path / "out" / "best.json").read_text())
+    assert best["diagnostics"] == {"laser": 0, "max_power": 1068}
+    assert best["evaluated"] == 3028
+    digests = {name: hashlib.sha256((tmp_path / "out" / name).read_bytes()).hexdigest()[:16]
+               for name in SWEEP_ARTIFACTS}
+    assert digests == SWEEP_ARTIFACTS
+
+
+def test_traced_names_exist_and_are_callable(repo_root):
+    """Every function the benchmark's tracer wraps is still a callable module attribute."""
+    import importlib.util
+
+    from bitwave import arch_model, device_catalog, dse, workload_ir
+
+    spec = importlib.util.spec_from_file_location("bench_tracing", repo_root / "bench" / "tracing.py")
+    tracing = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracing)
+    mods = {"am": arch_model, "bse": bse, "dc": device_catalog, "dse": dse, "wir": workload_ir}
+    targets = [target for target, _ in (*tracing.SPANS, *tracing.COUNTED)]
+    assert targets
+    for target in targets:
+        mod_key, attr = target.split(".")
+        assert callable(getattr(mods[mod_key], attr, None)), target

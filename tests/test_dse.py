@@ -301,8 +301,11 @@ def test_explore_builds_each_plan_cost_and_latency_term_once(monkeypatch):
     model_of = {id(l): m.name for m in models for l in m.layers}
     built = {}  # id(cost) -> (model, layer, width, b)
     keep = []  # every cost stays alive, so no id is reused
-    cost_keys, term_keys, check_keys = [], [], []
+    cost_keys, term_keys, check_keys, energy_keys = [], [], [], []
+    failed = set()  # check keys whose check_runs returned a unit
+    priced = []  # the configuration explore priced last
     layer_cost, place_layer, check_runs = am.layer_cost, am.place_layer, am.check_runs
+    max_power, model_energy_j = am.max_power, am.model_energy_j
 
     def counted_cost(layer, cfg, *args):
         cost = layer_cost(layer, cfg, *args)
@@ -316,9 +319,23 @@ def test_explore_builds_each_plan_cost_and_latency_term_once(monkeypatch):
         term_keys.append((*built[id(cost)], n_units))
         return place_layer(cost, n_units, period_ns)
 
+    def run_key(runs, cfg):
+        return (model_of[id(runs[0].layers[0])], cfg.v, cfg.k, cfg.b, cfg.V >= 1, cfg.K >= 1)
+
     def counted_check(runs, cfg):
-        check_keys.append((model_of[id(runs[0].layers[0])], cfg.v, cfg.k, cfg.b, cfg.V >= 1, cfg.K >= 1))
-        return check_runs(runs, cfg)
+        check_keys.append(run_key(runs, cfg))
+        spec = check_runs(runs, cfg)
+        if spec is not None:
+            failed.add(check_keys[-1])
+        return spec
+
+    def priced_power(cfg, units):
+        priced[:] = [cfg]
+        return max_power(cfg, units)
+
+    def counted_energy(runs):
+        energy_keys.append(run_key(runs, priced[0]))
+        return model_energy_j(runs)
 
     def no_simulate(*args):
         raise AssertionError("explore simulates a configuration")
@@ -326,11 +343,15 @@ def test_explore_builds_each_plan_cost_and_latency_term_once(monkeypatch):
     monkeypatch.setattr(am, "layer_cost", counted_cost)
     monkeypatch.setattr(am, "place_layer", counted_place)
     monkeypatch.setattr(am, "check_runs", counted_check)
+    monkeypatch.setattr(am, "max_power", priced_power)
+    monkeypatch.setattr(am, "model_energy_j", counted_energy)
     monkeypatch.setattr(am, "_simulate", no_simulate)
     result = dse.explore(models, with_constraints(MIXED, laser_ceiling_dbm=LASER_CEILING_DBM))
     assert result.ranked and result.diagnostics["laser"] > 0
-    for keys in (cost_keys, term_keys, check_keys):
+    for keys in (cost_keys, term_keys, check_keys, energy_keys):
         assert keys and len(keys) == len(set(keys))
+    # no energy is computed for a model whose laser budget fails
+    assert failed and not failed & set(energy_keys)
 
 
 def test_explore_counts_each_layers_macs_only_for_the_model_totals(monkeypatch):
