@@ -25,13 +25,16 @@ actions per row; a layer's energy sums action count x power x active time
 over the table, and a unit's peak power sums device count x power over the
 same rows. A run of layers (``RunCost``) takes its step period once and each
 unit's table once per (unit, plan) from an ``MvuCache``, which also keeps a
-run's layer latencies per unit count; its caches are per instance and die
-with it. A layer's cost (``LayerCost``) holds only its work, steps and
+run's layer latencies per unit count and their sum; its caches are per
+instance and die with it. A run also keeps the sum of its layers'
+energies. A layer's cost (``LayerCost``) holds only its work, steps and
 energy. A model's latency and energy are its layers' latencies and energies
 added left to right in layer order (``float_sum``, the same float on every
 Python); ``model_latency_s`` and ``model_energy_j`` are the one home of
 that law, which ``simulate_inference`` calls on fresh caches and
-``dse.explore`` on shared ones.
+``dse.explore`` on shared ones. Each starts from its first run's cached
+sum, the same float as the running total after that run, and adds every
+later layer term by term.
 
 * DACs hold analog values for the whole step: one per active wavelength lane
   (input bank) plus one per active output row/waveguide (weight side,
@@ -58,6 +61,7 @@ immutable values and safe to share across threads.
 import functools
 import itertools
 import math
+import operator
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -196,7 +200,9 @@ class MvuCache:
     table. ``unit_power_mw(kind, width, b)`` is that power on the bit-sliced
     plan, CONV units sized for the widest operand (16-bit weights at slice width b).
 
-    ``latencies(run, n_units)`` is a run's layer latencies on ``n_units`` units.
+    ``latencies(run, n_units)`` is a run's layer latencies on ``n_units`` units
+    and ``latency_s(run, n_units)`` their ``float_sum``, the running total
+    of a model's latency after that run when the run is the model's first.
 
     Each is a ``functools.cache`` made per instance that holds no reference to
     the instance, so the caches die with it. One simulation builds its own; a
@@ -213,8 +219,9 @@ class MvuCache:
         self.unit_power_mw = functools.cache(lambda kind, width, b: active(
             specs(kind, width, width if kind == wir.FC else ceil_div(MAX_BITS, b)), bitwave_plan(kind, b)))
         # place_layer is looked up at call time, so a patched one sees every placement
-        self.latencies = functools.cache(
+        self.latencies = latencies = functools.cache(
             lambda run, n_units: [place_layer(c, n_units, run.period_ns)[2] for c in run.costs])
+        self.latency_s = functools.cache(lambda run, n_units: float_sum(latencies(run, n_units)))
 
 
 def unit_count(kind: str, cfg: ArchConfig) -> int:
@@ -436,8 +443,9 @@ def kind_runs(model: wir.WorkloadModel) -> list[tuple[str, tuple[wir.LayerSpec, 
 class RunCost:
     """A run's layers, plan and step period, their specs and costs, and the laser power it needs.
 
-    ``laser_dbm`` is the largest ``min_laser_dbm`` of the specs. Hashed by
-    identity, so a cache lookup does not hash every ``LayerSpec`` of the run.
+    ``energy_j`` is the ``float_sum`` of the costs' energies. ``laser_dbm`` is
+    the largest ``min_laser_dbm`` of the specs. Hashed by identity, so a
+    cache lookup does not hash every ``LayerSpec`` of the run.
     """
 
     kind: str
@@ -446,6 +454,7 @@ class RunCost:
     period_ns: float
     specs: tuple[MvuSpec, ...]
     costs: tuple[LayerCost, ...]
+    energy_j: float
     laser_dbm: float
 
 
@@ -469,7 +478,8 @@ def run_cost(
         specs = tuple([units.spec(wir.CONV, cfg.k, slice_counts(l, plan)[1]) for l in layers])
     period = _step_period_ns(cfg, units.catalog, plan)
     costs = tuple([layer_cost(l, cfg, plan, units.table(spec, plan), period) for l, spec in zip(layers, specs)])
-    return RunCost(kind, layers, plan, period, specs, costs, max([spec.min_laser_dbm for spec in specs]))
+    return RunCost(kind, layers, plan, period, specs, costs, float_sum([c.energy_j for c in costs]),
+                   max([spec.min_laser_dbm for spec in specs]))
 
 
 def check_runs(runs: list[RunCost], cfg: ArchConfig) -> MvuSpec | None:
@@ -494,17 +504,32 @@ def check_runs(runs: list[RunCost], cfg: ArchConfig) -> MvuSpec | None:
     return None
 
 
+# ``float_sum`` adds left to right from 0.0, so a model's first run's sum is the
+# same float as the running total after that run: both totals start from it.
+
+
 def model_energy_j(runs: list[RunCost]) -> float:
-    """A model's energy: its layers' energies added in layer order."""
-    return float_sum([c.energy_j for run in runs for c in run.costs])
+    """A model's energy: its layers' energies added in layer order, from its first run's ``energy_j``."""
+    if not runs:
+        return 0.0
+    total = runs[0].energy_j
+    for run in runs[1:]:
+        total = functools.reduce(operator.add, [c.energy_j for c in run.costs], total)
+    return total
 
 
 def model_latency_s(runs: list[RunCost], cfg: ArchConfig, units: MvuCache) -> float:
-    """A model's latency under ``cfg``'s unit counts: its layers' latencies from ``units``, added in layer order."""
-    terms: list[float] = []
-    for run in runs:
-        terms += units.latencies(run, unit_count(run.kind, cfg))
-    return float_sum(terms)
+    """A model's latency under ``cfg``'s unit counts: its layers' latencies from ``units``, added in layer order.
+
+    The first run's terms come as its cached ``units.latency_s``.
+    """
+    if not runs:
+        return 0.0
+    first = runs[0]
+    total = units.latency_s(first, unit_count(first.kind, cfg))
+    for run in runs[1:]:
+        total = functools.reduce(operator.add, units.latencies(run, unit_count(run.kind, cfg)), total)
+    return total
 
 
 def _simulate(

@@ -87,6 +87,15 @@ def _render_csv(name: str, manifest: dict, header: list[str], rows: list[list]) 
     return buf.getvalue()
 
 
+def _number_line(cells: list) -> str:
+    """One CSV line of ints and floats: the text ``csv.writer`` writes for them.
+
+    ``csv`` writes an int or a float with ``str``, which equals ``repr`` for
+    both, and a number never needs quoting.
+    """
+    return ",".join(map(repr, cells)) + "\n"
+
+
 def _write(out_dir: str, artifacts: dict[str, str]) -> None:
     """Write each rendered artifact (file name -> text) into ``out_dir``, replacing none unless all can be.
 
@@ -193,15 +202,19 @@ def cmd_explore(args) -> int:
     model_names = [m.name for m in models]
     for name in model_names:
         header += [f"{name}_epb", f"{name}_gops_per_epb"]
-    rows = []
+    # the manifest and header go through csv, which quotes a model name where it must;
+    # every data cell is an int or a float, so each row is one _number_line
+    lines = [_render_csv("ranking.csv", manifest, header, [])]
     for rank, entry in enumerate(result.ranked):
         c = entry.config
-        row = [rank, c.v, c.k, c.b, c.V, c.K, entry.score, entry.max_power_w]
+        floats = [entry.score, entry.max_power_w]
         for name in model_names:
             score = entry.per_model[name]
-            row += [score.epb_j_per_bit, score.gops_per_epb]
-        rows.append(row)
-    ranking = _render_csv("ranking.csv", manifest, header, rows)
+            floats += [score.epb_j_per_bit, score.gops_per_epb]
+        if not all(map(math.isfinite, floats)):
+            raise ValueError(_NON_FINITE.format("ranking.csv"))
+        lines.append(_number_line([rank, c.v, c.k, c.b, c.V, c.K, *floats]))
+    ranking = "".join(lines)
 
     best_payload: dict = {
         "infeasible_count": result.infeasible_count,

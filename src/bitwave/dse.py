@@ -34,12 +34,15 @@ memos hold the rest, each with one owner:
   if ``check_runs`` finds a failing unit, else to the model's runs and its
   ``model_energy_j``; it is dropped before the next group. A ValueError is
   never stored: it propagates from the first configuration that meets it.
-* ``MvuCache.latencies`` on the one unit cache of the search: a run's layer
-  latencies once per unit count. The same cache builds each unit's device
-  table once per (unit, plan).
+* ``MvuCache.latencies`` and ``MvuCache.latency_s`` on the one unit cache of
+  the search: a run's layer latencies, and their sum, once per unit count.
+  The same cache builds each unit's device table once per (unit, plan).
 
 A configuration under the power cap then costs one ``model_latency_s`` and
-one ``efficiency`` per model.
+one ``efficiency`` per model. ``model_latency_s`` starts from the first
+run's cached sum and adds only the later runs' terms: 2, 1 and 3 terms for
+alexnet, resnet20 and svhn_cnn, whose first runs hold 5, 19 and 4 of their
+7, 20 and 7 layers.
 """
 
 import itertools

@@ -353,6 +353,28 @@ def test_report_additivity(repo_root, reference_config_path):
     assert wir.float_sum(l.latency_s for l in by_kind) != rep.latency_s
 
 
+def test_model_totals_equal_every_layer_added_in_layer_order(repo_root, reference_config_path):
+    # each total starts from its first run's cached sum and adds every later
+    # layer term by term: the same float as adding every layer from 0.0
+    ref = am.load_arch_config(reference_config_path)
+    models = [wir.load_workload(p) for p in sorted((repo_root / "models").glob("*.json"))]
+    assert len(models) == 15
+    models += [FC_FIRST, wir.WorkloadModel(name="one_run", layers=SMALL_MODEL.layers[:2]),
+               wir.WorkloadModel(name="none", layers=())]
+    units = am.MvuCache(DEFAULT_CATALOG)
+    for model in models:
+        runs = [am.run_cost(kind, layers, am.bitwave_plan(kind, ref.b), ref, units)
+                for kind, layers in am.kind_runs(model)]
+        assert [l.index for run in runs for l in run.layers] == [l.index for l in model.layers]
+        assert am.model_energy_j(runs) == wir.float_sum(c.energy_j for run in runs for c in run.costs)
+        for V, K in ((1, 1), (2, 3), (ref.V, ref.K), (7, 1000), (999, 5)):
+            cfg = replace(ref, V=V, K=K)
+            latencies = [am.place_layer(c, am.unit_count(run.kind, cfg), run.period_ns)[2]
+                         for run in runs for c in run.costs]
+            assert am.model_latency_s(runs, cfg, units) == wir.float_sum(latencies)
+    assert am.model_latency_s([], ref, units) == am.model_energy_j([]) == 0.0
+
+
 def test_latency_and_energy_monotone_in_unit_counts():
     prev_latency = None
     for units in (1, 2, 4, 8, 16):

@@ -1,6 +1,7 @@
 import argparse
 import csv
 import hashlib
+import io
 import json
 import math
 import random
@@ -8,10 +9,12 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from bitwave import __version__
 from bitwave import bitslice_engine as bse
-from bitwave.cli import _draw_operands, main
+from bitwave.cli import _draw_operands, _number_line, main
 
 
 def write_config(tmp_path: Path, **overrides) -> Path:
@@ -291,6 +294,17 @@ def test_explore_reruns_byte_identical(tmp_path, model_paths, space_path):
     assert main(args) == 0
     assert (out / "ranking.csv").read_bytes() == first_csv
     assert (out / "best.json").read_bytes() == first_json
+
+
+@settings(max_examples=300, derandomize=True, deadline=None)
+@given(st.lists(st.one_of(st.integers(), st.floats(allow_nan=False, allow_infinity=False)), min_size=1))
+@example([-7, 0, 2**63, 2**64 + 1, -(2**70)])
+@example([-0.0, 5e-324, 0.1, 1e16, 1e22, -1e22, 1.7976931348623157e308])
+@example([3, 12, 4, -0.0, 5e-324, 10**30, 0.1, 1e16])
+def test_number_line_is_what_csv_writer_writes(cells):
+    buf = io.StringIO()
+    csv.writer(buf, lineterminator="\n").writerow(cells)
+    assert _number_line(cells) == buf.getvalue()
 
 
 def test_explore_with_no_feasible_configuration_writes_a_null_best(tmp_path, model_paths, capsys):
@@ -735,9 +749,10 @@ def test_enormous_bad_value_makes_a_short_error_line(tmp_path, repo_root, capsys
 @pytest.mark.parametrize("command, artifact", [
     ("simulate", "report.json"),
     ("compare", "compare.csv"),
+    ("explore", "ranking.csv"),
     pytest.param("simulate", None, id="simulate-int-product-overflow"),
 ])
-def test_non_finite_result_exits_3_writing_nothing(tmp_path, model_paths, baselines_dir, capsys,
+def test_non_finite_result_exits_3_writing_nothing(tmp_path, model_paths, baselines_dir, space_path, capsys,
                                                    command, artifact):
     model = model_paths["svhn_cnn"]
     if artifact is None:
@@ -756,7 +771,8 @@ def test_non_finite_result_exits_3_writing_nothing(tmp_path, model_paths, baseli
         extra = ["--catalog", str(catalog)]
         expect = f"error: {artifact} would hold a non-finite number; the inputs overflow the float range\n"
     out = tmp_path / "out"
-    argv = [command, str(model), "--config", str(write_config(tmp_path)), "--out-dir", str(out), *extra]
+    inputs = ["--space", str(space_path)] if command == "explore" else ["--config", str(write_config(tmp_path))]
+    argv = [command, str(model), *inputs, "--out-dir", str(out), *extra]
     if command == "compare":
         argv += ["--baselines", str(baselines_dir)]
     rc = main(argv)
