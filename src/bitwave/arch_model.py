@@ -25,8 +25,8 @@ actions per row; a layer's energy sums action count x power x active time
 over the table, and a unit's peak power sums device count x power over the
 same rows. A run of layers (``RunCost``) takes its step period once and each
 unit's table once per (unit, plan) from an ``MvuCache``, which also keeps a
-run's layer latencies per unit count and their sum; its caches are per
-instance and die with it. A run also keeps the sum of its layers'
+run's layer placements per unit count and their latencies' sum; its caches
+are per instance and die with it. A run also keeps the sum of its layers'
 energies. A layer's cost (``LayerCost``) holds only its work, steps and
 energy. A model's latency and energy are its layers' latencies and energies
 added left to right in layer order (``float_sum``, the same float on every
@@ -200,9 +200,9 @@ class MvuCache:
     table. ``unit_power_mw(kind, width, b)`` is that power on the bit-sliced
     plan, CONV units sized for the widest operand (16-bit weights at slice width b).
 
-    ``latencies(run, n_units)`` is a run's layer latencies on ``n_units`` units
-    and ``latency_s(run, n_units)`` their ``float_sum``, the running total
-    of a model's latency after that run when the run is the model's first.
+    ``placements(run, n_units)`` is a run's ``place_layer`` results on ``n_units``
+    units as three columns (time steps, latencies, units used) and ``latency_s(run,
+    n_units)`` the latencies' ``float_sum``, a model's running latency after its first run.
 
     Each is a ``functools.cache`` made per instance that holds no reference to
     the instance, so the caches die with it. One simulation builds its own; a
@@ -219,9 +219,9 @@ class MvuCache:
         self.unit_power_mw = functools.cache(lambda kind, width, b: active(
             specs(kind, width, width if kind == wir.FC else ceil_div(MAX_BITS, b)), bitwave_plan(kind, b)))
         # place_layer is looked up at call time, so a patched one sees every placement
-        self.latencies = latencies = functools.cache(
-            lambda run, n_units: [place_layer(c, n_units, run.period_ns)[2] for c in run.costs])
-        self.latency_s = functools.cache(lambda run, n_units: float_sum(latencies(run, n_units)))
+        self.placements = placements = functools.cache(
+            lambda run, n_units: [*zip(*[place_layer(c, n_units, run.period_ns) for c in run.costs])])
+        self.latency_s = functools.cache(lambda run, n_units: float_sum(placements(run, n_units)[1]))
 
 
 def unit_count(kind: str, cfg: ArchConfig) -> int:
@@ -399,14 +399,13 @@ def layer_cost(
     return LayerCost(work, steps, energy_pj * 1e-12 * cfg.energy_scale)
 
 
-def place_layer(cost: LayerCost, n_units: int, period_ns: float) -> tuple[int, int, float, int]:
+def place_layer(cost: LayerCost, n_units: int, period_ns: float) -> tuple[int, float, int]:
     """Round-robin a layer's work over ``n_units`` units that step every ``period_ns``.
 
-    Returns (passes, seq_steps, latency_s, mvus_used).
+    Returns (seq_steps, latency_s, mvus_used).
     """
-    passes = ceil_div(cost.n_units_of_work, n_units)
-    seq_steps = passes * cost.steps_per_unit
-    return passes, seq_steps, seq_steps * period_ns * 1e-9, min(n_units, cost.n_units_of_work)
+    seq_steps = ceil_div(cost.n_units_of_work, n_units) * cost.steps_per_unit
+    return seq_steps, seq_steps * period_ns * 1e-9, min(n_units, cost.n_units_of_work)
 
 
 def efficiency(latency_s: float, energy_j: float, macs: int, bits: int) -> tuple[float, float, float]:
@@ -521,14 +520,15 @@ def model_energy_j(runs: list[RunCost]) -> float:
 def model_latency_s(runs: list[RunCost], cfg: ArchConfig, units: MvuCache) -> float:
     """A model's latency under ``cfg``'s unit counts: its layers' latencies from ``units``, added in layer order.
 
-    The first run's terms come as its cached ``units.latency_s``.
+    The first run's terms come as its cached ``units.latency_s``, each later
+    run's from its ``units.placements``.
     """
     if not runs:
         return 0.0
     first = runs[0]
     total = units.latency_s(first, unit_count(first.kind, cfg))
     for run in runs[1:]:
-        total = functools.reduce(operator.add, units.latencies(run, unit_count(run.kind, cfg)), total)
+        total = functools.reduce(operator.add, units.placements(run, unit_count(run.kind, cfg))[1], total)
     return total
 
 
@@ -554,9 +554,8 @@ def _simulate(
     per_layer: list[LayerReport] = []
     peak_mw = 0.0
     for run in runs:
-        n_units = unit_count(run.kind, cfg)
-        for layer, cost, spec in zip(run.layers, run.costs, run.specs):
-            _, seq_steps, latency_s, used = place_layer(cost, n_units, run.period_ns)
+        placed = units.placements(run, unit_count(run.kind, cfg))
+        for layer, cost, spec, seq_steps, latency_s, used in zip(run.layers, run.costs, run.specs, *placed):
             per_layer.append(LayerReport(
                 index=layer.index,
                 kind=layer.kind,

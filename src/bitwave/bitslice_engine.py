@@ -51,12 +51,7 @@ from functools import lru_cache
 from operator import lshift, ne
 from typing import Sequence
 
-from .workload_ir import CONV, FC, ceil_div, check_bits
-
-
-def _check_mode(mode: str) -> None:
-    if mode not in (FC, CONV):
-        raise ValueError(f"mode must be {FC!r} or {CONV!r}, got {mode!r}")
+from .workload_ir import CONV, FC, ceil_div, check_bits, check_kind
 
 
 #: an unsigned array type code for each field width of one machine word: 8, 16, 32 and 64 bits
@@ -148,7 +143,7 @@ def build_schedule(p_a: int, p_w: int, b: int, mode: str = FC) -> TdmSchedule:
     check_bits("p_a", p_a)
     check_bits("p_w", p_w)
     check_bits("b", b)
-    _check_mode(mode)
+    check_kind("mode", mode)
     na, nw = ceil_div(p_a, b), ceil_div(p_w, b)
     if mode == FC:
         steps = tuple((ai, wi) for ai in range(na) for wi in range(nw))

@@ -219,31 +219,29 @@ def test_config_from_dict_checks_fields():
 
 
 def map_layer(layer, cfg):
-    """(cost, (passes, seq_steps, latency_s, mvus_used)) of one layer on ``cfg``."""
+    """(cost, (seq_steps, latency_s, mvus_used)) of one layer on ``cfg``."""
     cost = cost_of(layer, cfg)
     return cost, am.place_layer(cost, am.unit_count(layer.kind, cfg), period_of(layer, cfg))
 
 
 def test_map_layer_fc_exact_fit():
-    cost, (passes, seq_steps, _, used) = map_layer(fc_layer(0, 50, 50), am.ArchConfig(v=50, k=20, b=4, V=4, K=4))
+    cost, (seq_steps, _, used) = map_layer(fc_layer(0, 50, 50), am.ArchConfig(v=50, k=20, b=4, V=4, K=4))
     assert cost.n_units_of_work == 1
-    assert passes == 1
     assert used == 1
-    assert seq_steps == cost.steps_per_unit == bse.build_schedule(8, 8, 4, wir.FC).n_steps
+    assert seq_steps == 1 * cost.steps_per_unit == bse.build_schedule(8, 8, 4, wir.FC).n_steps  # one pass
 
 
 def test_map_layer_fc_tiling():
-    cost, (passes, _, _, used) = map_layer(fc_layer(0, 100, 100), am.ArchConfig(v=50, k=20, b=4, V=4, K=4))
+    cost, (seq_steps, _, used) = map_layer(fc_layer(0, 100, 100), am.ArchConfig(v=50, k=20, b=4, V=4, K=4))
     assert cost.n_units_of_work == 4
-    assert passes == 1
+    assert seq_steps == 1 * cost.steps_per_unit  # one pass
     assert used == 4
 
 
 def test_map_layer_fc_round_robin_passes():
     layer, cfg = fc_layer(0, 100, 100), am.ArchConfig(v=50, k=20, b=4, V=3, K=4)
-    cost, (passes, seq_steps, latency_s, _) = map_layer(layer, cfg)
-    assert passes == 2
-    assert seq_steps == 2 * cost.steps_per_unit
+    cost, (seq_steps, latency_s, _) = map_layer(layer, cfg)
+    assert seq_steps == 2 * cost.steps_per_unit  # 4 units of work on 3 units: two passes
     assert latency_s == seq_steps * period_of(layer, cfg) * 1e-9
 
 
@@ -369,7 +367,7 @@ def test_model_totals_equal_every_layer_added_in_layer_order(repo_root, referenc
         assert am.model_energy_j(runs) == wir.float_sum(c.energy_j for run in runs for c in run.costs)
         for V, K in ((1, 1), (2, 3), (ref.V, ref.K), (7, 1000), (999, 5)):
             cfg = replace(ref, V=V, K=K)
-            latencies = [am.place_layer(c, am.unit_count(run.kind, cfg), run.period_ns)[2]
+            latencies = [am.place_layer(c, am.unit_count(run.kind, cfg), run.period_ns)[1]
                          for run in runs for c in run.costs]
             assert am.model_latency_s(runs, cfg, units) == wir.float_sum(latencies)
     assert am.model_latency_s([], ref, units) == am.model_energy_j([]) == 0.0

@@ -237,6 +237,13 @@ def test_schedule_rejects_bad_mode():
         bse.build_schedule(8, 8, 4, "conv")
 
 
+def test_schedule_bad_mode_error_is_brief():
+    # the mode is quoted through wir.brief, so a huge one makes a short message
+    with pytest.raises(ValueError, match="^mode: ") as err:
+        bse.build_schedule(8, 8, 4, "x" * 10_000)
+    assert len(str(err.value)) < 200
+
+
 def test_schedule_is_cached_per_key():
     assert bse.build_schedule(10, 6, 4, bse.FC) is bse.build_schedule(10, 6, 4, bse.FC)
     assert bse.build_schedule(8, 8, 2, bse.CONV) is bse.build_schedule(8, 8, 2, bse.CONV)

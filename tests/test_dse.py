@@ -372,8 +372,10 @@ def test_explore_counts_each_layers_macs_only_for_the_model_totals(monkeypatch):
 
 def test_each_device_table_and_step_period_is_built_once(monkeypatch, repo_root, reference_config_path):
     device_table, step_period, run_cost = am._device_table, am._step_period_ns, am.run_cost
+    place_layer = am.place_layer
     tables = []  # (unit spec, plan) of each table built
     periods = []  # step periods computed during each run_cost call
+    placed = []  # (id(cost), n_units) of each layer placement; a call's costs live until it returns
 
     def counted_table(catalog, spec, cp):
         tables.append((spec, cp))
@@ -387,15 +389,23 @@ def test_each_device_table_and_step_period_is_built_once(monkeypatch, repo_root,
         periods.append(0)
         return run_cost(*args)
 
+    def counted_place(cost, n_units, period_ns):
+        placed.append((id(cost), n_units))
+        return place_layer(cost, n_units, period_ns)
+
     def check_and_clear():
         assert tables and len(tables) == len(set(tables))
         assert periods and all(n <= 1 for n in periods)
+        # a simulation places each layer once, for its report row and the model's latency alike
+        assert placed and len(placed) == len(set(placed))
         tables.clear()
         periods.clear()
+        placed.clear()
 
     monkeypatch.setattr(am, "_device_table", counted_table)
     monkeypatch.setattr(am, "_step_period_ns", counted_period)
     monkeypatch.setattr(am, "run_cost", counted_run)
+    monkeypatch.setattr(am, "place_layer", counted_place)
     dse.explore([MODEL, HETERO, CONV_ONLY, FC_FIRST], with_constraints(MIXED, laser_ceiling_dbm=LASER_CEILING_DBM))
     check_and_clear()
     # each simulation has its own unit cache
