@@ -20,19 +20,23 @@ Two step layouts are supported:
 
 The lanes of one step are the fields of one integer (Kronecker
 substitution). :func:`slice_vector` packs an operand vector once into an int
-whose W-bit field j holds element j (the weight vector is packed in reverse
-order), and slice i of the whole vector is ``(packed >> (b*i)) & lane_mask``,
-where ``lane_mask`` holds 2^b - 1 in every field. The product of an
-activation slice and a reversed weight slice holds the step's photodetector
-sum, the sum of its n lane products, in field n-1. The field width W is
-:func:`field_width`, the smallest power of two of at least 8 bits that keeps
-the law
+whose W-bit field j holds element j, through one little-endian ``struct``
+format of standard sizes, so the layout is the same on every host. Slice i
+of the whole vector is ``(packed >> (b*i)) & lane_mask``, where
+``lane_mask`` holds 2^b - 1 in every field. :func:`execute_dot` packs the
+weight vector reversed, so the product of an activation slice and a weight
+slice holds the step's photodetector sum, the sum of its n lane products, in
+field n-1. The field width W is :func:`field_width`, the smallest power of
+two of at least 8 bits that keeps the law
 
     W >= max(b*ceil(p_a/b), b*ceil(p_w/b), 2b + n.bit_length())
 
 The first two terms keep a shifted slice clear of the next field. The last
 holds a sum of n lane products, each below 2^(2b), without a carry into the
-next field, so every field of the product is its exact coefficient.
+next field, so every field of the product is its exact coefficient. With
+``MAX_BITS = 16`` the law needs at most 2*16 + 32 = 64 bits for every n below
+2^32, so W is 8, 16, 32 or 64 for any vector that can be built, and
+:func:`slice_vector` takes those four widths only.
 
 A dot product's trace (:class:`DotTrace`) is its cached schedule plus one
 photodetector sum per step; no lane value is kept. :func:`reconstruct` adds
@@ -44,8 +48,7 @@ value it was given or has returned, so values can be shared freely across
 threads.
 """
 
-import sys
-from array import array
+import struct
 from dataclasses import dataclass
 from functools import lru_cache
 from operator import lshift, ne
@@ -54,8 +57,8 @@ from typing import Sequence
 from .workload_ir import CONV, FC, ceil_div, check_bits, check_kind
 
 
-#: an unsigned array type code for each field width of one machine word: 8, 16, 32 and 64 bits
-_WORD_CODES = {8 * array(code).itemsize: code for code in "BHILQ"}
+#: struct's standard-size unsigned code for each field width W in bits
+_FIELD_CODES = {8: "B", 16: "H", 32: "I", 64: "Q"}
 
 
 def field_width(p_a: int, p_w: int, b: int, n: int) -> int:
@@ -78,26 +81,17 @@ def check_operand(values: Sequence[int], p: int, b: int) -> None:
         raise ValueError(f"value {value} out of range for {p}-bit operand")
 
 
-def slice_vector(values: Sequence[int], p: int, b: int, width: int, reverse: bool = False) -> list[int]:
+def slice_vector(values: Sequence[int], p: int, b: int, width: int) -> list[int]:
     """Slice every p-bit element of ``values`` into ceil(p/b) base-2^b digits, one int per slice index.
 
     Int ``i`` holds slice ``i`` (LSB first) of element ``j`` in its
-    ``width``-bit field ``j``, or field ``n-1-j`` with ``reverse``. ``width``
-    is a power of two of at least 8 bits and at least b*ceil(p/b), and the
-    elements have passed :func:`check_operand`.
+    ``width``-bit field ``j``. ``width`` is 8, 16, 32 or 64 bits and at least
+    b*ceil(p/b), which :func:`field_width` gives for every vector shorter
+    than 2^32 (see the module docstring), and the elements have passed
+    :func:`check_operand`.
     """
     n = len(values)
-    if width > 64:  # a field of several 64-bit words: the element sits in the field's lowest word
-        stride = width // 64
-        words = [0] * (n * stride)
-        words[stride - 1 if reverse else 0::stride] = values  # reversing the words below moves it down
-        values = words
-    fields = array(_WORD_CODES[min(width, 64)], values)
-    if reverse:
-        fields.reverse()
-    if sys.byteorder == "big":  # the int below reads every item's bytes least significant first
-        fields.byteswap()
-    packed = int.from_bytes(fields.tobytes(), "little")
+    packed = int.from_bytes(struct.pack(f"<{n}{_FIELD_CODES[width]}", *values), "little")
     lane_mask = int.from_bytes(((1 << b) - 1).to_bytes(width // 8, "little") * n, "little")
     return [(packed >> shift) & lane_mask for shift in range(0, b * ceil_div(p, b), b)]
 
@@ -192,7 +186,7 @@ def execute_dot(
     check_operand(w, p_w, b)
     width = field_width(p_a, p_w, b, n)
     ad = slice_vector(a, p_a, b, width)  # ad[i] = slice i of every element of a, element j in field j
-    wd = slice_vector(w, p_w, b, width, reverse=True)  # element j of w in field n-1-j
+    wd = slice_vector(w[::-1], p_w, b, width)  # element j of w in field n-1-j
     schedule = build_schedule(p_a, p_w, b, mode)
     # one wavelength lane per element pair: field n-1 of a slice product is the photodetector sum
     top, field = width * max(n - 1, 0), (1 << width) - 1  # an empty vector's products are all 0

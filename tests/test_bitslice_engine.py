@@ -34,17 +34,19 @@ def slices_of(x, p, b):
 def fields(word, width, n):
     """The n ``width``-bit fields of ``word``, field 0 first, read through its little-endian bytes."""
     size = width // 8
-    data = word.to_bytes(size * n, "little")
-    if size in STRUCT_CODES:
-        return list(struct.unpack(f"<{n}{STRUCT_CODES[size]}", data))
-    return [int.from_bytes(data[size * j:size * (j + 1)], "little") for j in range(n)]
+    return list(struct.unpack(f"<{n}{STRUCT_CODES[size]}", word.to_bytes(size * n, "little")))
 
 
 def unpacked_slices(values, p, b, width=None, reverse=False):
-    """:func:`bse.slice_vector`'s packed slices as digit lists: ``digits[i][j]`` is field j of slice i."""
+    """:func:`bse.slice_vector`'s packed slices as digit lists: ``digits[i][j]`` is field j of slice i.
+
+    With ``reverse`` the values are packed last first, as :func:`bse.execute_dot` packs its weights.
+    """
     if width is None:
         width = bse.field_width(p, p, b, len(values))
-    return [fields(word, width, len(values)) for word in bse.slice_vector(values, p, b, width, reverse)]
+    if reverse:
+        values = values[::-1]
+    return [fields(word, width, len(values)) for word in bse.slice_vector(values, p, b, width)]
 
 
 def engine_slices_of(x, p, b):
@@ -141,8 +143,8 @@ def test_slice_vector_is_per_element_slicing_transposed():
         b = rng.randint(1, 16)
         values = [rng.randrange(1 << p) for _ in range(rng.randint(1, 8))]
         want = [list(col) for col in zip(*[slices_of(x, p, b) for x in values])]
-        # every width the packing takes, up to fields of four 64-bit words
-        for width in (8, 16, 32, 64, 128, 256):
+        # every width the packing takes
+        for width in (8, 16, 32, 64):
             if width >= b * -(-p // b):
                 assert unpacked_slices(values, p, b, width) == want
                 assert unpacked_slices(values, p, b, width, reverse=True) == [col[::-1] for col in want]
@@ -353,11 +355,15 @@ def test_execute_dot_all_ones_on_every_schedule():
 def test_field_width_keeps_the_lane_law():
     # the smallest power of two of at least 8 bits that holds both shifted slices and n lane products
     for p_a, p_w, b in product(range(1, 17), repeat=3):
-        for n in (0, 1, 2, 15, 16, 63, 64, 255, 256, 511, 1 << 40):
+        for n in (0, 1, 2, 15, 16, 63, 64, 255, 256, 511, (1 << 32) - 1, 1 << 40):
             width = bse.field_width(p_a, p_w, b, n)
             need = max(b * -(-p_a // b), b * -(-p_w // b), 2 * b + n.bit_length())
             assert width >= max(8, need) and width & (width - 1) == 0
             assert width == 8 or width // 2 < need
+            # slice_vector packs fields of 8 to 64 bits: enough for every vector shorter than 2^32
+            assert n >= 1 << 32 or width <= 64
+    # and no more: 2^32 lanes of 16-bit slices need a 128-bit field
+    assert bse.field_width(16, 16, 16, 1 << 32) == 128
 
 
 # (b, p, n0): 2b + n.bit_length() crosses a field width between n0 - 1 and n0,
