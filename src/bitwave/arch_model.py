@@ -26,15 +26,14 @@ over the table, and a unit's peak power sums device count x power over the
 same rows. A run of layers (``RunCost``) takes its step period once and each
 unit's table once per (unit, plan) from an ``MvuCache``, which also keeps a
 run's layer placements per unit count and their latencies' sum; its caches
-are per instance and die with it. A run also keeps the sum of its layers'
-energies. A layer's cost (``LayerCost``) holds only its work, steps and
-energy. A model's latency and energy are its layers' latencies and energies
-added left to right in layer order (``float_sum``, the same float on every
-Python); ``model_latency_s`` and ``model_energy_j`` are the one home of
-that law, which ``simulate_inference`` calls on fresh caches and
-``dse.explore`` on shared ones. Each starts from its first run's cached
-sum, the same float as the running total after that run, and adds every
-later layer term by term.
+are per instance and die with it. A run keeps its layers' work, steps and
+energies as columns in layer order, and their energies' sum. A model's
+latency and energy are its layers' latencies and energies added left to
+right in layer order (``float_sum``, the same float on every Python);
+``model_latency_s`` and ``model_energy_j`` are the one home of that law,
+which ``simulate_inference`` calls on fresh caches and ``dse.explore`` on
+shared ones. Each starts from its first run's cached sum, the same float as
+the running total after that run, and adds every later layer term by term.
 
 * DACs hold analog values for the whole step: one per active wavelength lane
   (input bank) plus one per active output row/waveguide (weight side,
@@ -200,11 +199,11 @@ class MvuCache:
     table. ``unit_power_mw(kind, width, b)`` is that power on the bit-sliced
     plan, CONV units sized for the widest operand (16-bit weights at slice width b).
 
-    ``placements(run, n_units)`` is a run's ``place_layer`` results on ``n_units``
+    ``placements(run, n_units)`` is ``place_run(run, n_units)``: a run's placement on ``n_units``
     units as three columns (time steps, latencies, units used) and ``latency_s(run,
     n_units)`` the latencies' ``float_sum``, a model's running latency after its first run.
-    ``explore`` reads only the latencies but keeps all three columns, about 125 KB of
-    traced peak on the ``dse_sweep`` grid, so that ``simulate`` places each layer once.
+    ``explore`` reads only the latencies but keeps all three columns, about 225 KB of
+    traced peak on the ``dse_sweep`` grid, so that ``simulate`` places each run once.
 
     Each is a ``functools.cache`` made per instance that holds no reference to
     the instance, so the caches die with it. One simulation builds its own; a
@@ -220,9 +219,8 @@ class MvuCache:
             lambda spec, cp: float_sum(n * p_mw for p_mw, _, n in tables(spec, cp)))
         self.unit_power_mw = functools.cache(lambda kind, width, b: active(
             specs(kind, width, width if kind == wir.FC else ceil_div(MAX_BITS, b)), bitwave_plan(kind, b)))
-        # place_layer is looked up at call time, so a patched one sees every placement
-        self.placements = placements = functools.cache(
-            lambda run, n_units: [*zip(*[place_layer(c, n_units, run.period_ns) for c in run.costs])])
+        # place_run is looked up at call time, so a patched one sees every placement
+        self.placements = placements = functools.cache(lambda run, n_units: place_run(run, n_units))
         self.latency_s = functools.cache(lambda run, n_units: float_sum(placements(run, n_units)[1]))
 
 
@@ -332,20 +330,6 @@ def slice_counts(layer: wir.LayerSpec, cp: _ConverterPlan) -> tuple[int, int]:
     return ceil_div(layer.act_bits, cp.dac_bits_act), ceil_div(layer.weight_bits, cp.dac_bits_w)
 
 
-@dataclass(frozen=True, slots=True)
-class LayerCost:
-    """A layer's work, steps and energy on one unit width, whatever the unit counts (V, K).
-
-    An FC layer's cost depends on (v, b) only and a CONV layer's on (k, b)
-    only: the unit count divides latency (``place_layer``) but leaves energy
-    alone. What the layer is stays on its ``LayerSpec``, the step period on its ``RunCost``.
-    """
-
-    n_units_of_work: int  # FC: weight tiles; CONV: output positions x chunks
-    steps_per_unit: int
-    energy_j: float
-
-
 def layer_actions(layer: wir.LayerSpec, cfg: ArchConfig, cp: _ConverterPlan) -> tuple[int, int, tuple[int, ...]]:
     """(units of work, steps per unit, action counts in ``_device_table`` row order) of one layer.
 
@@ -391,23 +375,14 @@ def layer_cost(
     cp: _ConverterPlan,
     table: tuple[tuple[float, float | None, int], ...],
     period_ns: float,
-) -> LayerCost:
-    """Work, steps and energy of one layer on units that draw ``table`` and step every ``period_ns``.
+) -> tuple[int, int, float]:
+    """(units of work, steps per unit, energy J) of one layer on units that draw ``table`` and step every ``period_ns``.
 
     Reads neither ``cfg.V`` nor ``cfg.K``.
     """
     work, steps, counts = layer_actions(layer, cfg, cp)
     energy_pj = float_sum(n * p_mw * (period_ns if ns is None else ns) for n, (p_mw, ns, _) in zip(counts, table))
-    return LayerCost(work, steps, energy_pj * 1e-12 * cfg.energy_scale)
-
-
-def place_layer(cost: LayerCost, n_units: int, period_ns: float) -> tuple[int, float, int]:
-    """Round-robin a layer's work over ``n_units`` units that step every ``period_ns``.
-
-    Returns (seq_steps, latency_s, mvus_used).
-    """
-    seq_steps = ceil_div(cost.n_units_of_work, n_units) * cost.steps_per_unit
-    return seq_steps, seq_steps * period_ns * 1e-9, min(n_units, cost.n_units_of_work)
+    return work, steps, energy_pj * 1e-12 * cfg.energy_scale
 
 
 def efficiency(latency_s: float, energy_j: float, macs: int, bits: int) -> tuple[float, float, float]:
@@ -442,11 +417,16 @@ def kind_runs(model: wir.WorkloadModel) -> list[tuple[str, tuple[wir.LayerSpec, 
 
 @dataclass(frozen=True, slots=True, eq=False)
 class RunCost:
-    """A run's layers, plan and step period, their specs and costs, and the laser power it needs.
+    """A run's layers, plan and step period, their specs and cost columns, and the laser power it needs.
 
-    ``energy_j`` is the ``float_sum`` of the costs' energies. ``laser_dbm`` is
-    the largest ``min_laser_dbm`` of the specs. Hashed by identity, so a
-    cache lookup does not hash every ``LayerSpec`` of the run.
+    ``work`` (FC: weight tiles; CONV: output positions x chunks),
+    ``steps_per_unit`` and ``energies`` (J) are columns in layer order. They
+    hold for any unit counts (V, K): an FC run's depend on (v, b) only and a
+    CONV run's on (k, b) only, as the unit count divides latency
+    (``place_run``) but leaves energy alone. ``energy_j`` is the
+    ``float_sum`` of ``energies``. ``laser_dbm`` is the largest
+    ``min_laser_dbm`` of the specs. Hashed by identity, so a cache lookup
+    does not hash every ``LayerSpec`` of the run.
     """
 
     kind: str
@@ -454,7 +434,9 @@ class RunCost:
     plan: _ConverterPlan
     period_ns: float
     specs: tuple[MvuSpec, ...]
-    costs: tuple[LayerCost, ...]
+    work: tuple[int, ...]
+    steps_per_unit: tuple[int, ...]
+    energies: tuple[float, ...]
     energy_j: float
     laser_dbm: float
 
@@ -478,9 +460,17 @@ def run_cost(
     else:
         specs = tuple([units.spec(wir.CONV, cfg.k, slice_counts(l, plan)[1]) for l in layers])
     period = _step_period_ns(cfg, units.catalog, plan)
-    costs = tuple([layer_cost(l, cfg, plan, units.table(spec, plan), period) for l, spec in zip(layers, specs)])
-    return RunCost(kind, layers, plan, period, specs, costs, float_sum([c.energy_j for c in costs]),
+    work, steps, energies = zip(*[layer_cost(l, cfg, plan, units.table(spec, plan), period)
+                                  for l, spec in zip(layers, specs)])
+    return RunCost(kind, layers, plan, period, specs, work, steps, energies, float_sum(energies),
                    max([spec.min_laser_dbm for spec in specs]))
+
+
+def place_run(run: RunCost, n_units: int) -> tuple[tuple[int, ...], tuple[float, ...], tuple[int, ...]]:
+    """Round-robin each layer's work over ``n_units`` units: (time steps, latencies, units used) in layer order."""
+    seq_steps = tuple([ceil_div(work, n_units) * steps for work, steps in zip(run.work, run.steps_per_unit)])
+    return (seq_steps, tuple([n * run.period_ns * 1e-9 for n in seq_steps]),
+            tuple([min(n_units, work) for work in run.work]))
 
 
 def check_runs(runs: list[RunCost], cfg: ArchConfig) -> MvuSpec | None:
@@ -515,7 +505,7 @@ def model_energy_j(runs: list[RunCost]) -> float:
         return 0.0
     total = runs[0].energy_j
     for run in runs[1:]:
-        total = functools.reduce(operator.add, [c.energy_j for c in run.costs], total)
+        total = functools.reduce(operator.add, run.energies, total)
     return total
 
 
@@ -557,14 +547,14 @@ def _simulate(
     peak_mw = 0.0
     for run in runs:
         placed = units.placements(run, unit_count(run.kind, cfg))
-        for layer, cost, spec, seq_steps, latency_s, used in zip(run.layers, run.costs, run.specs, *placed):
+        for layer, energy_j, spec, seq_steps, latency_s, used in zip(run.layers, run.energies, run.specs, *placed):
             per_layer.append(LayerReport(
                 index=layer.index,
                 kind=layer.kind,
                 time_steps=seq_steps,
                 step_period_ns=run.period_ns,
                 latency_s=latency_s,
-                energy_j=cost.energy_j,
+                energy_j=energy_j,
                 macs=wir.layer_mac_count(layer),
                 processed_bits=wir.layer_processed_bits(layer),
                 mvus_used=used,

@@ -35,8 +35,8 @@ memos hold the rest, each with one owner:
   ``model_energy_j``; it is dropped before the next group. A ValueError is
   never stored: it propagates from the first configuration that meets it.
 * ``MvuCache.placements`` and ``MvuCache.latency_s`` on the one unit cache of
-  the search: a run's layer placements, and their latencies' sum, once per
-  unit count.
+  the search: a run's placement (``place_run``), and its latencies' sum, once
+  per unit count.
   The same cache builds each unit's device table once per (unit, plan).
 
 A configuration under the power cap then costs one ``model_latency_s`` and

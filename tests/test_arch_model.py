@@ -52,8 +52,8 @@ UNITS = am.MvuCache(DEFAULT_CATALOG)
 
 
 def cost_of(layer, cfg):
-    """``layer_cost`` of one layer on cfg's bit-sliced units."""
-    return am.run_cost(layer.kind, (layer,), am.bitwave_plan(layer.kind, cfg.b), cfg, UNITS).costs[0]
+    """The one-layer run of ``layer`` on cfg's bit-sliced units."""
+    return am.run_cost(layer.kind, (layer,), am.bitwave_plan(layer.kind, cfg.b), cfg, UNITS)
 
 
 def test_layer_cost_steps_match_the_engine_schedule():
@@ -64,8 +64,8 @@ def test_layer_cost_steps_match_the_engine_schedule():
             cfg_b = replace(cfg, b=b)
             for p_a in range(1, 17):
                 for p_w in range(1, 17):
-                    cost = cost_of(replace(layer, act_bits=p_a, weight_bits=p_w), cfg_b)
-                    assert cost.steps_per_unit == bse.build_schedule(p_a, p_w, b, layer.kind).n_steps
+                    run = cost_of(replace(layer, act_bits=p_a, weight_bits=p_w), cfg_b)
+                    assert run.steps_per_unit == (bse.build_schedule(p_a, p_w, b, layer.kind).n_steps,)
 
 
 def test_schedule_read_by_layer_cost_depends_on_slice_counts_only():
@@ -170,8 +170,8 @@ def test_layer_cost_reads_bitwidths_only_through_slice_counts():
             first = {}  # (n_a, n_w) -> what the first bitwidths with those slice counts cost
             for p_a, p_w in itertools.product(range(1, 17), repeat=2):
                 sized = replace(layer, act_bits=p_a, weight_bits=p_w)
-                cost = am.run_cost(layer.kind, (sized,), cp, cfg, units).costs[0]
-                got = (cost.energy_j, cost.steps_per_unit, am.layer_actions(sized, cfg, cp))
+                run = am.run_cost(layer.kind, (sized,), cp, cfg, units)
+                got = (run.energies, run.steps_per_unit, am.layer_actions(sized, cfg, cp))
                 assert first.setdefault(am.slice_counts(sized, cp), got) == got
             assert len(first) == (-(-16 // b)) ** 2
 
@@ -189,7 +189,7 @@ def test_baseline_runs_every_layer_in_one_step(monkeypatch, weight_bits, act_bit
     spec = am.BaselineSpec(name="flat", weight_bits=weight_bits, act_bits=act_bits)
     am.simulate_baseline(SMALL_MODEL, spec, CFG)
     assert len(costs) == len(SMALL_MODEL.layers)
-    assert all(c.steps_per_unit == 1 for c in costs)
+    assert all(steps == 1 for _, steps, _ in costs)
 
 
 # -- configuration validation -----------------------------------------------------
@@ -215,43 +215,44 @@ def test_config_from_dict_checks_fields():
     assert am.arch_config_from_dict({"v": 2, "k": 2, "b": 4, "V": 1, "K": 1}).laser_ceiling_dbm == 30.0
 
 
-# -- mapping: layer_cost tiles a layer, place_layer round-robins it ----------------
+# -- mapping: layer_cost tiles a layer, place_run round-robins it ------------------
 
 
 def map_layer(layer, cfg):
-    """(cost, (seq_steps, latency_s, mvus_used)) of one layer on ``cfg``."""
-    cost = cost_of(layer, cfg)
-    return cost, am.place_layer(cost, am.unit_count(layer.kind, cfg), period_of(layer, cfg))
+    """((work, steps per unit), (seq_steps, latency_s, mvus_used)) of one layer on ``cfg``."""
+    run = cost_of(layer, cfg)
+    [placed] = zip(*am.place_run(run, am.unit_count(layer.kind, cfg)))
+    return (*run.work, *run.steps_per_unit), placed
 
 
 def test_map_layer_fc_exact_fit():
-    cost, (seq_steps, _, used) = map_layer(fc_layer(0, 50, 50), am.ArchConfig(v=50, k=20, b=4, V=4, K=4))
-    assert cost.n_units_of_work == 1
+    (work, steps), (seq_steps, _, used) = map_layer(fc_layer(0, 50, 50), am.ArchConfig(v=50, k=20, b=4, V=4, K=4))
+    assert work == 1
     assert used == 1
-    assert seq_steps == 1 * cost.steps_per_unit == bse.build_schedule(8, 8, 4, wir.FC).n_steps  # one pass
+    assert seq_steps == 1 * steps == bse.build_schedule(8, 8, 4, wir.FC).n_steps  # one pass
 
 
 def test_map_layer_fc_tiling():
-    cost, (seq_steps, _, used) = map_layer(fc_layer(0, 100, 100), am.ArchConfig(v=50, k=20, b=4, V=4, K=4))
-    assert cost.n_units_of_work == 4
-    assert seq_steps == 1 * cost.steps_per_unit  # one pass
+    (work, steps), (seq_steps, _, used) = map_layer(fc_layer(0, 100, 100), am.ArchConfig(v=50, k=20, b=4, V=4, K=4))
+    assert work == 4
+    assert seq_steps == 1 * steps  # one pass
     assert used == 4
 
 
 def test_map_layer_fc_round_robin_passes():
     layer, cfg = fc_layer(0, 100, 100), am.ArchConfig(v=50, k=20, b=4, V=3, K=4)
-    cost, (seq_steps, latency_s, _) = map_layer(layer, cfg)
-    assert seq_steps == 2 * cost.steps_per_unit  # 4 units of work on 3 units: two passes
+    (_, steps), (seq_steps, latency_s, _) = map_layer(layer, cfg)
+    assert seq_steps == 2 * steps  # 4 units of work on 3 units: two passes
     assert latency_s == seq_steps * period_of(layer, cfg) * 1e-9
 
 
 def test_map_layer_conv_chunking():
     # kernel unfurls to 5*5*1 = 25 elements; k=20 needs two chunks
     layer = conv_layer(0, 1, 1, k=5, h=8, w=8, wb=4, ab=4)
-    cost, _ = map_layer(layer, am.ArchConfig(v=50, k=20, b=4, V=4, K=4))
+    (work, steps), _ = map_layer(layer, am.ArchConfig(v=50, k=20, b=4, V=4, K=4))
     oh, ow = wir.layer_out_hw(layer)
-    assert cost.n_units_of_work == oh * ow * 1 * 2
-    assert cost.steps_per_unit == 1
+    assert work == oh * ow * 1 * 2
+    assert steps == 1
 
 
 def test_map_layer_requires_matching_units():
@@ -269,6 +270,7 @@ def test_map_layer_requires_matching_units():
 def test_micro_dot_step_counts():
     r8 = am.simulate_inference(am.micro_dot_workload(8), am.micro_dot_config(4))
     assert r8.total_time_steps == 4
+    assert [l.index for l in r8.per_layer] == [0]  # indexed as load_workload indexes a first layer
     r16 = am.simulate_inference(am.micro_dot_workload(16), am.micro_dot_config(4))
     assert r16.total_time_steps == 16
 
@@ -364,11 +366,10 @@ def test_model_totals_equal_every_layer_added_in_layer_order(repo_root, referenc
         runs = [am.run_cost(kind, layers, am.bitwave_plan(kind, ref.b), ref, units)
                 for kind, layers in am.kind_runs(model)]
         assert [l.index for run in runs for l in run.layers] == [l.index for l in model.layers]
-        assert am.model_energy_j(runs) == wir.float_sum(c.energy_j for run in runs for c in run.costs)
+        assert am.model_energy_j(runs) == wir.float_sum(e for run in runs for e in run.energies)
         for V, K in ((1, 1), (2, 3), (ref.V, ref.K), (7, 1000), (999, 5)):
             cfg = replace(ref, V=V, K=K)
-            latencies = [am.place_layer(c, am.unit_count(run.kind, cfg), run.period_ns)[1]
-                         for run in runs for c in run.costs]
+            latencies = [s for run in runs for s in am.place_run(run, am.unit_count(run.kind, cfg))[1]]
             assert am.model_latency_s(runs, cfg, units) == wir.float_sum(latencies)
     assert am.model_latency_s([], ref, units) == am.model_energy_j([]) == 0.0
 

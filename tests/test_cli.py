@@ -176,15 +176,17 @@ def test_simulate_laser_infeasible_exits_4(tmp_path, model_paths, capsys):
 
 
 def test_simulate_exits_4_on_an_infinite_laser_power_under_any_ceiling(tmp_path, model_paths, capsys):
-    # at v=100000 the FC unit needs about 4,482 dBm: below a 10,000 dBm ceiling, but past the float range in mW
-    cfg = write_config(tmp_path, v=100_000, laser_ceiling_dbm=10_000.0)
-    out = tmp_path / "out"
-    rc = main(["simulate", str(model_paths["svhn_cnn"]), "--config", str(cfg), "--out-dir", str(out)])
-    assert rc == 4
-    err = capsys.readouterr().err
-    assert err.startswith("error: FC unit path") and err.count("\n") == 1
-    assert err.endswith("dBm laser whose power in mW is past the float range\n") and "ceiling" not in err
-    assert not out.exists()
+    # at v=100000 the FC unit needs exactly 4482.362 dBm: not above a 10,000 dBm
+    # ceiling nor a ceiling of that very value, but past the float range in mW
+    for ceiling in (10_000.0, 4482.362):
+        cfg = write_config(tmp_path, v=100_000, laser_ceiling_dbm=ceiling)
+        out = tmp_path / "out"
+        rc = main(["simulate", str(model_paths["svhn_cnn"]), "--config", str(cfg), "--out-dir", str(out)])
+        assert rc == 4
+        err = capsys.readouterr().err
+        assert err.startswith("error: FC unit path") and err.count("\n") == 1
+        assert err.endswith("dBm laser whose power in mW is past the float range\n") and "ceiling" not in err
+        assert not out.exists()
 
 
 def test_compare_builds_full_table(tmp_path, model_paths, baselines_dir, reference_config_path):

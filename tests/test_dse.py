@@ -213,8 +213,9 @@ FC_FIRST = wir.WorkloadModel(
     ),
 )
 # At 15 dBm the FC unit fails its laser budget at v=64, and the CONV unit
-# at k=128 fails once a layer's weights need 8 or more slices.
-MIXED = dse.SearchSpace(v=(8, 32, 64), k=(9, 64, 128), b=(1, 3, 4), V=(1, 4), K=(2, 6))
+# at k=128 fails once a layer's weights need 8 or more slices. V and K each
+# hold 1 beside a larger count, as explore keys its verdicts by V >= 1 and K >= 1.
+MIXED = dse.SearchSpace(v=(8, 32, 64), k=(9, 64, 128), b=(1, 3, 4), V=(1, 4), K=(1, 6))
 LASER_CEILING_DBM = 15.0
 
 
@@ -299,25 +300,27 @@ def test_explore_rejects_a_unit_whose_laser_power_overflows(cap, ceiling, reject
 def test_explore_builds_each_plan_cost_and_latency_term_once(monkeypatch):
     models = [MODEL, HETERO, CONV_ONLY, FC_FIRST]
     model_of = {id(l): m.name for m in models for l in m.layers}
-    built = {}  # id(cost) -> (model, layer, width, b)
-    keep = []  # every cost stays alive, so no id is reused
+    built = {}  # id(run) -> (model, first layer, width, b)
+    keep = []  # every run stays alive, so no id is reused
     cost_keys, term_keys, check_keys, energy_keys = [], [], [], []
     failed = set()  # check keys whose check_runs returned a unit
     priced = []  # the configuration explore priced last
-    layer_cost, place_layer, check_runs = am.layer_cost, am.place_layer, am.check_runs
+    layer_cost, run_cost, place_run, check_runs = am.layer_cost, am.run_cost, am.place_run, am.check_runs
     max_power, model_energy_j = am.max_power, am.model_energy_j
 
     def counted_cost(layer, cfg, *args):
-        cost = layer_cost(layer, cfg, *args)
-        key = (model_of[id(layer)], layer.index, am.unit_width(layer.kind, cfg), cfg.b)
-        cost_keys.append(key)
-        built[id(cost)] = key
-        keep.append(cost)
-        return cost
+        cost_keys.append((model_of[id(layer)], layer.index, am.unit_width(layer.kind, cfg), cfg.b))
+        return layer_cost(layer, cfg, *args)
 
-    def counted_place(cost, n_units, period_ns):
-        term_keys.append((*built[id(cost)], n_units))
-        return place_layer(cost, n_units, period_ns)
+    def recorded_run(kind, layers, plan, cfg, units):
+        run = run_cost(kind, layers, plan, cfg, units)
+        built[id(run)] = (model_of[id(layers[0])], layers[0].index, am.unit_width(kind, cfg), cfg.b)
+        keep.append(run)
+        return run
+
+    def counted_place(run, n_units):
+        term_keys.append((*built[id(run)], n_units))
+        return place_run(run, n_units)
 
     def run_key(runs, cfg):
         return (model_of[id(runs[0].layers[0])], cfg.v, cfg.k, cfg.b, cfg.V >= 1, cfg.K >= 1)
@@ -341,7 +344,8 @@ def test_explore_builds_each_plan_cost_and_latency_term_once(monkeypatch):
         raise AssertionError("explore simulates a configuration")
 
     monkeypatch.setattr(am, "layer_cost", counted_cost)
-    monkeypatch.setattr(am, "place_layer", counted_place)
+    monkeypatch.setattr(am, "run_cost", recorded_run)
+    monkeypatch.setattr(am, "place_run", counted_place)
     monkeypatch.setattr(am, "check_runs", counted_check)
     monkeypatch.setattr(am, "max_power", priced_power)
     monkeypatch.setattr(am, "model_energy_j", counted_energy)
@@ -372,10 +376,10 @@ def test_explore_counts_each_layers_macs_only_for_the_model_totals(monkeypatch):
 
 def test_each_device_table_and_step_period_is_built_once(monkeypatch, repo_root, reference_config_path):
     device_table, step_period, run_cost = am._device_table, am._step_period_ns, am.run_cost
-    place_layer = am.place_layer
+    place_run = am.place_run
     tables = []  # (unit spec, plan) of each table built
     periods = []  # step periods computed during each run_cost call
-    placed = []  # (id(cost), n_units) of each layer placement; a call's costs live until it returns
+    placed = []  # (id(run), n_units) of each run placement; a call's runs live until it returns
 
     def counted_table(catalog, spec, cp):
         tables.append((spec, cp))
@@ -389,14 +393,14 @@ def test_each_device_table_and_step_period_is_built_once(monkeypatch, repo_root,
         periods.append(0)
         return run_cost(*args)
 
-    def counted_place(cost, n_units, period_ns):
-        placed.append((id(cost), n_units))
-        return place_layer(cost, n_units, period_ns)
+    def counted_place(run, n_units):
+        placed.append((id(run), n_units))
+        return place_run(run, n_units)
 
     def check_and_clear():
         assert tables and len(tables) == len(set(tables))
         assert periods and all(n <= 1 for n in periods)
-        # a simulation places each layer once, for its report row and the model's latency alike
+        # a simulation places each run once, for its report rows and the model's latency alike
         assert placed and len(placed) == len(set(placed))
         tables.clear()
         periods.clear()
@@ -405,7 +409,7 @@ def test_each_device_table_and_step_period_is_built_once(monkeypatch, repo_root,
     monkeypatch.setattr(am, "_device_table", counted_table)
     monkeypatch.setattr(am, "_step_period_ns", counted_period)
     monkeypatch.setattr(am, "run_cost", counted_run)
-    monkeypatch.setattr(am, "place_layer", counted_place)
+    monkeypatch.setattr(am, "place_run", counted_place)
     dse.explore([MODEL, HETERO, CONV_ONLY, FC_FIRST], with_constraints(MIXED, laser_ceiling_dbm=LASER_CEILING_DBM))
     check_and_clear()
     # each simulation has its own unit cache
