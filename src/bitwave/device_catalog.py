@@ -97,18 +97,16 @@ class DeviceCatalog:
         """DAC power (mW) at a given resolution.
 
         The two published design points (8-bit at 3 mW, 16-bit at 40 mW) are
-        kept exact. Below 8 bits the power follows the (2^N / N + 1)
-        proportionality, pinned to the 8-bit anchor. Between the anchors no
-        single proportionality constant fits both, so the gap is bridged
-        log-linearly.
+        kept exact. Up to 8 bits the power follows the (2^N / N + 1)
+        proportionality, pinned to the 8-bit anchor, where the scale is
+        exactly 1.0. Between the anchors no single proportionality constant
+        fits both, so the gap is bridged log-linearly.
         """
         check_bits("converter resolution", n_bits)
         d = self.devices
         if n_bits == 16:
             return d.dac16_power_mw
-        if n_bits == 8:
-            return d.dac8_power_mw
-        if n_bits < 8:
+        if n_bits <= 8:
             scale = (2.0**n_bits / n_bits + 1.0) / (2.0**8 / 8 + 1.0)
             return d.dac8_power_mw * scale
         t = (n_bits - 8) / 8.0
@@ -118,24 +116,22 @@ class DeviceCatalog:
         )
 
     def dac_latency(self, n_bits: int) -> float:
-        """DAC latency (ns); low-resolution designs share the 8-bit figure."""
-        check_bits("converter resolution", n_bits)
-        if n_bits <= 8:
-            return self.devices.dac8_latency_ns
-        return self.devices.dac16_latency_ns
+        """DAC latency (ns)."""
+        return _design_point(n_bits, self.devices.dac8_latency_ns, self.devices.dac16_latency_ns)
 
     def adc_power(self, n_bits: int) -> float:
-        """ADC power (mW); resolutions up to 8 bits use the 8-bit design."""
-        check_bits("converter resolution", n_bits)
-        if n_bits <= 8:
-            return self.devices.adc8_power_mw
-        return self.devices.adc16_power_mw
+        """ADC power (mW)."""
+        return _design_point(n_bits, self.devices.adc8_power_mw, self.devices.adc16_power_mw)
 
     def adc_latency(self, n_bits: int) -> float:
-        check_bits("converter resolution", n_bits)
-        if n_bits <= 8:
-            return self.devices.adc8_latency_ns
-        return self.devices.adc16_latency_ns
+        """ADC latency (ns)."""
+        return _design_point(n_bits, self.devices.adc8_latency_ns, self.devices.adc16_latency_ns)
+
+
+def _design_point(n_bits: int, at8: float, at16: float) -> float:
+    """A converter figure at ``n_bits``: the 8-bit design's up to 8 bits, the 16-bit design's above."""
+    check_bits("converter resolution", n_bits)
+    return at8 if n_bits <= 8 else at16
 
 
 DEFAULT_CATALOG = DeviceCatalog()

@@ -362,8 +362,8 @@ class _ConvDoc(_LayerDoc):
     kernel_w: int
     in_height: int
     in_width: int
-    stride: int = 1
-    padding: int = 0
+    stride: int = LayerSpec.stride
+    padding: int = LayerSpec.padding
 
 
 #: each layer kind's document

@@ -73,7 +73,8 @@ UNREADABLE = {
     # every supported Python's decoder gives up well before this depth
     "nested-100000": (b"[" * 100_000 + b"]" * 100_000, "JSON nested too deeply to decode"),
     "malformed": (b"{not json", "Expecting property name"),
-    "byte-order-mark": (b"\xef\xbb\xbf{}", "Unexpected UTF-8 BOM"),
+    "byte-order-mark": (b"\xef\xbb\xbf{}",
+                        "Unexpected UTF-8 BOM (decode using utf-8-sig): line 1 column 1 (char 0)"),
     # the decoder would keep the last value of a repeated key and drop the others unread
     "duplicate-key": (b'{"name": "a", "weight_bits": 4, "name": "b"}',
                       "JSON object key name 'name' is repeated"),
@@ -442,6 +443,11 @@ def test_validate_passes_and_is_deterministic(tmp_path, capsys):
     rc = main(["validate", "--trials", "300", "--seed", "8"])
     assert rc == 0
     assert capsys.readouterr().out != out1
+    # the defaults are 1000 trials from seed 0
+    assert main(["validate"]) == 0
+    defaults = capsys.readouterr().out
+    assert main(["validate", "--trials", "1000", "--seed", "0"]) == 0
+    assert capsys.readouterr().out == defaults
 
 
 def test_validate_writes_summary(tmp_path, capsys):

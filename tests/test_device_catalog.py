@@ -18,6 +18,8 @@ def test_dac_power_anchors_exact():
     assert DEFAULT_CATALOG.dac_power(8) == 3.0
     # halfway along the log-linear bridge, the geometric mean of the two anchors
     assert DEFAULT_CATALOG.dac_power(12) == pytest.approx(math.sqrt(3.0 * 40.0), abs=1e-12)
+    # one step past the 8-bit anchor, also on the bridge
+    assert DEFAULT_CATALOG.dac_power(9) == pytest.approx(3.0 * (40 / 3) ** (1 / 8), abs=1e-12)
 
 
 def test_dac_power_low_resolution_scaling():

@@ -106,6 +106,8 @@ DOCUMENT_CLASSES = (
 PROBES = (
     None, False, True, 0, 1, -1, 2**1030, -(2**1030), 1.5, -0.0, 1e308, float("nan"), float("inf"),
     "", "FC", "\ud800", "é", [], [1], [1, 2], [1.5], [True], [None], ["x"], [2**1030], {}, {"a": 1},
+    # the longest value an error message quotes whole (a 60-character repr), and the number range's ends
+    "x" * 58, wir.FLOAT_MAX, -wir.FLOAT_MAX, int(wir.FLOAT_MAX), -int(wir.FLOAT_MAX),
 )
 
 
@@ -120,6 +122,6 @@ def test_read_fields_outcomes_are_pinned():
                 except ValueError as exc:
                     outcome = f"ValueError: {exc}"
                 lines.append(f"{cls.__name__}.{f.name} = {probe!r}: {outcome}")
-    assert len(lines) == 1917
+    assert len(lines) == 2272
     digest = hashlib.sha256("\n".join(lines).encode("utf-8")).hexdigest()
-    assert digest[:16] == "399b569392834ee0"
+    assert digest[:16] == "df9aba73131c6276"

@@ -106,10 +106,14 @@ def test_scalar_bits_broadcast():
         "name": "ok",
         "weight_bits": 4,
         "act_bits": 6,
-        "layers": [{"kind": "FC", "in_features": 4, "out_features": 4} for _ in range(3)],
+        "layers": [{"kind": "FC", "in_features": 4, "out_features": 4} for _ in range(3)]
+        # a CONV layer that leaves stride and padding at their defaults
+        + [{"kind": "CONV", "in_channels": 1, "out_channels": 1, "kernel_h": 3, "kernel_w": 3,
+            "in_height": 8, "in_width": 8}],
     }
     m = wir.workload_from_dict(doc)
     assert all(l.weight_bits == 4 and l.act_bits == 6 for l in m.layers)
+    assert (m.layers[3].stride, m.layers[3].padding) == (1, 0)
 
 
 def test_per_layer_bits_win_over_top_level():
