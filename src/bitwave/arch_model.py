@@ -61,8 +61,9 @@ import functools
 import itertools
 import math
 import operator
-from dataclasses import dataclass, field
 from pathlib import Path
+from types import MappingProxyType
+from typing import NamedTuple
 
 from . import bitslice_engine as bse
 
@@ -91,10 +92,7 @@ class LaserInfeasibleError(RuntimeError):
     """The link budget cannot be closed under the configured laser ceiling."""
 
 
-@dataclass(frozen=True)
-class ArchConfig:
-    """Accelerator configuration plus calibration constants."""
-
+class _ConfigFields(NamedTuple):
     v: int
     k: int
     b: int
@@ -104,7 +102,14 @@ class ArchConfig:
     energy_scale: float = 1.0
     pipelined: bool = True
 
-    def __post_init__(self) -> None:
+
+class ArchConfig(_ConfigFields):
+    """Accelerator configuration plus calibration constants."""
+
+    __slots__ = ()
+
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
         for name in ("v", "k"):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be >= 1, got {wir.brief(getattr(self, name))}")
@@ -114,6 +119,7 @@ class ArchConfig:
                 raise ValueError(f"{name} must be >= 0, got {wir.brief(getattr(self, name))}")
         if self.energy_scale <= 0:
             raise ValueError(f"energy_scale must be positive, got {self.energy_scale}")
+        return self
 
 
 def arch_config_from_dict(doc: dict) -> ArchConfig:
@@ -124,18 +130,24 @@ def load_arch_config(path: str | Path) -> ArchConfig:
     return arch_config_from_dict(wir.read_json(path))
 
 
-@dataclass(frozen=True)
-class BaselineSpec:
-    """A fixed-resolution single-step accelerator stand-in."""
-
+class _BaselineFields(NamedTuple):
     name: str
     weight_bits: int
     act_bits: int
-    device_overrides: dict = field(default_factory=dict)
+    # read-only, so every spec without overrides can share it
+    device_overrides: dict = MappingProxyType({})
 
-    def __post_init__(self) -> None:
+
+class BaselineSpec(_BaselineFields):
+    """A fixed-resolution single-step accelerator stand-in."""
+
+    __slots__ = ()
+
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
         check_bits(f"baseline {wir.brief(self.name)}: weight_bits", self.weight_bits)
         check_bits(f"baseline {wir.brief(self.name)}: act_bits", self.act_bits)
+        return self
 
 
 def load_baseline_spec(path: str | Path) -> BaselineSpec:
@@ -151,8 +163,7 @@ def load_baseline_spec(path: str | Path) -> BaselineSpec:
 # -- MVU geometry and the link budget -----------------------------------------
 
 
-@dataclass(frozen=True)
-class MvuSpec:
+class MvuSpec(NamedTuple):
     """Optical structure of one unit: ring counts, path loss, laser need."""
 
     kind: str
@@ -237,8 +248,7 @@ def unit_width(kind: str, cfg: ArchConfig) -> int:
 # -- reports -------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class LayerReport:
+class LayerReport(NamedTuple):
     index: int
     kind: str
     time_steps: int
@@ -250,8 +260,7 @@ class LayerReport:
     mvus_used: int
 
 
-@dataclass(frozen=True)
-class SimReport:
+class SimReport(NamedTuple):
     """Roll-up of one workload on one accelerator."""
 
     model_name: str
@@ -271,8 +280,7 @@ class SimReport:
 # -- core simulation -----------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class _ConverterPlan:
+class _ConverterPlan(NamedTuple):
     """The converters on one architecture's units of one kind; a layer's bitwidths set only its slice counts."""
 
     dac_bits_act: int
@@ -415,8 +423,7 @@ def kind_runs(model: wir.WorkloadModel) -> list[tuple[str, tuple[wir.LayerSpec, 
     return [(kind, tuple([*run])) for kind, run in itertools.groupby(model.layers, key=lambda l: l.kind)]
 
 
-@dataclass(frozen=True, slots=True, eq=False)
-class RunCost:
+class RunCost(NamedTuple):
     """A run's layers, plan and step period, their specs and cost columns, and the laser power it needs.
 
     ``work`` (FC: weight tiles; CONV: output positions x chunks),
@@ -425,8 +432,8 @@ class RunCost:
     CONV run's on (k, b) only, as the unit count divides latency
     (``place_run``) but leaves energy alone. ``energy_j`` is the
     ``float_sum`` of ``energies``. ``laser_dbm`` is the largest
-    ``min_laser_dbm`` of the specs. Hashed by identity, so a cache lookup
-    does not hash every ``LayerSpec`` of the run.
+    ``min_laser_dbm`` of the specs. Compared and hashed by identity, so a
+    cache lookup does not hash every ``LayerSpec`` of the run.
     """
 
     kind: str
@@ -439,6 +446,10 @@ class RunCost:
     energies: tuple[float, ...]
     energy_j: float
     laser_dbm: float
+
+    __eq__ = object.__eq__
+    __ne__ = object.__ne__
+    __hash__ = object.__hash__
 
 
 def run_cost(

@@ -49,12 +49,11 @@ threads.
 """
 
 import struct
-from dataclasses import dataclass
 from functools import lru_cache
 from operator import lshift, ne
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
-from .workload_ir import CONV, FC, ceil_div, check_bits, check_kind
+from .workload_ir import CONV, FC, brief, ceil_div, check_bits, check_kind
 
 
 #: struct's standard-size unsigned code for each field width W in bits
@@ -72,13 +71,32 @@ def field_width(p_a: int, p_w: int, b: int, n: int) -> int:
 
 
 def check_operand(values: Sequence[int], p: int, b: int) -> None:
-    """Raise ``ValueError`` for a bad ``p`` or ``b``, or naming the first element of ``values`` that is not p-bit."""
+    """Raise ``ValueError`` for a bad ``p`` or ``b``, or naming the first element of ``values`` that is not p-bit.
+
+    A valid ``values`` costs only its min and max. An element that does not
+    compare with ints, such as ``"1"`` or None, fails that test; one that is
+    no int but compares within the range, such as 1.5, passes it, and
+    :func:`execute_dot` names it when it fails to pack.
+    """
     check_bits("p", p)
     check_bits("b", b)
     limit = 1 << p
-    if values and not (0 <= min(values) and max(values) < limit):
-        value = next(x for x in values if not 0 <= x < limit)
-        raise ValueError(f"value {value} out of range for {p}-bit operand")
+    try:
+        if not values or (0 <= min(values) and max(values) < limit):
+            return
+    except TypeError:  # an element that does not compare with ints
+        pass
+    raise _bad_element(values, p)
+
+
+def _bad_element(values: Sequence[int], p: int) -> ValueError | None:
+    """A ``ValueError`` naming the first element of ``values`` that is not a p-bit int, or None if none is."""
+    for x in values:
+        if not isinstance(x, int):
+            return ValueError(f"value {brief(x)} is not an int")
+        if not 0 <= x < 1 << p:
+            return ValueError(f"value {x} out of range for {p}-bit operand")
+    return None
 
 
 def slice_vector(values: Sequence[int], p: int, b: int, width: int) -> list[int]:
@@ -96,8 +114,7 @@ def slice_vector(values: Sequence[int], p: int, b: int, width: int) -> list[int]
     return [(packed >> shift) & lane_mask for shift in range(0, b * ceil_div(p, b), b)]
 
 
-@dataclass(frozen=True)
-class TdmSchedule:
+class TdmSchedule(NamedTuple):
     """Ordered time steps of one sliced dot product.
 
     Each step is (activation_slice_index, weight_slice_index), and
@@ -185,8 +202,11 @@ def execute_dot(
     check_operand(a, p_a, b)
     check_operand(w, p_w, b)
     width = field_width(p_a, p_w, b, n)
-    ad = slice_vector(a, p_a, b, width)  # ad[i] = slice i of every element of a, element j in field j
-    wd = slice_vector(w[::-1], p_w, b, width)  # element j of w in field n-1-j
+    try:
+        ad = slice_vector(a, p_a, b, width)  # ad[i] = slice i of every element of a, element j in field j
+        wd = slice_vector(w[::-1], p_w, b, width)  # element j of w in field n-1-j
+    except struct.error:  # an element that is no int but passed check_operand's range test, such as 1.5
+        raise _bad_element(a, p_a) or _bad_element(w, p_w) from None
     schedule = build_schedule(p_a, p_w, b, mode)
     # one wavelength lane per element pair: field n-1 of a slice product is the photodetector sum
     top, field = width * max(n - 1, 0), (1 << width) - 1  # an empty vector's products are all 0

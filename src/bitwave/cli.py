@@ -14,16 +14,14 @@ import argparse
 import csv
 import errno
 import functools
-import hashlib
 import io
 import json
 import math
 import os
-import random
 import sys
-from dataclasses import fields, replace
 from operator import mul
 from pathlib import Path
+from typing import Sequence
 
 from . import __version__
 from . import arch_model as am
@@ -47,7 +45,7 @@ def as_dict(report: am.SimReport) -> dict:
 
     Tuples stay tuples, which ``json`` writes as lists.
     """
-    return {**vars(report), "per_layer": [vars(l) for l in report.per_layer]}
+    return {**report._asdict(), "per_layer": [l._asdict() for l in report.per_layer]}
 
 
 def _manifest(args, command: str, inputs: list[str], pipelined: bool) -> dict:
@@ -76,7 +74,7 @@ def _render_json(name: str, manifest: dict, payload: dict) -> str:
         raise ValueError(_NON_FINITE.format(name)) from None
 
 
-def _render_csv(name: str, manifest: dict, header: list[str], rows: list[list]) -> str:
+def _render_csv(name: str, manifest: dict, header: Sequence[str], rows: Sequence[Sequence]) -> str:
     if not all(math.isfinite(x) for row in rows for x in row if isinstance(x, float)):
         raise ValueError(_NON_FINITE.format(name))
     buf = io.StringIO()
@@ -129,7 +127,7 @@ def _load_catalog_arg(args):
 def _load_config(args) -> am.ArchConfig:
     cfg = am.load_arch_config(args.config)
     if args.no_pipeline:
-        cfg = replace(cfg, pipelined=False)
+        cfg = cfg._replace(pipelined=False)  # no check reads pipelined
     return cfg
 
 
@@ -143,11 +141,9 @@ def cmd_simulate(args) -> int:
     report = am.simulate_inference(model, cfg, catalog)
 
     manifest = _manifest(args, "simulate", [args.model, args.config], cfg.pipelined)
-    header = [f.name for f in fields(am.LayerReport)]
-    rows = [[getattr(l, h) for h in header] for l in report.per_layer]
     _write(args.out_dir, {
         "report.json": _render_json("report.json", manifest, {"report": as_dict(report)}),
-        "report_layers.csv": _render_csv("report_layers.csv", manifest, header, rows),
+        "report_layers.csv": _render_csv("report_layers.csv", manifest, am.LayerReport._fields, report.per_layer),
     })
     print(
         f"{model.name}: {report.total_time_steps} steps, "
@@ -243,7 +239,7 @@ def cmd_explore(args) -> int:
     return EXIT_OK
 
 
-def _draw_operands(rng: random.Random, p: int, n: int) -> list[int]:
+def _draw_operands(rng: "random.Random", p: int, n: int) -> list[int]:
     """``[rng.randrange(1 << p) for _ in range(n)]`` without ``randrange``'s call overhead.
 
     In CPython, ``randrange(1 << p)`` is ``_randbelow_with_getrandbits(1 << p)``:
@@ -266,6 +262,9 @@ def _draw_operands(rng: random.Random, p: int, n: int) -> list[int]:
 
 
 def cmd_validate(args) -> int:
+    import hashlib  # only validate draws and digests, so only it pays for these imports
+    import random
+
     if args.trials < 1:
         print("error: --trials must be >= 1", file=sys.stderr)
         return EXIT_USAGE

@@ -13,17 +13,13 @@ everything unspecified keeps its default.
 """
 
 import math
-from dataclasses import dataclass, field, fields, replace
 from pathlib import Path
-from typing import Iterable
+from typing import Iterable, NamedTuple
 
 from .workload_ir import check_bits, read_fields, read_json
 
 
-@dataclass(frozen=True)
-class DeviceParams:
-    """Per-device latency (ns) and power (mW) figures."""
-
+class _DeviceFields(NamedTuple):
     eo_tuning_latency_ns: float = 20.0
     eo_tuning_power_mw_per_nm: float = 0.004  # 4 uW per nm of resonance shift
     to_tuning_power_mw_per_fsr: float = 27.5
@@ -42,30 +38,53 @@ class DeviceParams:
     adc8_latency_ns: float = 0.82
     adc8_power_mw: float = 3.1
 
-    def __post_init__(self) -> None:
-        for f in fields(self):
-            if getattr(self, f.name) <= 0:
-                raise ValueError(f"device parameter {f.name} must be positive")
+
+class DeviceParams(_DeviceFields):
+    """Per-device latency (ns) and power (mW) figures."""
+
+    __slots__ = ()
+
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
+        for name, value in zip(self._fields, self):
+            if value <= 0:
+                raise ValueError(f"device parameter {name} must be positive")
+        return self
 
 
-@dataclass(frozen=True)
-class LossModel:
-    """Per-element optical insertion losses (dB)."""
-
+class _LossFields(NamedTuple):
     waveguide_db_per_cm: float = 1.0
     splitter_db: float = 0.05
     mr_through_db: float = 0.02
     mr_modulation_db: float = 0.72
     eo_tuning_db_per_cm: float = 6.0
 
-    def __post_init__(self) -> None:
-        for f in fields(self):
-            if getattr(self, f.name) < 0:
-                raise ValueError(f"loss {f.name} must be non-negative")
+
+class LossModel(_LossFields):
+    """Per-element optical insertion losses (dB)."""
+
+    __slots__ = ()
+
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
+        for name, value in zip(self._fields, self):
+            if value < 0:
+                raise ValueError(f"loss {name} must be non-negative")
+        return self
 
 
-@dataclass(frozen=True)
-class DeviceCatalog:
+class _CatalogFields(NamedTuple):
+    devices: DeviceParams = DeviceParams()
+    losses: LossModel = LossModel()
+    detector_sensitivity_dbm: float = -20.0
+    to_duty_cycle: float = 0.002
+    eo_shift_nm: float = 1.0
+    mr_pitch_cm: float = 0.002  # 20 um of waveguide per microring
+    eo_section_cm: float = 0.001  # actively tuned waveguide per modulating MR
+    base_waveguide_cm: float = 0.1  # routing overhead per unit
+
+
+class DeviceCatalog(_CatalogFields):
     """Device constants plus the calibration knobs the analytical model needs.
 
     ``detector_sensitivity_dbm`` has no published value; -20 dBm is a
@@ -75,21 +94,16 @@ class DeviceCatalog:
     hybrid tuning leaves the heaters nearly idle, so the duty is small.
     """
 
-    devices: DeviceParams = field(default_factory=DeviceParams)
-    losses: LossModel = field(default_factory=LossModel)
-    detector_sensitivity_dbm: float = -20.0
-    to_duty_cycle: float = 0.002
-    eo_shift_nm: float = 1.0
-    mr_pitch_cm: float = 0.002  # 20 um of waveguide per microring
-    eo_section_cm: float = 0.001  # actively tuned waveguide per modulating MR
-    base_waveguide_cm: float = 0.1  # routing overhead per unit
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
         if self.to_duty_cycle < 0 or self.to_duty_cycle > 1:
             raise ValueError("to_duty_cycle must be in [0, 1]")
         for name in ("eo_shift_nm", "mr_pitch_cm", "eo_section_cm", "base_waveguide_cm"):
             if getattr(self, name) < 0:
                 raise ValueError(f"{name} must be non-negative")
+        return self
 
     # -- converter scaling ---------------------------------------------------
 
@@ -201,8 +215,9 @@ def load_catalog(path: str | Path) -> DeviceCatalog:
 
 
 def apply_device_overrides(catalog: DeviceCatalog, overrides: dict) -> DeviceCatalog:
-    """Return a catalog with selected device fields replaced."""
+    """Return a catalog with selected device fields replaced, built through the checking constructors."""
     if not overrides:
         return catalog
     checked = read_fields(overrides, DeviceParams, "device_overrides")
-    return replace(catalog, devices=replace(catalog.devices, **checked))
+    devices = DeviceParams(**{**catalog.devices._asdict(), **checked})
+    return DeviceCatalog(**{**catalog._asdict(), "devices": devices})

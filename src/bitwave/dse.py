@@ -48,7 +48,6 @@ alexnet, resnet20 and svhn_cnn, whose first runs hold 5, 19 and 4 of their
 
 import itertools
 import math
-from dataclasses import dataclass, field
 from pathlib import Path
 from typing import NamedTuple
 
@@ -59,20 +58,18 @@ from .device_catalog import DEFAULT_CATALOG, DeviceCatalog
 AGGREGATES = ("geomean", "mean", "min")
 
 
-@dataclass(frozen=True)
-class SearchConstraints:
+class SearchConstraints(NamedTuple):
     max_power_w: float | None = None
     laser_ceiling_dbm: float | None = None
 
 
-@dataclass(frozen=True)
-class SearchSpace:
+class SearchSpace(NamedTuple):
     v: tuple[int, ...]
     k: tuple[int, ...]
     b: tuple[int, ...]
     V: tuple[int, ...]
     K: tuple[int, ...]
-    constraints: SearchConstraints = field(default_factory=SearchConstraints)
+    constraints: SearchConstraints = SearchConstraints()
 
 
 def search_space_from_dict(doc: dict) -> SearchSpace:
@@ -107,8 +104,7 @@ class EvaluatedConfig(NamedTuple):
     per_model: dict  # model name -> ModelScore
 
 
-@dataclass(frozen=True)
-class SearchResult:
+class SearchResult(NamedTuple):
     ranked: tuple[EvaluatedConfig, ...]
     best: EvaluatedConfig | None
     infeasible_count: int

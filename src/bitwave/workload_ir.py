@@ -12,17 +12,20 @@ Bias parameters are not counted anywhere.
 
 ``read_json`` reads every input file of the package (workload, config,
 baseline, catalog, search space), and ``read_fields`` checks each document
-against the dataclass it fills, taking each type rule from one table, ``_TYPES``.
+against the record it fills, taking each type rule from one table, ``_TYPES``.
+
+Every record is a ``typing.NamedTuple``. A record whose values have range
+rules is a subclass of its field tuple that checks them in ``__new__``, so
+it is built through its constructor: ``_replace`` would skip the checks.
 """
 
 import functools
 import json
 import operator
 import sys
-from dataclasses import MISSING, dataclass, fields, is_dataclass, replace
 from pathlib import Path
 from types import UnionType
-from typing import get_args, get_origin
+from typing import NamedTuple, get_args, get_origin
 
 CONV = "CONV"
 FC = "FC"
@@ -107,29 +110,36 @@ _TYPES = {
 
 @functools.cache
 def _field_table(cls) -> tuple[dict, list[str]]:
-    """``cls``'s fields as name -> ([(test, build), ...], description), and its required names.
+    """Record ``cls``'s fields as name -> ([(test, build), ...], description), and its required names.
 
-    Each type a field declares (each member of a union) gives one rule, whose
-    test comes from ``_TYPES``: ``list[X]`` and ``tuple[X, ...]`` take a list
-    whose items pass X's test, and a dataclass takes a JSON object. ``build``
-    is None (keep the value), ``tuple`` (a list becomes a tuple) or the
-    dataclass of a nested document. Built once per class.
+    The fields are ``cls._fields``, their types the annotations of ``cls``'s
+    classes (a checked record's field tuple declares them), and a field is
+    required unless ``cls._field_defaults`` holds it. Each type a field
+    declares (each member of a union) gives one rule, whose test comes from
+    ``_TYPES``: ``list[X]`` and ``tuple[X, ...]`` take a list whose items
+    pass X's test, and a record takes a JSON object. ``build`` is None (keep
+    the value), ``tuple`` (a list becomes a tuple) or the record of a nested
+    document. Built once per class.
     """
+    types = {}
+    for c in reversed(cls.__mro__):
+        types.update(vars(c).get("__annotations__", {}))
     table = {}
-    for f in fields(cls):
-        rules, names = [], []
-        for tp in get_args(f.type) if isinstance(f.type, UnionType) else (f.type,):
+    for name in cls._fields:
+        rules, names, declared = [], [], types[name]
+        for tp in get_args(declared) if isinstance(declared, UnionType) else (declared,):
             if get_origin(tp) in (list, tuple):  # list[X] or tuple[X, ...]
                 item_test, _, items = _TYPES[get_args(tp)[0]]
                 test = lambda v, item_test=item_test: type(v) is list and all(map(item_test, v))
                 rules.append((test, tuple if get_origin(tp) is tuple else None))
                 names.append(f"a list of {items}")
             else:
-                test, name, _ = _TYPES[dict if is_dataclass(tp) else tp]
-                rules.append((test, tp if is_dataclass(tp) else None))
-                names.append(name)
-        table[f.name] = (rules, " or ".join(names))
-    required = [f.name for f in fields(cls) if f.default is MISSING and f.default_factory is MISSING]
+                record = hasattr(tp, "_fields")  # a NamedTuple
+                test, description, _ = _TYPES[dict if record else tp]
+                rules.append((test, tp if record else None))
+                names.append(description)
+        table[name] = (rules, " or ".join(names))
+    required = [name for name in cls._fields if name not in cls._field_defaults]
     return table, required
 
 
@@ -169,15 +179,15 @@ def read_json(path: str | Path):
 
 
 def read_fields(doc, cls, what: str) -> dict:
-    """Check JSON document ``doc`` against dataclass ``cls``; return its fields as keyword arguments.
+    """Check JSON document ``doc`` against record ``cls``; return its fields as keyword arguments.
 
     ``doc`` must be an object with no unknown field and every field that has no
     default. Each value must pass one of its field's rules (``_field_table``),
     whose tests all come from ``_TYPES``: ``X | None`` also takes null,
-    ``list[X]`` and ``tuple[X, ...]`` take a list of X, and a dataclass-typed
-    field is a nested document named after the field. A string must also
-    encode as UTF-8. Failures raise ``ValueError``; the range rules stay in
-    each class's ``__post_init__``.
+    ``list[X]`` and ``tuple[X, ...]`` take a list of X, and a record-typed
+    field is a nested document named after the field, built through its
+    constructor. A string must also encode as UTF-8. Failures raise
+    ``ValueError``; the range rules stay in each record's ``__new__``.
     """
     table, required = _field_table(cls)
     if not isinstance(doc, dict):
@@ -207,10 +217,7 @@ def read_fields(doc, cls, what: str) -> dict:
     return kwargs
 
 
-@dataclass(frozen=True)
-class LayerSpec:
-    """One CONV or FC layer; unused kind fields stay None."""
-
+class _LayerFields(NamedTuple):
     index: int
     kind: str
     weight_bits: int
@@ -226,7 +233,14 @@ class LayerSpec:
     in_features: int | None = None
     out_features: int | None = None
 
-    def __post_init__(self) -> None:
+
+class LayerSpec(_LayerFields):
+    """One CONV or FC layer; unused kind fields stay None."""
+
+    __slots__ = ()
+
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
         where = f"layer {self.index}"
         check_kind(where, self.kind)
         check_bits(f"{where}: weight_bits", self.weight_bits)
@@ -249,6 +263,7 @@ class LayerSpec:
             oh, ow = layer_out_hw(self)
             if oh < 1 or ow < 1:
                 raise ValueError(f"{where}: kernel/stride/padding yield empty {oh}x{ow} output")
+        return self
 
 
 def layer_out_hw(layer: LayerSpec) -> tuple[int, int]:
@@ -278,15 +293,19 @@ def layer_processed_bits(layer: LayerSpec) -> int:
     return layer_mac_count(layer) * (layer.weight_bits + layer.act_bits)
 
 
-@dataclass(frozen=True)
-class WorkloadModel:
-    """A named, validated stack of layers."""
-
+class _ModelFields(NamedTuple):
     name: str
     layers: tuple[LayerSpec, ...]
     declared_param_count: int | None = None
 
-    def __post_init__(self) -> None:
+
+class WorkloadModel(_ModelFields):
+    """A named, validated stack of layers."""
+
+    __slots__ = ()
+
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
         if self.declared_param_count is not None:
             actual = param_count(self)
             if actual != self.declared_param_count:
@@ -294,6 +313,7 @@ class WorkloadModel:
                     f"model {brief(self.name)}: declared_param_count "
                     f"{brief(self.declared_param_count)} != layer-shape total {actual}"
                 )
+        return self
 
 
 def param_count(model: WorkloadModel) -> int:
@@ -314,18 +334,20 @@ def processed_bits(model: WorkloadModel) -> int:
 
 
 def with_bits(model: WorkloadModel, weight_bits: int, act_bits: int) -> WorkloadModel:
-    """Homogeneous-quantization variant of a model (same shapes)."""
-    layers = tuple(replace(l, weight_bits=weight_bits, act_bits=act_bits) for l in model.layers)
-    return replace(model, layers=layers)
+    """Homogeneous-quantization variant of a model (same shapes), built through the checking constructors.
+
+    The layer tuple is built from a list, as ``arch_model.kind_runs`` builds its runs.
+    """
+    bits = {"weight_bits": weight_bits, "act_bits": act_bits}
+    layers = tuple([LayerSpec(**{**l._asdict(), **bits}) for l in model.layers])
+    return WorkloadModel(**{**model._asdict(), "layers": layers})
 
 
 # -- (de)serialization --------------------------------------------------------
 
 
-# Schemas for read_fields. Generated methods that nothing calls are skipped and
-# each class has a docstring: both would otherwise cost import time.
-@dataclass(kw_only=True, repr=False, eq=False)
-class _ModelDoc:
+# Schemas for read_fields; only _ModelDoc is built.
+class _ModelDoc(NamedTuple):
     """The top level of a workload file; ``weight_bits``/``act_bits`` apply across layers."""
 
     layers: list
@@ -335,42 +357,38 @@ class _ModelDoc:
     act_bits: int | list[int] | None = None
 
 
-@dataclass(kw_only=True, init=False, repr=False, eq=False)
-class _LayerDoc:
-    """The fields every layer entry may set; its bitwidths default to the top level's."""
+# Each layer entry may set its bitwidths, which default to the top level's.
+class _FcDoc(NamedTuple):
+    """An FC layer entry; FC layers take no stride or padding."""
 
     kind: str
+    in_features: int
+    out_features: int
     weight_bits: int | None = None
     act_bits: int | None = None
 
 
-@dataclass(kw_only=True, init=False, repr=False, eq=False)
-class _FcDoc(_LayerDoc):
-    """An FC layer entry; FC layers take no stride or padding."""
-
-    in_features: int
-    out_features: int
-
-
-@dataclass(kw_only=True, init=False, repr=False, eq=False)
-class _ConvDoc(_LayerDoc):
+class _ConvDoc(NamedTuple):
     """A CONV layer entry."""
 
+    kind: str
     in_channels: int
     out_channels: int
     kernel_h: int
     kernel_w: int
     in_height: int
     in_width: int
-    stride: int = LayerSpec.stride
-    padding: int = LayerSpec.padding
+    weight_bits: int | None = None
+    act_bits: int | None = None
+    stride: int = LayerSpec._field_defaults["stride"]
+    padding: int = LayerSpec._field_defaults["padding"]
 
 
 #: each layer kind's document
 _LAYER_DOCS = {CONV: _ConvDoc, FC: _FcDoc}
 #: the shape fields each layer kind requires, and the other kind must leave None
 _SHAPE_FIELDS = {
-    kind: tuple(f.name for f in fields(doc) if f.default is MISSING and f.name != "kind")
+    kind: tuple(name for name in doc._fields if name not in doc._field_defaults and name != "kind")
     for kind, doc in _LAYER_DOCS.items()
 }
 

@@ -1,5 +1,3 @@
-from dataclasses import replace
-
 import gc
 import itertools
 import json
@@ -61,10 +59,10 @@ def test_layer_cost_steps_match_the_engine_schedule():
     cfg = am.ArchConfig(v=4, k=3, b=1, V=1, K=1)
     for layer in (fc_layer(0, 5, 3), conv_layer(1, 2, 2, h=4, w=4)):
         for b in range(1, 17):
-            cfg_b = replace(cfg, b=b)
+            cfg_b = cfg._replace(b=b)
             for p_a in range(1, 17):
                 for p_w in range(1, 17):
-                    run = cost_of(replace(layer, act_bits=p_a, weight_bits=p_w), cfg_b)
+                    run = cost_of(layer._replace(act_bits=p_a, weight_bits=p_w), cfg_b)
                     assert run.steps_per_unit == (bse.build_schedule(p_a, p_w, b, layer.kind).n_steps,)
 
 
@@ -166,10 +164,10 @@ def test_layer_cost_reads_bitwidths_only_through_slice_counts():
     units = am.MvuCache(DEFAULT_CATALOG)
     for layer in (fc_layer(0, 37, 21), conv_layer(1, 3, 5, h=6, w=6, padding=1)):
         for b in range(1, 17):
-            cfg, cp = replace(CFG, b=b), am.bitwave_plan(layer.kind, b)
+            cfg, cp = CFG._replace(b=b), am.bitwave_plan(layer.kind, b)
             first = {}  # (n_a, n_w) -> what the first bitwidths with those slice counts cost
             for p_a, p_w in itertools.product(range(1, 17), repeat=2):
-                sized = replace(layer, act_bits=p_a, weight_bits=p_w)
+                sized = layer._replace(act_bits=p_a, weight_bits=p_w)
                 run = am.run_cost(layer.kind, (sized,), cp, cfg, units)
                 got = (run.energies, run.steps_per_unit, am.layer_actions(sized, cfg, cp))
                 assert first.setdefault(am.slice_counts(sized, cp), got) == got
@@ -368,7 +366,7 @@ def test_model_totals_equal_every_layer_added_in_layer_order(repo_root, referenc
         assert [l.index for run in runs for l in run.layers] == [l.index for l in model.layers]
         assert am.model_energy_j(runs) == wir.float_sum(e for run in runs for e in run.energies)
         for V, K in ((1, 1), (2, 3), (ref.V, ref.K), (7, 1000), (999, 5)):
-            cfg = replace(ref, V=V, K=K)
+            cfg = ref._replace(V=V, K=K)
             latencies = [s for run in runs for s in am.place_run(run, am.unit_count(run.kind, cfg))[1]]
             assert am.model_latency_s(runs, cfg, units) == wir.float_sum(latencies)
     assert am.model_latency_s([], ref, units) == am.model_energy_j([]) == 0.0
@@ -443,7 +441,7 @@ def test_analytical_model_preserves_dot_product_numerics():
 
 def test_pipeline_switch_slows_steps():
     rep = am.simulate_inference(SMALL_MODEL, CFG)
-    nop = am.simulate_inference(SMALL_MODEL, replace(CFG, pipelined=False))
+    nop = am.simulate_inference(SMALL_MODEL, CFG._replace(pipelined=False))
     assert nop.latency_s > rep.latency_s
     assert nop.total_time_steps == rep.total_time_steps
 
@@ -466,7 +464,7 @@ def test_mvu_spec_geometry():
 def test_unit_caches_belong_to_one_instance_and_die_with_it():
     """Each ``MvuCache`` answers from its own catalog, and dropping one frees it without a gc pass."""
     key = (wir.FC, 8, 8)
-    lossy = replace(DEFAULT_CATALOG, losses=replace(DEFAULT_CATALOG.losses, splitter_db=0.5))
+    lossy = DEFAULT_CATALOG._replace(losses=DEFAULT_CATALOG.losses._replace(splitter_db=0.5))
     assert am.MvuCache(DEFAULT_CATALOG).spec(*key) != am.MvuCache(lossy).spec(*key)
     enabled = gc.isenabled()
     gc.disable()
@@ -482,6 +480,14 @@ def test_unit_caches_belong_to_one_instance_and_die_with_it():
     finally:
         if enabled:
             gc.enable()
+
+
+def test_run_costs_compare_and_hash_by_identity():
+    # a cache keyed by a run hashes no layer of it, and never takes an equal run for it
+    one, two = (cost_of(fc_layer(0, 8, 4), CFG) for _ in range(2))
+    assert tuple(one) == tuple(two)
+    assert one == one and one != two
+    assert hash(one) != hash(two) and {one: 1}.get(two) is None
 
 
 def test_laser_need_grows_with_vector_size():
@@ -521,7 +527,7 @@ def test_laser_law_fails_only_a_need_above_the_ceiling():
     assert (twelve.n_rows, sixteen.n_rows) == (12, 16) and twelve.min_laser_dbm < sixteen.min_laser_dbm
 
     def under(ceiling):
-        return replace(cfg, laser_ceiling_dbm=ceiling)
+        return cfg._replace(laser_ceiling_dbm=ceiling)
 
     def below(dbm):
         return math.nextafter(dbm, -math.inf)
@@ -676,10 +682,10 @@ def test_zero_trim_duty_cycle_charges_no_trim_power():
 def test_max_power_monotone_in_each_dimension():
     base = am.ArchConfig(v=8, k=8, b=4, V=4, K=4)
     p0 = am.max_power(base, am.MvuCache(DEFAULT_CATALOG))
-    assert am.max_power(replace(base, v=16), am.MvuCache(DEFAULT_CATALOG)) >= p0
-    assert am.max_power(replace(base, k=16), am.MvuCache(DEFAULT_CATALOG)) >= p0
-    assert am.max_power(replace(base, V=8), am.MvuCache(DEFAULT_CATALOG)) >= p0
-    assert am.max_power(replace(base, K=8), am.MvuCache(DEFAULT_CATALOG)) >= p0
+    assert am.max_power(base._replace(v=16), am.MvuCache(DEFAULT_CATALOG)) >= p0
+    assert am.max_power(base._replace(k=16), am.MvuCache(DEFAULT_CATALOG)) >= p0
+    assert am.max_power(base._replace(V=8), am.MvuCache(DEFAULT_CATALOG)) >= p0
+    assert am.max_power(base._replace(K=8), am.MvuCache(DEFAULT_CATALOG)) >= p0
 
 
 def test_peak_power_reported_positive():

@@ -22,10 +22,12 @@ def slices_of(x, p, b):
     """The ceil(p/b) base-2^b digits of one p-bit value, LSB first, each masked out on its own.
 
     This is the oracle's slicing: it shares no code with :mod:`bse`'s packed
-    slices, and raises :func:`bse.check_operand`'s errors for one value.
+    slices, and raises :func:`bse.execute_dot`'s errors for one value.
     """
     wir.check_bits("p", p)
     wir.check_bits("b", b)
+    if not isinstance(x, int):
+        raise ValueError(f"value {x!r} is not an int")
     if not 0 <= x < 1 << p:
         raise ValueError(f"value {x} out of range for {p}-bit operand")
     return [(x >> (b * i)) & ((1 << b) - 1) for i in range(-(-p // b))]
@@ -387,6 +389,10 @@ def test_execute_dot_all_ones_across_lane_width_crossings(b, p, n0, mode):
     # the first bad element of a, before any bad element of w
     ([1, 300, 256], [999, 1, 1], ValueError, "value 300 out of range for 8-bit operand"),
     ([1, 2], [3, -4], ValueError, "value -4 out of range for 8-bit operand"),
+    # an element that is not an int: one within range fails to pack, the others fail to compare
+    ([1, 1.5], [1, 1], ValueError, "value 1.5 is not an int"),
+    (["1"], [1], ValueError, "value '1' is not an int"),
+    ([1], [None], ValueError, "value None is not an int"),
 ])
 def test_execute_dot_error_order(a, w, error, message):
     for dot in (bse.execute_dot, reference_execute_dot):

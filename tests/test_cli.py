@@ -5,6 +5,7 @@ import io
 import json
 import math
 import random
+import subprocess
 import sys
 from pathlib import Path
 
@@ -398,6 +399,16 @@ def test_shared_parser_keeps_no_state_between_calls(tmp_path, model_paths, refer
     assert again == first
     pipelined = [json.loads(again[name]["report.json"])["manifest"]["pipelined"] for name in runs]
     assert pipelined == [False, True]
+
+
+def test_import_loads_no_dataclasses_inspect_or_hashlib(repo_root):
+    # a command's cold start is mostly the import: the records are NamedTuples, and
+    # only validate, which alone digests its trials, imports hashlib
+    code = ("import sys; sys.path.insert(0, sys.argv[1]); import bitwave.cli, bitwave.dse; "
+            "print(sorted({'dataclasses', 'inspect', 'hashlib'} & sys.modules.keys()))")
+    done = subprocess.run([sys.executable, "-S", "-c", code, str(repo_root / "src")],
+                          capture_output=True, text=True, check=True)
+    assert done.stdout == "[]\n"
 
 
 def test_version_prints_the_same_line_each_call(capsys):

@@ -1,5 +1,4 @@
 import random
-from dataclasses import replace
 
 import pytest
 
@@ -74,12 +73,12 @@ def test_counts_permutation_invariant_and_additive():
     m = wir.WorkloadModel(name="m", layers=tuple(a))
     perm = [a[2], a[0], a[1]]
     mp = wir.WorkloadModel(name="p", layers=tuple(
-        replace(l, index=i) for i, l in enumerate(perm)
+        l._replace(index=i) for i, l in enumerate(perm)
     ))
     assert wir.param_count(m) == wir.param_count(mp)
     assert wir.mac_count(m) == wir.mac_count(mp)
     head = wir.WorkloadModel(name="h", layers=tuple(a[:2]))
-    tail = wir.WorkloadModel(name="t", layers=(replace(a[2], index=0),))
+    tail = wir.WorkloadModel(name="t", layers=(a[2]._replace(index=0),))
     assert wir.param_count(m) == wir.param_count(head) + wir.param_count(tail)
     assert wir.mac_count(m) == wir.mac_count(head) + wir.mac_count(tail)
 
